@@ -21,6 +21,7 @@ from .symbol import (
     builtin_symbol,
     eval_symbol,
     load_symbol,
+    multiplier_value,
     parse_symbol,
     pretty_print,
     symbol_from_dict,
@@ -33,6 +34,7 @@ from .operator import (
     analyze,
     apply_matrix,
     assemble_matrix,
+    column_integrals,
     export_matrix_csv,
     kernel_eval,
     synthesize,
@@ -40,7 +42,6 @@ from .operator import (
 from .schatten import (
     SchattenReport,
     build_report,
-    column_integrals,
     hilbert_schmidt_direct,
     schatten_norm,
     schatten_sum,

@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    CriterionPreconditionError,
-    check_hilbert_schmidt,
-    check_sr_sigma,
-    check_sr_small,
-    check_trace_class_positive,
-    default_sigma,
-    sigma_lower_bound,
-)
+from .criteria import CriterionPreconditionError, criteria
 from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
 from .multiindex import TruncationSpec
 from .operator import assemble_matrix
@@ -107,12 +100,32 @@ def _echo_config(args, sym: SymbolSpec | None = None) -> dict:
     return echo
 
 
+def _single_level(args) -> int:
+    levels = _parse_levels(args.level)
+    if len(levels) != 1:
+        raise ConfigError(f"{args.command} expects a single --level")
+    return levels[0]
+
+
+def _report(args, sym: SymbolSpec | None = None, **fields) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "software_version": __version__,
+        "command": args.command,
+        "config": _echo_config(args, sym),
+        **fields,
+    }
+
+
 def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
+    # the CSV rows are values of doc, so this also keeps NaN out of CSV
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError("the report has non-finite values") from None
     if args.format == "csv" and csv_rows is not None:
         lines = [",".join(csv_header)] + [",".join(repr(v) for v in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -122,19 +135,10 @@ def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
 
 def cmd_analyze(args) -> int:
     sym = _load_symbol(args)
-    level = _parse_levels(args.level)
-    if len(level) != 1:
-        raise ConfigError("analyze expects a single --level")
-    spec = TruncationSpec(args.dim, level[0])
+    spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
     report = build_report(sym, spec, q, r_values=tuple(_parse_rs(args.r)))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "software_version": __version__,
-        "command": "analyze",
-        "config": _echo_config(args, sym),
-        "report": report.to_dict(),
-    }
+    doc = _report(args, sym, report=report.to_dict())
     rows = list(enumerate(float(s) for s in report.singular_values))
     _emit(doc, args, csv_rows=rows, csv_header=("index", "singular_value"))
     return 0
@@ -142,36 +146,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_criteria(args) -> int:
     sym = _load_symbol(args)
-    level = _parse_levels(args.level)
-    if len(level) != 1:
-        raise ConfigError("criteria expects a single --level")
-    spec = TruncationSpec(args.dim, level[0])
+    spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
-    verdicts = []
-    for r in _parse_rs(args.r):
-        if r == 2.0:
-            verdicts.append(check_hilbert_schmidt(sym, spec, q))
-        elif r <= 1.0:
-            verdicts.append(check_sr_small(sym, spec, q, r=r))
-            if r == 1.0 and sym.claims_positive_selfadjoint:
-                verdicts.append(check_trace_class_positive(sym, spec, q))
-        elif r < 2.0:
-            sigma = args.sigma if args.sigma is not None else default_sigma(spec.dim, r)
-            if sigma <= sigma_lower_bound(spec.dim, r):
-                raise ConfigError(
-                    f"sigma = {sigma} is inadmissible for r = {r}: "
-                    f"need sigma > n(1/r - 1/2) = {sigma_lower_bound(spec.dim, r)}"
-                )
-            verdicts.append(check_sr_sigma(sym, spec, q, r=r, sigma=sigma))
-        else:
-            raise ConfigError(f"no criterion applies for r = {r} > 2")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "software_version": __version__,
-        "command": "criteria",
-        "config": _echo_config(args, sym),
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
+    verdicts = criteria(sym, spec, q, tuple(_parse_rs(args.r)), args.sigma)
+    doc = _report(args, sym, verdicts=[v.to_dict() for v in verdicts])
     rows = [(v.criterion, s, val) for v in verdicts for s, val in v.shells]
     _emit(doc, args, csv_rows=rows, csv_header=("criterion", "shell", "sum"))
     return 0
@@ -179,24 +157,17 @@ def cmd_criteria(args) -> int:
 
 def cmd_trace(args) -> int:
     sym = _load_symbol(args)
-    level = _parse_levels(args.level)
-    if len(level) != 1:
-        raise ConfigError("trace expects a single --level")
-    spec = TruncationSpec(args.dim, level[0])
+    spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
     m = assemble_matrix(sym, spec, q)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "software_version": __version__,
-        "command": "trace",
-        "config": _echo_config(args, sym),
-        "formula_trace": trace_formula(sym, spec, q),
-        "spectral_trace": spectral_trace(m),
-        "matrix_trace": m.trace(),
-        "assembly_residual": m.assembly_residual,
-        "residual_warning": m.residual_warning,
-    }
-    _emit(doc, args)
+    _emit(_report(
+        args, sym,
+        formula_trace=math.fsum(m.column_integrals(squared=False)),
+        spectral_trace=spectral_trace(m),
+        matrix_trace=m.trace(),
+        assembly_residual=m.assembly_residual,
+        residual_warning=m.residual_warning,
+    ), args)
     return 0
 
 
@@ -215,24 +186,18 @@ def cmd_converge(args) -> int:
             val = hilbert_schmidt_direct(sym, spec, q)
         rows.append((n, val))
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "software_version": __version__,
-        "command": "converge",
-        "config": _echo_config(args, sym),
-        "quantity": args.quantity,
-        "values": [[n, v] for n, v in rows],
-        "successive_differences": diffs,
-    }
+    doc = _report(
+        args, sym,
+        quantity=args.quantity,
+        values=[[n, v] for n, v in rows],
+        successive_differences=diffs,
+    )
     _emit(doc, args, csv_rows=rows, csv_header=("level", args.quantity))
     return 0
 
 
 def cmd_basis_check(args) -> int:
-    levels = _parse_levels(args.level)
-    if len(levels) != 1:
-        raise ConfigError("basis-check expects a single --level")
-    n_level = levels[0]
+    n_level = _single_level(args)
     q = _quad_order(args, n_level)
     rule = gauss_hermite_rule(q)
     # weight-free values paired with the e^(-x^2) weights: the Gram matrix of
@@ -240,16 +205,12 @@ def cmd_basis_check(args) -> int:
     table = hermite_table(n_level, rule.nodes, weighted=False)
     gram = (table * rule.weights) @ table.T
     residual = float(np.abs(gram - np.eye(n_level + 1)).max())
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "software_version": __version__,
-        "command": "basis-check",
-        "config": _echo_config(args),
-        "level": n_level,
-        "quad_order": q,
-        "orthonormality_residual": residual,
-    }
-    _emit(doc, args)
+    _emit(_report(
+        args,
+        level=n_level,
+        quad_order=q,
+        orthonormality_residual=residual,
+    ), args)
     return 0
 
 

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .multiindex import TruncationSpec
-from .operator import assemble_matrix
-from .schatten import column_integrals
-from .symbol import SymbolSpec, _multiplier_value
+from .operator import OperatorMatrix, assemble_matrix, column_integrals
+from .symbol import SymbolSpec
 
 DIVERGE_SLOPE = -1.0
 CONVERGE_SLOPE = -1.2
@@ -115,6 +114,118 @@ def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
     )
 
 
+def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
+                matrix: bool) -> tuple[OperatorMatrix | None, np.ndarray]:
+    # (operator, squared column integrals); the operator is None unless a
+    # verdict reads it or it is a multiplier's diagonal, which costs no quadrature
+    if matrix or sym.is_multiplier:
+        m = assemble_matrix(sym, spec, q)
+        return m, m.column_integrals(squared=True)
+    return None, column_integrals(sym, spec, q, squared=True)
+
+
+def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
+                     m: OperatorMatrix | None) -> CriterionVerdict:
+    extras = {}
+    if m is not None:
+        fro2 = float(np.sum(m.entries**2))
+        direct = math.fsum(terms)
+        extras["frobenius_squared"] = fro2
+        extras["relative_gap"] = abs(fro2 - direct) / direct if direct > 0 else 0.0
+    return _verdict("HS-iff", spec, terms, {}, extras)
+
+
+def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
+    if m.is_diagonal:
+        diag = m.values
+        scale = max(np.abs(diag).max(), 1e-300)
+        if diag.min() < -POSITIVITY_TOL * scale:
+            raise CriterionPreconditionError(
+                f"positivity check failed: multiplier value {diag.min():.3e} < 0"
+            )
+    else:
+        a = m.entries
+        scale = max(np.abs(a).max(), 1e-300)
+        asym = np.abs(a - a.T).max()
+        if asym > SYMMETRY_TOL * scale:
+            raise CriterionPreconditionError(
+                f"symmetry check failed: max|M - M^T| = {asym:.3e} "
+                f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
+            )
+        lo = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
+        norm = float(np.linalg.norm(a))
+        if lo < -POSITIVITY_TOL * norm:
+            raise CriterionPreconditionError(
+                f"positivity check failed: smallest eigenvalue {lo:.3e} "
+                f"below -{POSITIVITY_TOL:.0e} * ||M||"
+            )
+    return _verdict("TraceClass-iff", m.spec, m.column_integrals(squared=False), {})
+
+
+def _sr_small(spec: TruncationSpec, r: float, m: OperatorMatrix | None,
+              squared: np.ndarray) -> CriterionVerdict:
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"r must lie in (0, 1], got {r}")
+    if m is not None and m.is_diagonal:
+        # exact: the column integral is m(nu)^2, so the r/2 power is |m(nu)|^r
+        # (Python-scalar powers: the vectorized power differs in the last bits)
+        terms = np.array([abs(float(v)) ** r for v in m.values])
+    else:
+        terms = squared ** (r / 2.0)
+    return _verdict("Sr-sufficient", spec, terms, {"r": r})
+
+
+def sigma_lower_bound(dim: int, r: float) -> float:
+    return dim * (1.0 / r - 0.5)
+
+
+def default_sigma(dim: int, r: float) -> float:
+    """Strictly inside the admissible region, with an order-one margin."""
+    return sigma_lower_bound(dim, r) + 0.5
+
+
+def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
+              squared: np.ndarray) -> CriterionVerdict:
+    if not 1.0 < r < 2.0:
+        raise ValueError(f"r must lie in (1, 2), got {r}")
+    bound = sigma_lower_bound(spec.dim, r)
+    if sigma is None:
+        sigma = default_sigma(spec.dim, r)
+    if sigma <= bound:
+        raise CriterionPreconditionError(
+            f"sigma = {sigma} violates the admissibility bound "
+            f"sigma > n(1/r - 1/2) = {bound}"
+        )
+    lam = np.array([2.0 * nu.order + spec.dim for nu in spec.indices])
+    terms = lam ** (2.0 * sigma) * squared
+    return _verdict("Sr-sigma", spec, terms, {"r": r, "sigma": sigma})
+
+
+def criteria(
+    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
+    rs: tuple[float, ...] = (1.0, 2.0), sigma: float | None = None,
+) -> list[CriterionVerdict]:
+    """Verdicts for each r in order: HS-iff at r = 2, Sr-sufficient for r <= 1
+    (then TraceClass-iff at r = 1 if the symbol claims positivity), Sr-sigma
+    for 1 < r < 2.  All read one discretization, assembled only if read."""
+    if any(r > 2.0 for r in rs):
+        raise ValueError(f"no criterion applies for r > 2, got {max(rs)}")
+    trace_class = 1.0 in rs and sym.claims_positive_selfadjoint
+    cross_check = 2.0 in rs and spec.size <= CROSS_CHECK_MAX_SIZE
+    m, squared = _discretize(sym, spec, q, trace_class or cross_check)
+    verdicts = []
+    for r in rs:
+        if r == 2.0:
+            verdicts.append(_hilbert_schmidt(spec, squared, m if cross_check else None))
+        elif r <= 1.0:
+            verdicts.append(_sr_small(spec, r, m, squared))
+            if r == 1.0 and trace_class:
+                verdicts.append(_trace_class(m))
+        else:
+            verdicts.append(_sr_sigma(spec, r, sigma, squared))
+    return verdicts
+
+
 def check_hilbert_schmidt(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
     cross_check: bool | None = None,
@@ -125,17 +236,10 @@ def check_hilbert_schmidt(
     functions) the squared Frobenius norm of the assembled matrix and its
     relative gap against the direct sum are recorded in the extras.
     """
-    terms = column_integrals(sym, spec, q, squared=True)
-    extras = {}
     if cross_check is None:
         cross_check = spec.size <= CROSS_CHECK_MAX_SIZE
-    if cross_check:
-        m = assemble_matrix(sym, spec, q)
-        fro2 = float(np.sum(m.entries**2))
-        direct = math.fsum(terms)
-        extras["frobenius_squared"] = fro2
-        extras["relative_gap"] = abs(fro2 - direct) / direct if direct > 0 else 0.0
-    return _verdict("HS-iff", spec, terms, {}, extras)
+    m, terms = _discretize(sym, spec, q, cross_check)
+    return _hilbert_schmidt(spec, terms, m if cross_check else None)
 
 
 def check_trace_class_positive(
@@ -153,33 +257,7 @@ def check_trace_class_positive(
             "trace-class criterion requires the symbol to claim positive "
             "self-adjointness (positive_selfadjoint flag unset)"
         )
-    if sym.is_multiplier:
-        diag = np.array([_multiplier_value(sym, nu) for nu in spec.indices])
-        scale = max(np.abs(diag).max(), 1e-300)
-        if diag.min() < -POSITIVITY_TOL * scale:
-            raise CriterionPreconditionError(
-                f"positivity check failed: multiplier value {diag.min():.3e} < 0"
-            )
-        terms = diag
-    else:
-        m = assemble_matrix(sym, spec, q)
-        a = m.entries
-        scale = max(np.abs(a).max(), 1e-300)
-        asym = np.abs(a - a.T).max()
-        if asym > SYMMETRY_TOL * scale:
-            raise CriterionPreconditionError(
-                f"symmetry check failed: max|M - M^T| = {asym:.3e} "
-                f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
-            )
-        lo = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
-        norm = float(np.linalg.norm(a))
-        if lo < -POSITIVITY_TOL * norm:
-            raise CriterionPreconditionError(
-                f"positivity check failed: smallest eigenvalue {lo:.3e} "
-                f"below -{POSITIVITY_TOL:.0e} * ||M||"
-            )
-        terms = column_integrals(sym, spec, q, squared=False)
-    return _verdict("TraceClass-iff", spec, terms, {})
+    return _trace_class(assemble_matrix(sym, spec, q))
 
 
 def check_sr_small(
@@ -187,23 +265,7 @@ def check_sr_small(
 ) -> CriterionVerdict:
     """Sufficient S_r criterion for 0 < r <= 1: sum of the r/2 powers of the
     column integrals of |m(x,nu)|^2 phi_nu^2."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"r must lie in (0, 1], got {r}")
-    if sym.is_multiplier:
-        # exact: the column integral is m(nu)^2, so the r/2 power is |m(nu)|^r
-        terms = np.array([abs(_multiplier_value(sym, nu)) ** r for nu in spec.indices])
-    else:
-        terms = column_integrals(sym, spec, q, squared=True) ** (r / 2.0)
-    return _verdict("Sr-sufficient", spec, terms, {"r": r})
-
-
-def sigma_lower_bound(dim: int, r: float) -> float:
-    return dim * (1.0 / r - 0.5)
-
-
-def default_sigma(dim: int, r: float) -> float:
-    """Strictly inside the admissible region, with an order-one margin."""
-    return sigma_lower_bound(dim, r) + 0.5
+    return _sr_small(spec, r, *_discretize(sym, spec, q, False))
 
 
 def check_sr_sigma(
@@ -216,19 +278,7 @@ def check_sr_sigma(
     The weight uses 2|nu|+n rather than |nu| (the two are comparable), which
     keeps the nu = 0 term non-degenerate.
     """
-    if not 1.0 < r < 2.0:
-        raise ValueError(f"r must lie in (1, 2), got {r}")
-    bound = sigma_lower_bound(spec.dim, r)
-    if sigma is None:
-        sigma = default_sigma(spec.dim, r)
-    if sigma <= bound:
-        raise CriterionPreconditionError(
-            f"sigma = {sigma} violates the admissibility bound "
-            f"sigma > n(1/r - 1/2) = {bound}"
-        )
-    lam = np.array([2.0 * nu.order + spec.dim for nu in spec.indices])
-    terms = lam ** (2.0 * sigma) * column_integrals(sym, spec, q, squared=True)
-    return _verdict("Sr-sigma", spec, terms, {"r": r, "sigma": sigma})
+    return _sr_sigma(spec, r, sigma, _discretize(sym, spec, q, False)[1])
 
 
 def check_multiplier_schatten(
@@ -245,5 +295,5 @@ def check_multiplier_schatten(
             "the |m(nu)|^r criterion is exact only for multipliers; "
             "this symbol depends on x"
         )
-    terms = np.array([abs(_multiplier_value(sym, nu)) ** r for nu in spec.indices])
+    terms = np.array([abs(float(v)) ** r for v in assemble_matrix(sym, spec).values])
     return _verdict("Multiplier-Sr", spec, terms, {"r": r})

@@ -15,25 +15,15 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import SymbolSpec, _multiplier_value, eval_symbol
+from .symbol import SymbolSpec, eval_symbol, multiplier_value
 
 RESIDUAL_WARN = 1e-6
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HSPEC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -75,19 +65,40 @@ def basis_values(spec: TruncationSpec, grid: TensorGrid, weighted: bool = False)
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """The truncated operator, the one discretization every report reads.
+
+    values is the diagonal m(nu) of a multiplier, else the dense matrix.
+    columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
+    non-multiplier reduced from the samples of the unrefined matrix.
+    """
+
     spec: TruncationSpec
-    entries: np.ndarray
+    values: np.ndarray
     quad_order: int
     assembly_residual: float
     residual_warning: bool
     symbol: SymbolSpec
+    columns: tuple[np.ndarray, np.ndarray]
 
     @property
     def size(self) -> int:
         return self.spec.size
 
+    @property
+    def is_diagonal(self) -> bool:
+        return self.values.ndim == 1
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense D x D matrix; a diagonal operator builds it on each access."""
+        return np.diag(self.values) if self.is_diagonal else self.values
+
+    def column_integrals(self, squared: bool = True) -> np.ndarray:
+        """Per-nu integrals of m^2 phi_nu^2 (squared=True) or of m phi_nu^2."""
+        return self.columns[squared]
+
     def trace(self) -> float:
-        return float(np.trace(self.entries))
+        return float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
 
 
 @dataclass(frozen=True)
@@ -96,29 +107,56 @@ class CoefficientVector:
     values: np.ndarray
 
 
-def _symbol_on_grid(sym: SymbolSpec, spec: TruncationSpec, grid: TensorGrid) -> np.ndarray:
-    """(D, M) values m(x_q, nu_i), column-parallel when HSPEC_THREADS > 1."""
-    out = np.empty((spec.size, grid.points.shape[0]))
-
-    def fill(i: int):
-        out[i] = eval_symbol(sym, grid.points, spec.indices[i])
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(spec.size)))
-    else:
-        for i in range(spec.size):
-            fill(i)
-    return out
+def _diagonal(sym: SymbolSpec, spec: TruncationSpec) -> np.ndarray:
+    """The one tabulation of a multiplier: m(nu) in enumeration order."""
+    return np.array([multiplier_value(sym, nu) for nu in spec.indices])
 
 
-def _assemble_once(sym: SymbolSpec, spec: TruncationSpec, q: int) -> np.ndarray:
+def _grid_samples(sym: SymbolSpec, spec: TruncationSpec,
+                  q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one evaluation of a symbol on a quadrature grid: order-q weights
+    (M,), weight-free basis values h_nu (D, M) and symbol values (D, M)."""
     grid = tensor_grid(spec.dim, q)
     basis = basis_values(spec, grid)
-    mvals = _symbol_on_grid(sym, spec, grid)
+    mvals = np.empty_like(basis)
+    for i, nu in enumerate(spec.indices):
+        mvals[i] = eval_symbol(sym, grid.points, nu)
+    return grid.weights, basis, mvals
+
+
+def _matrix(weights: np.ndarray, basis: np.ndarray, mvals: np.ndarray) -> np.ndarray:
     # column nu: basis @ (w * m(., nu) * h_nu)
-    return basis @ (grid.weights[None, :] * mvals * basis).T
+    return basis @ (weights[None, :] * mvals * basis).T
+
+
+def _column_sums(weights: np.ndarray, basis: np.ndarray,
+                 mvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(integrals of m h_nu^2, of m^2 h_nu^2).  Squares basis and mvals in
+    place, so the reduction needs no more memory than the assembly."""
+    np.square(basis, out=basis)
+    linear = (mvals * basis) @ weights
+    np.square(mvals, out=mvals)
+    mvals *= basis
+    return linear, mvals @ weights
+
+
+def column_integrals(
+    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, squared: bool = True
+) -> np.ndarray:
+    """Per-nu integrals of m(x,nu)^2 phi_nu(x)^2 (squared=True) or of
+    m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order.
+
+    Multiplier symbols are exact without quadrature: the integrals collapse
+    to m(nu)^2 resp. m(nu) since phi_nu has unit norm.
+    """
+    if sym.dim != spec.dim:
+        raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
+    if sym.is_multiplier:
+        diag = _diagonal(sym, spec)
+        return diag**2 if squared else diag
+    if q is None:
+        q = default_quadrature_order(spec.level)
+    return _column_sums(*_grid_samples(sym, spec, q))[squared]
 
 
 def assemble_matrix(
@@ -127,11 +165,12 @@ def assemble_matrix(
     q: int | None = None,
     doubling_check: bool = True,
 ) -> OperatorMatrix:
-    """Assemble P_N T_m P_N as a dense D x D matrix.
+    """Assemble P_N T_m P_N.
 
-    Multiplier symbols take the analytic fast path: a diagonal of m(nu)
-    values, no quadrature.  Otherwise the assembly is repeated at order 2q
-    and the relative Frobenius change recorded; a change above 1e-6 sets the
+    Multiplier symbols take the analytic fast path: the diagonal of m(nu)
+    values, no quadrature.  Otherwise the order-q samples give the matrix and
+    the column integrals; the matrix is repeated at order 2q and the
+    relative Frobenius change recorded; a change above 1e-6 sets the
     residual warning flag (the result is still returned).
     """
     if sym.dim != spec.dim:
@@ -142,17 +181,20 @@ def assemble_matrix(
         raise ValueError(f"quadrature order {q} < N+1 = {spec.level + 1}")
 
     if sym.is_multiplier:
-        diag = np.array([_multiplier_value(sym, nu) for nu in spec.indices])
-        return OperatorMatrix(spec, np.diag(diag), q, 0.0, False, sym)
+        diag = _diagonal(sym, spec)
+        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2))
 
-    entries = _assemble_once(sym, spec, q)
+    samples = _grid_samples(sym, spec, q)
+    entries = _matrix(*samples)
+    columns = _column_sums(*samples)
+    del samples  # free the order-q arrays before the refined pass
     residual = 0.0
     if doubling_check:
-        refined = _assemble_once(sym, spec, 2 * q)
+        refined = _matrix(*_grid_samples(sym, spec, 2 * q))
         scale = np.linalg.norm(refined)
         residual = float(np.linalg.norm(refined - entries) / scale) if scale > 0 else 0.0
         entries = refined
-    return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym)
+    return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym, columns)
 
 
 def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:

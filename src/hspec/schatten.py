@@ -6,9 +6,13 @@ expression); spectral_trace sums the eigenvalues of the assembled matrix.
 For trace-class operators the two agree, and comparing them is the point of
 this module.
 
+A multiplier's operator is its diagonal, so its singular values are the
+sorted |m(nu)| and its eigenvalue sum is the fsum of m(nu): no dense
+factorization is needed.
+
 All criterion-style sums are accumulated with math.fsum in a fixed order
 (graded enumeration order of the truncation), so reports are reproducible
-bit for bit regardless of thread counts.
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,22 +24,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .multiindex import TruncationSpec
-from .operator import OperatorMatrix, assemble_matrix, basis_values, tensor_grid, _symbol_on_grid
-from .symbol import SymbolSpec, _multiplier_value
-from .hermite import default_quadrature_order
+from .operator import OperatorMatrix, assemble_matrix, column_integrals
+from .symbol import SymbolSpec
 
 IMAG_RESIDUAL_TOL = 1e-8
 
 
-def _entries(m) -> np.ndarray:
-    return m.entries if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=float)
+def _finite(m) -> np.ndarray:
+    # an operator's stored values (1-D when diagonal) or the given matrix
+    a = m.values if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    return a
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of the matrix, descending."""
-    a = _entries(m)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    """Singular values of the matrix, descending; the sorted |m(nu)| for a
+    diagonal operator."""
+    a = _finite(m)
+    if a.ndim == 1:
+        return np.sort(np.abs(a))[::-1]
     try:
         sv = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -58,12 +66,13 @@ def schatten_norm(sv, r: float) -> float:
 def spectral_trace(m) -> float:
     """Sum of the eigenvalues of the matrix, multiplicities included.
 
-    Uses the dense nonsymmetric eigensolver; the imaginary parts must cancel
-    to within 1e-8 * ||M|| or a warning is issued.
+    A diagonal operator sums its entries.  Otherwise the dense nonsymmetric
+    eigensolver runs; the imaginary parts must cancel to within 1e-8 * ||M||
+    or a warning is issued.
     """
-    a = _entries(m)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    a = _finite(m)
+    if a.ndim == 1:
+        return math.fsum(a)
     if np.allclose(a, a.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max())):
         return math.fsum(np.linalg.eigvalsh(a))
     try:
@@ -82,30 +91,7 @@ def spectral_trace(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-basis-function column integrals of the symbol
-
-def column_integrals(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, squared: bool = True
-) -> np.ndarray:
-    """Per-nu integrals of m(x,nu)^2 phi_nu(x)^2 (squared=True) or of
-    m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order.
-
-    Multiplier symbols are exact without quadrature: the integrals collapse
-    to m(nu)^2 resp. m(nu) since phi_nu has unit norm.
-    """
-    if sym.dim != spec.dim:
-        raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
-    if sym.is_multiplier:
-        vals = np.array([_multiplier_value(sym, nu) for nu in spec.indices])
-        return vals**2 if squared else vals
-    if q is None:
-        q = default_quadrature_order(spec.level)
-    grid = tensor_grid(spec.dim, q)
-    basis = basis_values(spec, grid)
-    mvals = _symbol_on_grid(sym, spec, grid)
-    integrand = (mvals**2 if squared else mvals) * basis**2
-    return integrand @ grid.weights
-
+# sums of the per-basis-function column integrals of the symbol
 
 def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
     """Truncated nuclear-trace expression: sum over |nu| <= N of the
@@ -175,9 +161,9 @@ def build_report(
         quad_order=m.quad_order,
         singular_values=sv,
         matrix_trace=m.trace(),
-        formula_trace=trace_formula(sym, spec, q),
+        formula_trace=math.fsum(m.column_integrals(squared=False)),
         spectral_trace=spectral_trace(m),
-        hs_direct=hilbert_schmidt_direct(sym, spec, q),
+        hs_direct=math.fsum(m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
     )

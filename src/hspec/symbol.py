@@ -3,8 +3,8 @@ expression language, and tabulated grids.
 
 The expression grammar (see parse_symbol) covers total real arithmetic over
 the variables x1..xn, nu1..nun, absnu (= |nu|), lam (= 2|nu|+n), n, pi, e.
-A symbol with no x-dependence is a plain multiplier; the assembled operator
-is then diagonal and many downstream computations take an exact fast path.
+A symbol with no x-dependence is a plain multiplier; its operator is
+diagonal and is stored as the values m(nu).
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def _eval_node(node: Node, env: dict):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            return a / b
+            return np.divide(a, b)  # inf, not ZeroDivisionError, on Python floats
         return np.power(a, b)
     if isinstance(node, Call):
         fn = FUNCTIONS[node.func][1]
@@ -346,6 +346,8 @@ def builtin_symbol(family: str, dim: int, **params) -> SymbolSpec:
     power(sigma): (2|nu|+n)^(-sigma); heat(t): e^(-t(2|nu|+n));
     bandlimit(cutoff): indicator of |nu| <= cutoff.
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
     if family not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown builtin family {family!r}; known: {BUILTIN_FAMILIES}")
     required = {"power": {"sigma"}, "heat": {"t"}, "bandlimit": {"cutoff"}}[family]
@@ -386,22 +388,35 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     )
 
 
-def _multiplier_value(spec: SymbolSpec, nu: MultiIndex) -> float:
-    lam = 2 * nu.order + spec.dim
-    if spec.kind == "builtin":
-        if spec.family == "power":
-            return lam ** (-spec.params["sigma"])
-        if spec.family == "heat":
-            return math.exp(-spec.params["t"] * lam)
-        return 1.0 if nu.order <= spec.params["cutoff"] else 0.0
-    # x-free expression
-    env = {"absnu": float(nu.order), "lam": float(lam), "n": float(spec.dim),
-           "pi": math.pi, "e": math.e}
+def _nu_env(spec: SymbolSpec, nu: MultiIndex) -> dict:
+    env = {"absnu": float(nu.order), "lam": float(2 * nu.order + spec.dim),
+           "n": float(spec.dim), "pi": math.pi, "e": math.e}
     for j, k in enumerate(nu, start=1):
         env[f"nu{j}"] = float(k)
-    with np.errstate(all="ignore"):
-        val = _eval_node(spec.tree, env)
-    if not np.all(np.isfinite(val)):
+    return env
+
+
+def multiplier_value(spec: SymbolSpec, nu: MultiIndex) -> float:
+    """m(nu) of a multiplier, a symbol with no x-dependence."""
+    if not spec.is_multiplier:
+        raise ValueError("the symbol depends on x; evaluate it with eval_symbol")
+    if nu.dim != spec.dim:
+        raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
+    lam = 2 * nu.order + spec.dim
+    if spec.kind == "builtin":
+        try:
+            if spec.family == "power":
+                val = lam ** (-spec.params["sigma"])
+            elif spec.family == "heat":
+                val = math.exp(-spec.params["t"] * lam)
+            else:
+                val = 1.0 if nu.order <= spec.params["cutoff"] else 0.0
+        except OverflowError:
+            val = math.inf
+    else:  # x-free expression
+        with np.errstate(all="ignore"):
+            val = _eval_node(spec.tree, _nu_env(spec, nu))
+    if not math.isfinite(val):
         raise SymbolEvalError(f"symbol evaluation not finite at nu={nu.entries}")
     return float(val)
 
@@ -420,16 +435,13 @@ def eval_symbol(spec: SymbolSpec, x, nu: MultiIndex):
         raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
 
     if spec.is_multiplier:
-        val = _multiplier_value(spec, nu)
+        val = multiplier_value(spec, nu)
         return val if scalar_input and pts.shape[0] == 1 else np.full(pts.shape[0], val)
 
     if spec.kind == "table":
         out = _eval_table(spec, pts, nu)
     else:
-        env = {"absnu": float(nu.order), "lam": float(2 * nu.order + spec.dim),
-               "n": float(spec.dim), "pi": math.pi, "e": math.e}
-        for j, k in enumerate(nu, start=1):
-            env[f"nu{j}"] = float(k)
+        env = _nu_env(spec, nu)
         for j in range(spec.dim):
             env[f"x{j + 1}"] = pts[:, j]
         with np.errstate(all="ignore"):
@@ -491,22 +503,33 @@ def symbol_to_dict(spec: SymbolSpec) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise SymbolError(f"symbol document missing field {key!r}")
+    return doc[key]
+
+
 def symbol_from_dict(doc: dict) -> SymbolSpec:
     if not isinstance(doc, dict):
         raise SymbolError("symbol document must be a mapping")
-    for key in ("kind", "dim"):
-        if key not in doc:
-            raise SymbolError(f"symbol document missing field {key!r}")
-    kind = doc["kind"]
-    dim = int(doc["dim"])
+    kind = _field(doc, "kind")
+    dim = _field(doc, "dim")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SymbolError(f"symbol field 'dim' must be an integer, got {dim!r}")
     psd = bool(doc.get("positive_selfadjoint", False))
     if kind == "builtin":
-        spec = builtin_symbol(doc["family"], dim, **doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SymbolError(f"symbol field 'params' must be a mapping, got {params!r}")
+        spec = builtin_symbol(_field(doc, "family"), dim, **params)
         if not psd:
             spec = SymbolSpec(**{**spec.__dict__, "claims_positive_selfadjoint": False})
         return spec
     if kind == "expression":
-        spec = parse_symbol(doc["expr"], dim, positive_selfadjoint=psd)
+        expr = _field(doc, "expr")
+        if not isinstance(expr, str):
+            raise SymbolError(f"symbol field 'expr' must be a string, got {expr!r}")
+        spec = parse_symbol(expr, dim, positive_selfadjoint=psd)
         if "multiplier" in doc and bool(doc["multiplier"]) != spec.is_multiplier:
             raise SymbolError(
                 f"document claims multiplier={doc['multiplier']} but the expression "
@@ -514,7 +537,7 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
             )
         return spec
     if kind == "table":
-        t = doc["table"]
+        t = _field(doc, "table")
         values = {tuple(int(s) for s in k.split(",")): v for k, v in t["values"].items()}
         return table_symbol(dim, t["grids"], values, positive_selfadjoint=psd)
     raise SymbolError(f"unknown symbol kind {kind!r}")

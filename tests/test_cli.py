@@ -1,8 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hspec import (
+    TruncationSpec,
+    check_hilbert_schmidt,
+    check_sr_sigma,
+    check_sr_small,
+    check_trace_class_positive,
+    symbol_from_dict,
+)
 from hspec.cli import main
 from oracles import heat_trace_limit
 
@@ -161,3 +170,62 @@ def test_symbol_file_with_parse_error_exits_2(tmp_path, capsys):
     sym.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "exp("}))
     assert main(["trace", "--symbol", str(sym), "--level", "5"]) == 2
     assert "1:5" in capsys.readouterr().err
+
+
+def test_undefined_multiplier_exits_2(tmp_path, capsys):
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "1/absnu"}))
+    code, out = run(tmp_path, "analyze", "--symbol", str(sym), "--level", "5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "expression", "dim": 1},
+    {"kind": "expression", "dim": None, "expr": "x1"},
+    {"kind": "expression", "dim": "1", "expr": "x1"},
+    {"kind": "builtin", "dim": 1, "family": "heat", "params": [1]},
+    {"kind": "builtin", "dim": 1, "params": {"t": 1}},
+    {"kind": "builtin", "dim": 0, "family": "heat", "params": {"t": 1}},
+    {"kind": "table", "dim": 1},
+], ids=["no-expr", "null-dim", "string-dim", "list-params", "no-family", "dim-0", "no-table"])
+def test_malformed_symbol_documents_exit_2(tmp_path, capsys, doc):
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps(doc))
+    assert main(["analyze", "--symbol", str(sym), "--level", "3"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_finite_report_exits_3(tmp_path, capsys):
+    # the Golub-Welsch weights overflow at this order, so the residual is NaN
+    with np.errstate(all="ignore"):
+        code, out = run(tmp_path, "basis-check", "--level", "700")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol", [
+    {"kind": "expression", "dim": 2, "expr": "1/(1+0.5*x1^2+0.3*x2^2)",
+     "positive_selfadjoint": True},
+    {"kind": "builtin", "dim": 2, "family": "heat", "params": {"t": 0.5},
+     "positive_selfadjoint": True},
+], ids=["x-dependent", "builtin"])
+def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(symbol))
+    code, out = run(tmp_path, "criteria", "--symbol", str(path), "--dim", "2",
+                    "--level", "8", "--r", "0.5,1,1.5,2")
+    assert code == 0
+    sym, spec = symbol_from_dict(symbol), TruncationSpec(2, 8)
+    expected = [
+        check_sr_small(sym, spec, r=0.5),
+        check_sr_small(sym, spec, r=1.0),
+        check_trace_class_positive(sym, spec),
+        check_sr_sigma(sym, spec, r=1.5),
+        check_hilbert_schmidt(sym, spec),
+    ]
+    assert json.loads(out.read_text())["verdicts"] == json.loads(
+        json.dumps([v.to_dict() for v in expected]))

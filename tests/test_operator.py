@@ -11,6 +11,7 @@ from hspec import (
     apply_matrix,
     assemble_matrix,
     builtin_symbol,
+    column_integrals,
     eval_hermite_1d,
     export_matrix_csv,
     gauss_hermite_rule,
@@ -161,13 +162,21 @@ def test_analyze_rejects_nonfinite():
         analyze(lambda x: x / 0.0, spec, q=8)
 
 
-def test_threaded_assembly_matches_serial(monkeypatch):
-    sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
-    spec = TruncationSpec(1, 15)
-    serial = assemble_matrix(sym, spec, q=60, doubling_check=False)
-    monkeypatch.setenv("HSPEC_THREADS", "4")
-    threaded = assemble_matrix(sym, spec, q=60, doubling_check=False)
-    assert np.array_equal(serial.entries, threaded.entries)
+@pytest.mark.parametrize("text, dim, level, q", [
+    ("exp(-absnu/2)/(1+x1^2)", 1, 15, 60),
+    ("lam^(-1)*(1+0.4*x1*x2/(1+x1^2+x2^2))", 2, 6, 20),
+])
+def test_assembly_carries_the_column_integrals(text, dim, level, q):
+    # the operator's columns are reduced from its own order-q samples, and
+    # match a separate column_integrals pass bit for bit
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    m = assemble_matrix(sym, spec, q=q, doubling_check=False)
+    for squared in (False, True):
+        assert np.array_equal(m.column_integrals(squared=squared),
+                              column_integrals(sym, spec, q, squared=squared))
+    # the linear integrals are the diagonal of the same-order matrix
+    assert np.diag(m.entries) == pytest.approx(m.column_integrals(squared=False),
+                                               rel=1e-12, abs=1e-14)
 
 
 def test_synthesize_unit_vector():

@@ -171,3 +171,21 @@ def test_build_report_fields():
     assert np.all(np.diff(report.singular_values) <= 0)
     doc = report.to_dict()
     assert doc["level"] == 20 and len(doc["singular_values"]) == 21
+
+
+@pytest.mark.parametrize("sym", [
+    builtin_symbol("power", 2, sigma=1.3),
+    builtin_symbol("heat", 2, t=0.4),
+    builtin_symbol("bandlimit", 2, cutoff=7),
+    parse_symbol("sin(nu1) - 0.5", 2),
+], ids=["power", "heat", "bandlimit", "sign-changing"])
+def test_diagonal_operator_matches_dense_lapack(sym):
+    # a multiplier is stored as its diagonal; reading it must give exactly
+    # what the dense SVD and eigensolver give on np.diag of the same values
+    m = assemble_matrix(sym, TruncationSpec(2, 20))
+    assert m.is_diagonal and m.values.shape == (m.size,)
+    dense = np.diag(m.values)
+    assert np.array_equal(m.entries, dense)
+    assert np.array_equal(singular_values(m), singular_values(dense))
+    assert spectral_trace(m) == spectral_trace(dense)
+    assert m.trace() == float(np.trace(dense))

@@ -12,6 +12,7 @@ from hspec import (
     builtin_symbol,
     eval_symbol,
     load_symbol,
+    multiplier_value,
     parse_symbol,
     pretty_print,
     symbol_from_dict,
@@ -123,6 +124,22 @@ def test_builtin_param_validation():
         builtin_symbol("wave", 1, t=1.0)
     with pytest.raises(ValueError, match="needs params"):
         builtin_symbol("heat", 1, sigma=1.0)
+
+
+def test_builtin_rejects_dimension_below_one():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        builtin_symbol("heat", 0, t=1.0)
+
+
+def test_multiplier_value():
+    s = parse_symbol("1/absnu", 1)
+    assert multiplier_value(s, MultiIndex((4,))) == eval_symbol(s, 0.3, MultiIndex((4,))) == 0.25
+    with pytest.raises(SymbolEvalError, match="not finite"):
+        multiplier_value(s, MultiIndex((0,)))
+    with pytest.raises(SymbolEvalError, match="not finite"):
+        multiplier_value(builtin_symbol("heat", 1, t=-1000.0), MultiIndex((3,)))
+    with pytest.raises(ValueError, match="depends on x"):
+        multiplier_value(parse_symbol("x1", 1), MultiIndex((0,)))
 
 
 def test_expression_evaluation():
