@@ -133,11 +133,20 @@ def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
+def _warn_worst_column(worst) -> None:
+    # stderr only: the report bytes do not depend on it
+    nu, change = worst
+    print(f"warning: quadrature residual above threshold; column nu={nu.entries} "
+          f"moved most between q and 2q (relative change {change:.3e})", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
     report = build_report(sym, spec, q, r_values=tuple(_parse_rs(args.r)))
+    if report.worst_column is not None:
+        _warn_worst_column(report.worst_column)
     doc = _report(args, sym, report=report.to_dict())
     rows = list(enumerate(float(s) for s in report.singular_values))
     _emit(doc, args, csv_rows=rows, csv_header=("index", "singular_value"))
@@ -160,6 +169,8 @@ def cmd_trace(args) -> int:
     spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
     m = assemble_matrix(sym, spec, q)
+    if m.residual_warning:
+        _warn_worst_column(m.worst_column())
     _emit(_report(
         args, sym,
         formula_trace=math.fsum(m.column_integrals(squared=False)),

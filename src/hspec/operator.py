@@ -21,7 +21,7 @@ import numpy as np
 
 from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import SymbolSpec, eval_symbol, multiplier_value
+from .symbol import SymbolSpec, eval_symbol, eval_symbol_on_grid, multiplier_value
 
 RESIDUAL_WARN = 1e-6
 
@@ -34,17 +34,18 @@ class TensorGrid:
     weights: np.ndarray  # (M,) products of 1-D weights, carry e^(-|x|^2)
     coord_index: np.ndarray  # (n, M) index of each point into the 1-D rule
     rule_nodes: np.ndarray   # 1-D nodes
+    rule_weights: np.ndarray  # 1-D weights
 
 
 def tensor_grid(dim: int, q: int) -> TensorGrid:
     rule = gauss_hermite_rule(q)
     if dim == 1:
         idx = np.arange(q)[None, :]
-        return TensorGrid(rule.nodes[:, None], rule.weights.copy(), idx, rule.nodes)
+        return TensorGrid(rule.nodes[:, None], rule.weights.copy(), idx, rule.nodes, rule.weights)
     idx = np.indices((q,) * dim).reshape(dim, -1)
     points = rule.nodes[idx].T
     weights = np.prod(rule.weights[idx], axis=0)
-    return TensorGrid(points, weights, idx, rule.nodes)
+    return TensorGrid(points, weights, idx, rule.nodes, rule.weights)
 
 
 def basis_values(spec: TruncationSpec, grid: TensorGrid, weighted: bool = False) -> np.ndarray:
@@ -70,6 +71,8 @@ class OperatorMatrix:
     values is the diagonal m(nu) of a multiplier, else the dense matrix.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
+    column_residuals holds the relative change of each column between the
+    order-q and order-2q matrices (zeros without the doubling check).
     """
 
     spec: TruncationSpec
@@ -79,6 +82,7 @@ class OperatorMatrix:
     residual_warning: bool
     symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
+    column_residuals: np.ndarray
 
     @property
     def size(self) -> int:
@@ -100,6 +104,12 @@ class OperatorMatrix:
     def trace(self) -> float:
         return float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
 
+    def worst_column(self) -> tuple[MultiIndex, float]:
+        """The nu whose column moved most between orders q and 2q, with its
+        relative change."""
+        k = int(np.argmax(self.column_residuals))
+        return self.spec.indices[k], float(self.column_residuals[k])
+
 
 @dataclass(frozen=True)
 class CoefficientVector:
@@ -112,32 +122,70 @@ def _diagonal(sym: SymbolSpec, spec: TruncationSpec) -> np.ndarray:
     return np.array([multiplier_value(sym, nu) for nu in spec.indices])
 
 
-def _grid_samples(sym: SymbolSpec, spec: TruncationSpec,
-                  q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one evaluation of a symbol on a quadrature grid: order-q weights
-    (M,), weight-free basis values h_nu (D, M) and symbol values (D, M)."""
-    grid = tensor_grid(spec.dim, q)
-    basis = basis_values(spec, grid)
-    mvals = np.empty_like(basis)
-    for i, nu in enumerate(spec.indices):
-        mvals[i] = eval_symbol(sym, grid.points, nu)
-    return grid.weights, basis, mvals
+# Bytes of symbol samples per chunk of columns; the contraction's temporaries
+# are at most a few times this, so peak memory is O(chunk q^n), never D q^n.
+_CHUNK_BYTES = 8 * 2**20
 
 
-def _matrix(weights: np.ndarray, basis: np.ndarray, mvals: np.ndarray) -> np.ndarray:
-    # column nu: basis @ (w * m(., nu) * h_nu)
-    return basis @ (weights[None, :] * mvals * basis).T
+def _contract(values: np.ndarray, row: np.ndarray, scales: list) -> np.ndarray:
+    """Sum factorization: sum over the grid of values[c, x] times
+    prod_j scales[j][c, x_j] row[a_j, x_j], one axis at a time, as a
+    (c, (N+1)^n) block over the box a in [0, N]^n in row-major order.
+
+    values has shape (c|1, q, ..., q) and scales[j] shape (c|1, q)."""
+    c = max(len(values), *(len(s) for s in scales))
+    q, rows = row.shape[1], row.shape[0]
+    t = values
+    for j in reversed(range(len(scales))):
+        # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
+        t = t.reshape(len(t), -1, q) * scales[j][:, None, :]
+        t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
+    return t.reshape(c, -1)
 
 
-def _column_sums(weights: np.ndarray, basis: np.ndarray,
-                 mvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(integrals of m h_nu^2, of m^2 h_nu^2).  Squares basis and mvals in
-    place, so the reduction needs no more memory than the assembly."""
-    np.square(basis, out=basis)
-    linear = (mvals * basis) @ weights
-    np.square(mvals, out=mvals)
-    mvals *= basis
-    return linear, mvals @ weights
+def _index_array(spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, n) array of the truncation's indices, and the position of each
+    in the row-major (N+1)^n box."""
+    nus = np.array([nu.entries for nu in spec.indices])
+    return nus, nus @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
+
+
+def _diagonal_sums(values: np.ndarray, scales: list) -> np.ndarray:
+    """(c,) sums over the grid of values[c, x] prod_j scales[j][c, x_j]."""
+    q = scales[0].shape[1]
+    for s in reversed(scales):
+        values = values.reshape(len(values), -1, q) @ s[:, :, None]
+    return values.reshape(-1)
+
+
+def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = True,
+                columns: bool = True) -> tuple[np.ndarray | None, tuple | None]:
+    """The order-q matrix and/or the column integrals (of m phi_nu^2, of
+    m^2 phi_nu^2), from one sampling of the symbol per chunk of columns.
+
+    M[mu, nu] = sum_x m(x, nu) prod_j P[nu_j, mu_j, x_j] with the product
+    table P[b, a, i] = w_i h_b(x_i) h_a(x_i), applied in factored form:
+    w h_b scales the samples and h_a contracts them."""
+    rule = gauss_hermite_rule(q)
+    row = hermite_table(spec.level, rule.nodes, weighted=False)
+    col = rule.weights * row
+    diag = col * row
+    nus, box = _index_array(spec)
+    size = spec.size
+    entries = np.empty((size, size)) if matrix else None
+    linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
+    step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
+    for start in range(0, size, step):
+        cols = slice(start, start + step)
+        block = nus[cols]
+        values = eval_symbol_on_grid(sym, rule.nodes, block)
+        if matrix:
+            entries[:, cols] = _contract(values, row, [col[k] for k in block.T])[:, box].T
+        if columns:
+            weights = [diag[k] for k in block.T]
+            linear[cols] = _diagonal_sums(values, weights)
+            squared[cols] = _diagonal_sums(np.square(values), weights)
+    return entries, (linear, squared) if columns else None
 
 
 def column_integrals(
@@ -156,7 +204,7 @@ def column_integrals(
         return diag**2 if squared else diag
     if q is None:
         q = default_quadrature_order(spec.level)
-    return _column_sums(*_grid_samples(sym, spec, q))[squared]
+    return _discretize(sym, spec, q, matrix=False)[1][squared]
 
 
 def assemble_matrix(
@@ -168,10 +216,11 @@ def assemble_matrix(
     """Assemble P_N T_m P_N.
 
     Multiplier symbols take the analytic fast path: the diagonal of m(nu)
-    values, no quadrature.  Otherwise the order-q samples give the matrix and
+    values, no quadrature.  Otherwise the order-q pass gives the matrix and
     the column integrals; the matrix is repeated at order 2q and the
-    relative Frobenius change recorded; a change above 1e-6 sets the
-    residual warning flag (the result is still returned).
+    relative Frobenius change recorded, overall and per column; an overall
+    change above 1e-6 sets the residual warning flag (the result is still
+    returned).
     """
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
@@ -182,19 +231,22 @@ def assemble_matrix(
 
     if sym.is_multiplier:
         diag = _diagonal(sym, spec)
-        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2))
+        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2),
+                              np.zeros(spec.size))
 
-    samples = _grid_samples(sym, spec, q)
-    entries = _matrix(*samples)
-    columns = _column_sums(*samples)
-    del samples  # free the order-q arrays before the refined pass
-    residual = 0.0
+    entries, columns = _discretize(sym, spec, q)
+    residual, per_column = 0.0, np.zeros(spec.size)
     if doubling_check:
-        refined = _matrix(*_grid_samples(sym, spec, 2 * q))
+        refined, _ = _discretize(sym, spec, 2 * q, columns=False)
         scale = np.linalg.norm(refined)
-        residual = float(np.linalg.norm(refined - entries) / scale) if scale > 0 else 0.0
+        change = refined - entries
+        residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
+        col_scale = np.linalg.norm(refined, axis=0)
+        np.divide(np.linalg.norm(change, axis=0), col_scale, out=per_column,
+                  where=col_scale > 0)
         entries = refined
-    return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym, columns)
+    return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
+                          columns, per_column)
 
 
 def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:
@@ -232,11 +284,13 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
         raise ValueError(f"f must return one value per node, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("f produced non-finite samples at quadrature nodes")
-    basis = basis_values(spec, grid)
     # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2); fold the half
     # weight into the quadrature weights where it only shrinks them
-    half_weight = grid.weights * np.exp(0.5 * np.sum(grid.points**2, axis=1))
-    return CoefficientVector(spec, basis @ (half_weight * samples))
+    half_weight = grid.rule_weights * np.exp(0.5 * grid.rule_nodes**2)
+    table = hermite_table(spec.level, grid.rule_nodes, weighted=False)
+    coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), table,
+                       [half_weight[None, :]] * spec.dim)
+    return CoefficientVector(spec, coeffs[0, _index_array(spec)[1]])
 
 
 def synthesize(c: CoefficientVector, x) -> float:

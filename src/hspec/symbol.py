@@ -448,12 +448,51 @@ def eval_symbol(spec: SymbolSpec, x, nu: MultiIndex):
             out = np.broadcast_to(np.asarray(_eval_node(spec.tree, env), dtype=float),
                                   (pts.shape[0],)).copy()
         if not np.all(np.isfinite(out)):
-            bad = pts[~np.isfinite(out)][0]
-            raise SymbolEvalError(
-                f"symbol evaluation not finite at x={tuple(bad)}, nu={nu.entries}"
-            )
+            raise _not_finite(pts[~np.isfinite(out)][0], nu.entries)
     if scalar_input and out.size == 1:
         return float(out[0])
+    return out
+
+
+def _not_finite(x, nu) -> SymbolEvalError:
+    return SymbolEvalError(
+        f"symbol evaluation not finite at x={tuple(float(v) for v in x)}, "
+        f"nu={tuple(int(k) for k in nu)}"
+    )
+
+
+def eval_symbol_on_grid(spec: SymbolSpec, nodes, nus) -> np.ndarray:
+    """m(x, nu) on the tensor grid nodes^n for each row nu of the (c, n) index
+    array nus: shape (c, q, ..., q), or (1, q, ..., q) when m does not depend
+    on nu.  Axis j + 1 runs over x_{j+1}.
+
+    An expression is evaluated once, the nu-variables shaped (c, 1, ..., 1)
+    and x_j shaped along axis j, so each subtree is computed on the points it
+    depends on.  Other kinds are evaluated per nu with eval_symbol.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    nus = np.asarray(nus, dtype=int).reshape(-1, spec.dim)
+    n, q = spec.dim, nodes.size
+    if spec.kind == "expression":
+        lead = (-1,) + (1,) * n
+        orders = nus.sum(axis=1).astype(float).reshape(lead)
+        env = {"absnu": orders, "lam": 2.0 * orders + n,
+               "n": float(n), "pi": math.pi, "e": math.e}
+        for j in range(n):
+            env[f"nu{j + 1}"] = nus[:, j].astype(float).reshape(lead)
+            env[f"x{j + 1}"] = nodes.reshape((1,) * (j + 1) + (q,) + (1,) * (n - 1 - j))
+        with np.errstate(all="ignore"):
+            out = np.asarray(_eval_node(spec.tree, env), dtype=float)
+        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, (1,) + (q,) * n))
+    else:
+        axes = np.indices((q,) * n).reshape(n, -1)
+        pts = nodes[axes].T
+        out = np.stack([np.asarray(eval_symbol(spec, pts, MultiIndex(tuple(int(k) for k in nu))),
+                                   dtype=float).reshape((q,) * n) for nu in nus])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), out.shape)
+        raise _not_finite(nodes[list(first[1:])], nus[first[0]])
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from hspec import (
     TruncationSpec,
+    assemble_matrix,
     check_hilbert_schmidt,
     check_sr_sigma,
     check_sr_small,
@@ -229,3 +230,60 @@ def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
     ]
     assert json.loads(out.read_text())["verdicts"] == json.loads(
         json.dumps([v.to_dict() for v in expected]))
+
+
+@pytest.mark.parametrize("symbol, extra, message", [
+    # an odd order puts node 0 on the grid
+    ({"kind": "expression", "dim": 1, "expr": "1/x1"}, ["--quad", "9"],
+     "symbol evaluation not finite at x=(0.0,), nu=(0,)"),
+    ({"kind": "expression", "dim": 1, "expr": "x1/(absnu-1)"}, [], "nu=(1,)"),
+    ({"kind": "table", "dim": 1, "table": {
+        "grids": [[-1.0, 1.0]], "values": {str(k): [1.0, 2.0] for k in range(5)}}}, [],
+     "outside tabulated hull"),
+], ids=["node-at-zero", "nu-dependent", "table-hull"])
+@pytest.mark.parametrize("command", ["analyze", "criteria", "trace"])
+def test_symbol_undefined_on_the_grid_exits_2(tmp_path, capsys, command, symbol, extra, message):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(symbol))
+    code, out = run(tmp_path, command, "--symbol", str(path), "--level", "4", *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "trace"])
+def test_residual_warning_names_the_worst_column(tmp_path, capsys, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                "expr": "exp(-absnu)/(1+25*x1^2)"}))
+    args = (command, "--symbol", str(path), "--level", "6", "--quad", "8")
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert (doc.get("report") or doc)["residual_warning"] is True
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    # independent q and 2q matrices, compared column by column
+    sym, spec = symbol_from_dict(json.loads(path.read_text())), TruncationSpec(1, 6)
+    coarse = assemble_matrix(sym, spec, q=8, doubling_check=False).entries
+    fine = assemble_matrix(sym, spec, q=16, doubling_check=False).entries
+    change = np.linalg.norm(fine - coarse, axis=0) / np.linalg.norm(fine, axis=0)
+    k = int(np.argmax(change))
+    assert f"nu={spec.indices[k].entries}" in lines[0]
+    assert f"{change[k]:.3e}" in lines[0]
+    # the warning goes to stderr: stdout carries the same report bytes
+    assert main(list(args)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err.splitlines() == lines
+
+
+def test_no_residual_warning_line_when_resolved(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                "expr": "(1+x1^2)*exp(-absnu)"}))
+    code, out = run(tmp_path, "analyze", "--symbol", str(path), "--level", "10")
+    assert code == 0
+    assert json.loads(out.read_text())["report"]["residual_warning"] is False
+    assert capsys.readouterr().err == ""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hspec.operator as operator
 from hspec import (
     CoefficientVector,
     MultiIndex,
@@ -18,7 +19,10 @@ from hspec import (
     kernel_eval,
     parse_symbol,
     synthesize,
+    table_symbol,
 )
+from hspec.operator import basis_values, tensor_grid
+from hspec.symbol import eval_symbol
 from oracles import mehler_heat_kernel
 
 # frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
@@ -177,6 +181,60 @@ def test_assembly_carries_the_column_integrals(text, dim, level, q):
     # the linear integrals are the diagonal of the same-order matrix
     assert np.diag(m.entries) == pytest.approx(m.column_integrals(squared=False),
                                                rel=1e-12, abs=1e-14)
+
+
+def _dense_reference(sym, spec, q):
+    # the D x q^n sums the sum factorization replaces: matrix, then the
+    # integrals of m phi_nu^2 and m^2 phi_nu^2
+    grid = tensor_grid(spec.dim, q)
+    basis = basis_values(spec, grid)
+    mvals = np.array([eval_symbol(sym, grid.points, nu) for nu in spec.indices])
+    return (basis @ (grid.weights * mvals * basis).T,
+            (mvals * basis**2) @ grid.weights,
+            (mvals**2 * basis**2) @ grid.weights)
+
+
+_TABLE_GRID = np.linspace(-12.0, 12.0, 49)
+
+EQUIVALENCE_CASES = {
+    "1d-nu": (parse_symbol("exp(-absnu/2)/(1+x1^2)", 1), 12, 30),
+    "2d-nu-free": (parse_symbol("1/(1+0.5*x1^2+0.3*x2^2)", 2), 7, 16),
+    "2d-nu": (parse_symbol("lam^(-1)*(1+0.4*x1*x2/(1+x1^2+x2^2))", 2), 7, 16),
+    "3d-nu-free": (parse_symbol("1/(1+0.5*x1^2+0.4*x2^2+0.3*x3^2)", 3), 4, 10),
+    "3d-nu": (parse_symbol("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3), 4, 10),
+    "1d-table": (table_symbol(1, [_TABLE_GRID], {
+        (k,): (1.0 + k) / (1.0 + _TABLE_GRID**2) for k in range(7)}), 6, 14),
+}
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_sum_factorization_matches_dense_sums(monkeypatch, case, chunked):
+    sym, level, q = EQUIVALENCE_CASES[case]
+    spec = TruncationSpec(sym.dim, level)
+    if chunked:  # three columns per chunk
+        monkeypatch.setattr(operator, "_CHUNK_BYTES", 3 * 8 * q**sym.dim)
+    m = assemble_matrix(sym, spec, q=q, doubling_check=False)
+    matrix, linear, squared = _dense_reference(sym, spec, q)
+    scale = np.abs(matrix).max()
+    assert np.abs(m.entries - matrix).max() <= 1e-13 * scale
+    assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
+    # m^2 integrals carry the square of the symbol's scale
+    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
+
+
+@pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9)])
+def test_analyze_matches_dense_sums(dim, level, q):
+    spec = TruncationSpec(dim, level)
+
+    def f(x):
+        return np.exp(-np.sum((x - 0.3) ** 2, axis=1)) * (1 + x[:, 0])
+
+    grid = tensor_grid(dim, q)
+    half_weight = grid.weights * np.exp(0.5 * np.sum(grid.points**2, axis=1))
+    expected = basis_values(spec, grid) @ (half_weight * f(grid.points))
+    got = analyze(f, spec, q=q).values
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_synthesize_unit_vector():

@@ -11,6 +11,7 @@ from hspec import (
     SymbolParseError,
     builtin_symbol,
     eval_symbol,
+    eval_symbol_on_grid,
     load_symbol,
     multiplier_value,
     parse_symbol,
@@ -175,6 +176,46 @@ def test_eval_error_names_inputs():
         eval_symbol(s, -2.0, MultiIndex((1,)))
     with pytest.raises(SymbolEvalError):
         eval_symbol(parse_symbol("1/x1", 1), 0.0, MultiIndex((0,)))
+
+
+@pytest.mark.parametrize("text", [
+    "x1 * exp(-absnu) + nu2 / (1 + x2^2)",   # depends on nu
+    "1 / (1 + 0.5 * x1^2 + x2^2)",            # nu-free
+    "x1",                                      # constant along x2
+])
+def test_grid_evaluation_matches_eval_symbol(text):
+    s = parse_symbol(text, 2)
+    nodes = np.array([-1.5, -0.2, 0.7])
+    nus = np.array([[0, 0], [2, 1], [0, 3]])
+    got = eval_symbol_on_grid(s, nodes, nus)
+    assert got.shape[1:] == (3, 3)
+    pts = np.array([(a, b) for a in nodes for b in nodes])
+    for k, nu in enumerate(nus):
+        want = eval_symbol(s, pts, MultiIndex(tuple(int(v) for v in nu))).reshape(3, 3)
+        assert np.allclose(np.broadcast_to(got, (3, 3, 3))[k], want, rtol=1e-15, atol=0.0)
+    if "nu" not in text:
+        assert got.shape[0] == 1  # evaluated on the q^n points only
+
+
+def test_grid_evaluation_of_a_table():
+    g = np.linspace(-2, 2, 21)
+    s = table_symbol(2, [g, g], {(0, 0): np.add.outer(g**2, g), (1, 0): np.ones((21, 21))})
+    got = eval_symbol_on_grid(s, [-0.4, 1.0], [[0, 0], [1, 0]])
+    assert got[0] == pytest.approx(np.add.outer([0.16, 1.0], [-0.4, 1.0]), abs=1e-12)
+    assert np.array_equal(got[1], np.ones((2, 2)))
+
+
+def test_grid_evaluation_names_the_first_bad_point_like_eval_symbol():
+    s = parse_symbol("x2 / (absnu - 1) + 1 / x1", 2)
+    nodes = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(SymbolEvalError) as grid_err:
+        eval_symbol_on_grid(s, nodes, [[0, 0], [1, 0]])
+    with pytest.raises(SymbolEvalError) as point_err:
+        eval_symbol(s, np.array([(a, b) for a in nodes for b in nodes]), MultiIndex((0, 0)))
+    assert str(grid_err.value) == str(point_err.value)
+    assert str(grid_err.value) == "symbol evaluation not finite at x=(0.0, -1.0), nu=(0, 0)"
+    with pytest.raises(SymbolEvalError, match=r"x=\(-1.0, -1.0\), nu=\(1, 0\)$"):
+        eval_symbol_on_grid(s, [-1.0, 1.0], [[0, 0], [1, 0]])
 
 
 def test_table_symbol():
