@@ -20,12 +20,12 @@ from .symbol import (
     SymbolSpec,
     builtin_symbol,
     eval_symbol,
-    eval_symbol_on_grid,
     load_symbol,
     multiplier_value,
     parse_symbol,
     pretty_print,
     symbol_from_dict,
+    symbol_sampler,
     symbol_to_dict,
     table_symbol,
 )

@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
     spec = TruncationSpec(args.dim, _single_level(args))
     q = _quad_order(args, spec.level)
     report = build_report(sym, spec, q, r_values=tuple(_parse_rs(args.r)))
-    if report.worst_column is not None:
+    if report.residual_warning:
         _warn_worst_column(report.worst_column)
     doc = _report(args, sym, report=report.to_dict())
     rows = list(enumerate(float(s) for s in report.singular_values))
@@ -170,7 +170,7 @@ def cmd_trace(args) -> int:
     q = _quad_order(args, spec.level)
     m = assemble_matrix(sym, spec, q)
     if m.residual_warning:
-        _warn_worst_column(m.worst_column())
+        _warn_worst_column(m.worst_column)
     _emit(_report(
         args, sym,
         formula_trace=math.fsum(m.column_integrals(squared=False)),

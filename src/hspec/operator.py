@@ -21,7 +21,7 @@ import numpy as np
 
 from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import SymbolSpec, eval_symbol, eval_symbol_on_grid, multiplier_value
+from .symbol import SymbolSpec, eval_symbol, multiplier_value, symbol_sampler
 
 RESIDUAL_WARN = 1e-6
 
@@ -71,8 +71,8 @@ class OperatorMatrix:
     values is the diagonal m(nu) of a multiplier, else the dense matrix.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
-    column_residuals holds the relative change of each column between the
-    order-q and order-2q matrices (zeros without the doubling check).
+    worst_column is the nu whose column moved most between the order-q and
+    order-2q matrices, with its relative change (None without the check).
     """
 
     spec: TruncationSpec
@@ -82,7 +82,7 @@ class OperatorMatrix:
     residual_warning: bool
     symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
-    column_residuals: np.ndarray
+    worst_column: tuple[MultiIndex, float] | None = None
 
     @property
     def size(self) -> int:
@@ -103,12 +103,6 @@ class OperatorMatrix:
 
     def trace(self) -> float:
         return float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
-
-    def worst_column(self) -> tuple[MultiIndex, float]:
-        """The nu whose column moved most between orders q and 2q, with its
-        relative change."""
-        k = int(np.argmax(self.column_residuals))
-        return self.spec.indices[k], float(self.column_residuals[k])
 
 
 @dataclass(frozen=True)
@@ -174,11 +168,15 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = Tr
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
+    points = np.empty((q,) * spec.dim + (spec.dim,))  # x_j along axis j
+    for j in range(spec.dim):
+        points[..., j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
+    sample = symbol_sampler(sym, points.reshape(-1, spec.dim))
     step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
     for start in range(0, size, step):
         cols = slice(start, start + step)
         block = nus[cols]
-        values = eval_symbol_on_grid(sym, rule.nodes, block)
+        values = sample(block).reshape((-1,) + (q,) * spec.dim)
         if matrix:
             entries[:, cols] = _contract(values, row, [col[k] for k in block.T])[:, box].T
         if columns:
@@ -231,22 +229,23 @@ def assemble_matrix(
 
     if sym.is_multiplier:
         diag = _diagonal(sym, spec)
-        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2),
-                              np.zeros(spec.size))
+        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2))
 
     entries, columns = _discretize(sym, spec, q)
-    residual, per_column = 0.0, np.zeros(spec.size)
+    residual, worst = 0.0, None
     if doubling_check:
         refined, _ = _discretize(sym, spec, 2 * q, columns=False)
         scale = np.linalg.norm(refined)
         change = refined - entries
         residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
         col_scale = np.linalg.norm(refined, axis=0)
-        np.divide(np.linalg.norm(change, axis=0), col_scale, out=per_column,
-                  where=col_scale > 0)
+        per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
+                               out=np.zeros(spec.size), where=col_scale > 0)
+        k = int(np.argmax(per_column))
+        worst = (spec.indices[k], float(per_column[k]))
         entries = refined
     return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
-                          columns, per_column)
+                          columns, worst)
 
 
 def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:

@@ -127,8 +127,8 @@ class SchattenReport:
     assembly_residual: float = 0.0
     residual_warning: bool = False
     convergence: list = field(default_factory=list)  # (N, value) pairs
-    # (nu, relative change) of the column that moved most between q and 2q,
-    # set with residual_warning; not part of the serialized report
+    # (nu, relative change) of the column that moved most between q and 2q
+    # (OperatorMatrix.worst_column); not part of the serialized report
     worst_column: tuple | None = None
 
     def to_dict(self) -> dict:
@@ -169,7 +169,7 @@ def build_report(
         hs_direct=math.fsum(m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
-        worst_column=m.worst_column() if m.residual_warning else None,
+        worst_column=m.worst_column,
     )
     for r in r_values:
         report.schatten_sums[r] = schatten_sum(sv, r)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -257,21 +257,51 @@ def pretty_print(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _uses_x(node: Node) -> bool:
+def _names(node: Node) -> set[str]:
+    """The variables a tree reads."""
     if isinstance(node, Var):
-        return node.name.startswith("x") and node.name[1:].isdigit()
+        return {node.name}
     if isinstance(node, Neg):
-        return _uses_x(node.arg)
+        return _names(node.arg)
     if isinstance(node, BinOp):
-        return _uses_x(node.left) or _uses_x(node.right)
+        return _names(node.left) | _names(node.right)
     if isinstance(node, Call):
-        return any(_uses_x(a) for a in node.args)
-    return False
+        return set().union(*map(_names, node.args))
+    return set()
+
+
+def _uses_x(node: Node) -> bool:
+    return any(v.startswith("x") for v in _names(node))
+
+
+def _uses_nu(node: Node) -> bool:
+    return any(v in ("absnu", "lam") or v.startswith("nu") for v in _names(node))
+
+
+@dataclass(frozen=True, eq=False)
+class _Values:
+    """A nu-free subtree replaced by its values at fixed points (symbol_sampler)."""
+    values: np.ndarray
+
+
+def _fold(node: Node, env: dict) -> Node:
+    """node with each maximal nu-free subtree evaluated under env."""
+    if not _uses_nu(node):
+        return _Values(np.asarray(_eval_node(node, env), dtype=float))
+    if isinstance(node, Neg):
+        return Neg(_fold(node.arg, env))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _fold(node.left, env), _fold(node.right, env))
+    if isinstance(node, Call):
+        return Call(node.func, tuple(_fold(a, env) for a in node.args))
+    return node  # a nu-variable
 
 
 def _eval_node(node: Node, env: dict):
     if isinstance(node, Num):
         return node.value
+    if isinstance(node, _Values):
+        return node.values
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
@@ -388,11 +418,21 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     )
 
 
-def _nu_env(spec: SymbolSpec, nu: MultiIndex) -> dict:
-    env = {"absnu": float(nu.order), "lam": float(2 * nu.order + spec.dim),
-           "n": float(spec.dim), "pi": math.pi, "e": math.e}
-    for j, k in enumerate(nu, start=1):
-        env[f"nu{j}"] = float(k)
+def _env(spec: SymbolSpec, nu=None, pts=None) -> dict:
+    """Values of the grammar's variables.  nu is one MultiIndex (floats), a
+    (c, n) array of indices ((c, 1) arrays, broadcasting against the points)
+    or None (no nu-variables); pts an (M, n) batch of points or None."""
+    env = {"n": float(spec.dim), "pi": math.pi, "e": math.e}
+    if nu is not None:
+        if isinstance(nu, MultiIndex):
+            comps = [float(k) for k in nu]
+        else:
+            comps = [nu[:, j:j + 1].astype(float) for j in range(spec.dim)]
+        order = sum(comps)
+        env.update(absnu=order, lam=2.0 * order + spec.dim)
+        env.update((f"nu{j}", k) for j, k in enumerate(comps, start=1))
+    if pts is not None:
+        env.update((f"x{j + 1}", pts[:, j]) for j in range(spec.dim))
     return env
 
 
@@ -415,85 +455,72 @@ def multiplier_value(spec: SymbolSpec, nu: MultiIndex) -> float:
             val = math.inf
     else:  # x-free expression
         with np.errstate(all="ignore"):
-            val = _eval_node(spec.tree, _nu_env(spec, nu))
+            val = _eval_node(spec.tree, _env(spec, nu))
     if not math.isfinite(val):
         raise SymbolEvalError(f"symbol evaluation not finite at nu={nu.entries}")
     return float(val)
 
 
-def eval_symbol(spec: SymbolSpec, x, nu: MultiIndex):
-    """m(x, nu); x is a point in R^n or an (M, n) batch of points.
+def eval_symbol(spec: SymbolSpec, x, nu):
+    """m(x, nu); x is a point in R^n or an (M, n) batch of points, nu a
+    MultiIndex or a (c, n) integer array of indices.
 
-    Returns a float for a single point, an (M,) array for a batch.
+    For a MultiIndex, returns a float for a single point and an (M,) array
+    for a batch.  For an index array, returns a (c, M) array, or (1, M) when
+    m does not depend on nu: an expression is evaluated once, each subtree on
+    the indices and points it depends on, so an x-only symbol costs M
+    evaluations, not c M.
     """
-    if nu.dim != spec.dim:
+    single = isinstance(nu, MultiIndex)
+    if single and nu.dim != spec.dim:
         raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
+    rows = np.array([nu.entries]) if single else np.asarray(nu, dtype=int)
+    if rows.ndim != 2 or rows.shape[1] != spec.dim:
+        raise ValueError(f"index array has shape {rows.shape}, expected (c, {spec.dim})")
     pts = np.asarray(x, dtype=float)
     scalar_input = pts.ndim <= 1
     pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
     if pts.shape[1] != spec.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
+    size = pts.shape[0]
 
     if spec.is_multiplier:
-        val = multiplier_value(spec, nu)
-        return val if scalar_input and pts.shape[0] == 1 else np.full(pts.shape[0], val)
-
-    if spec.kind == "table":
-        out = _eval_table(spec, pts, nu)
+        vals = np.array([multiplier_value(spec, MultiIndex(tuple(k))) for k in rows.tolist()])
+        out = np.repeat(vals[:, None], size, axis=1)
+    elif spec.kind == "table":
+        out = np.stack([_eval_table(spec, pts, MultiIndex(tuple(k))) for k in rows.tolist()])
     else:
-        env = _nu_env(spec, nu)
-        for j in range(spec.dim):
-            env[f"x{j + 1}"] = pts[:, j]
         with np.errstate(all="ignore"):
-            out = np.broadcast_to(np.asarray(_eval_node(spec.tree, env), dtype=float),
-                                  (pts.shape[0],)).copy()
-        if not np.all(np.isfinite(out)):
-            raise _not_finite(pts[~np.isfinite(out)][0], nu.entries)
-    if scalar_input and out.size == 1:
-        return float(out[0])
-    return out
-
-
-def _not_finite(x, nu) -> SymbolEvalError:
-    return SymbolEvalError(
-        f"symbol evaluation not finite at x={tuple(float(v) for v in x)}, "
-        f"nu={tuple(int(k) for k in nu)}"
-    )
-
-
-def eval_symbol_on_grid(spec: SymbolSpec, nodes, nus) -> np.ndarray:
-    """m(x, nu) on the tensor grid nodes^n for each row nu of the (c, n) index
-    array nus: shape (c, q, ..., q), or (1, q, ..., q) when m does not depend
-    on nu.  Axis j + 1 runs over x_{j+1}.
-
-    An expression is evaluated once, the nu-variables shaped (c, 1, ..., 1)
-    and x_j shaped along axis j, so each subtree is computed on the points it
-    depends on.  Other kinds are evaluated per nu with eval_symbol.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    nus = np.asarray(nus, dtype=int).reshape(-1, spec.dim)
-    n, q = spec.dim, nodes.size
-    if spec.kind == "expression":
-        lead = (-1,) + (1,) * n
-        orders = nus.sum(axis=1).astype(float).reshape(lead)
-        env = {"absnu": orders, "lam": 2.0 * orders + n,
-               "n": float(n), "pi": math.pi, "e": math.e}
-        for j in range(n):
-            env[f"nu{j + 1}"] = nus[:, j].astype(float).reshape(lead)
-            env[f"x{j + 1}"] = nodes.reshape((1,) * (j + 1) + (q,) + (1,) * (n - 1 - j))
-        with np.errstate(all="ignore"):
-            out = np.asarray(_eval_node(spec.tree, env), dtype=float)
-        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, (1,) + (q,) * n))
-    else:
-        axes = np.indices((q,) * n).reshape(n, -1)
-        pts = nodes[axes].T
-        out = np.stack([np.asarray(eval_symbol(spec, pts, MultiIndex(tuple(int(k) for k in nu))),
-                                   dtype=float).reshape((q,) * n) for nu in nus])
+            out = np.asarray(_eval_node(spec.tree, _env(spec, nu if single else rows, pts)),
+                             dtype=float)
+        shape = (out.shape[0] if out.ndim == 2 else 1, size)
+        # copy a broadcast result, or one shared with x or a folded subtree
+        if out.shape != shape or not out.flags.owndata:
+            out = np.broadcast_to(out, shape).copy()
     bad = ~np.isfinite(out)
     if bad.any():
-        first = np.unravel_index(np.argmax(bad), out.shape)
-        raise _not_finite(nodes[list(first[1:])], nus[first[0]])
-    return out
+        k, i = np.unravel_index(np.argmax(bad), out.shape)
+        raise SymbolEvalError(
+            f"symbol evaluation not finite at x={tuple(float(v) for v in pts[i])}, "
+            f"nu={tuple(int(v) for v in rows[k])}")
+    if not single:
+        return out
+    if scalar_input and size == 1:
+        return float(out[0, 0])
+    return out[0]
+
+
+def symbol_sampler(spec: SymbolSpec, x):
+    """The function nus -> eval_symbol(spec, x, nus) for a fixed (M, n) batch
+    of points x, such as a quadrature grid sampled one block of indices at a
+    time.  The subtrees of an expression that do not depend on nu are
+    evaluated on the points once, here, not on every call.
+    """
+    pts = np.asarray(x, dtype=float).reshape(-1, spec.dim)
+    if spec.kind == "expression" and not spec.is_multiplier:
+        with np.errstate(all="ignore"):
+            spec = replace(spec, tree=_fold(spec.tree, _env(spec, pts=pts)))
+    return lambda nus: eval_symbol(spec, pts, nus)
 
 
 def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: MultiIndex) -> np.ndarray:

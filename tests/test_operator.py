@@ -223,6 +223,18 @@ def test_sum_factorization_matches_dense_sums(monkeypatch, case, chunked):
     assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
 
 
+def test_worst_column_is_recorded_with_the_doubling_check():
+    sym, spec = parse_symbol("exp(-absnu)/(1+4*x1^2)", 1), TruncationSpec(1, 6)
+    assert assemble_matrix(sym, spec, q=8, doubling_check=False).worst_column is None
+    assert assemble_matrix(parse_symbol("exp(-absnu)", 1), spec, q=8).worst_column is None
+    nu, change = assemble_matrix(sym, spec, q=8).worst_column
+    coarse = assemble_matrix(sym, spec, q=8, doubling_check=False).entries
+    fine = assemble_matrix(sym, spec, q=16, doubling_check=False).entries
+    per_column = np.linalg.norm(fine - coarse, axis=0) / np.linalg.norm(fine, axis=0)
+    assert nu == spec.indices[int(np.argmax(per_column))]
+    assert change == pytest.approx(per_column.max(), rel=1e-12)
+
+
 @pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9)])
 def test_analyze_matches_dense_sums(dim, level, q):
     spec = TruncationSpec(dim, level)

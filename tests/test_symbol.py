@@ -11,12 +11,12 @@ from hspec import (
     SymbolParseError,
     builtin_symbol,
     eval_symbol,
-    eval_symbol_on_grid,
     load_symbol,
     multiplier_value,
     parse_symbol,
     pretty_print,
     symbol_from_dict,
+    symbol_sampler,
     symbol_to_dict,
     table_symbol,
 )
@@ -183,39 +183,97 @@ def test_eval_error_names_inputs():
     "1 / (1 + 0.5 * x1^2 + x2^2)",            # nu-free
     "x1",                                      # constant along x2
 ])
-def test_grid_evaluation_matches_eval_symbol(text):
+def test_index_array_evaluation_matches_eval_symbol(text):
     s = parse_symbol(text, 2)
     nodes = np.array([-1.5, -0.2, 0.7])
-    nus = np.array([[0, 0], [2, 1], [0, 3]])
-    got = eval_symbol_on_grid(s, nodes, nus)
-    assert got.shape[1:] == (3, 3)
     pts = np.array([(a, b) for a in nodes for b in nodes])
+    nus = np.array([[0, 0], [2, 1], [0, 3]])
+    got = eval_symbol(s, pts, nus)
+    assert got.shape[1:] == (9,)
     for k, nu in enumerate(nus):
-        want = eval_symbol(s, pts, MultiIndex(tuple(int(v) for v in nu))).reshape(3, 3)
-        assert np.allclose(np.broadcast_to(got, (3, 3, 3))[k], want, rtol=1e-15, atol=0.0)
+        want = eval_symbol(s, pts, MultiIndex(tuple(int(v) for v in nu)))
+        assert np.allclose(np.broadcast_to(got, (3, 9))[k], want, rtol=1e-15, atol=0.0)
     if "nu" not in text:
-        assert got.shape[0] == 1  # evaluated on the q^n points only
+        assert got.shape[0] == 1  # evaluated on the M points only
+    else:
+        assert got.shape[0] == 3
 
 
-def test_grid_evaluation_of_a_table():
+def test_index_array_evaluation_does_not_alias_the_points():
+    pts = np.array([[0.5, 1.0], [2.0, -1.0]])
+    got = eval_symbol(parse_symbol("x1", 2), pts, [[0, 0]])
+    got[0, 0] = 7.0
+    assert pts[0, 0] == 0.5
+
+
+def test_index_array_must_have_the_symbol_dimension():
+    s = parse_symbol("x1 + nu2", 2)
+    for bad in ([[0, 0, 1], [1, 0, 0]], [0, 1]):
+        with pytest.raises(ValueError, match="expected \\(c, 2\\)"):
+            eval_symbol(s, np.zeros((3, 2)), bad)
+
+
+def test_index_array_evaluation_of_a_table_and_a_multiplier():
     g = np.linspace(-2, 2, 21)
     s = table_symbol(2, [g, g], {(0, 0): np.add.outer(g**2, g), (1, 0): np.ones((21, 21))})
-    got = eval_symbol_on_grid(s, [-0.4, 1.0], [[0, 0], [1, 0]])
-    assert got[0] == pytest.approx(np.add.outer([0.16, 1.0], [-0.4, 1.0]), abs=1e-12)
-    assert np.array_equal(got[1], np.ones((2, 2)))
+    pts = np.array([(a, b) for a in (-0.4, 1.0) for b in (-0.4, 1.0)])
+    got = eval_symbol(s, pts, [[0, 0], [1, 0]])
+    assert got[0] == pytest.approx(np.add.outer([0.16, 1.0], [-0.4, 1.0]).ravel(), abs=1e-12)
+    assert np.array_equal(got[1], np.ones(4))
+    heat = builtin_symbol("heat", 2, t=0.5)
+    assert np.array_equal(eval_symbol(heat, pts, [[0, 0], [1, 2]]),
+                          np.repeat([[math.exp(-1.0)], [math.exp(-4.0)]], 4, axis=1))
 
 
-def test_grid_evaluation_names_the_first_bad_point_like_eval_symbol():
+def test_index_array_evaluation_names_the_first_bad_point_like_eval_symbol():
     s = parse_symbol("x2 / (absnu - 1) + 1 / x1", 2)
     nodes = np.array([-1.0, 0.0, 1.0])
-    with pytest.raises(SymbolEvalError) as grid_err:
-        eval_symbol_on_grid(s, nodes, [[0, 0], [1, 0]])
+    pts = np.array([(a, b) for a in nodes for b in nodes])
+    with pytest.raises(SymbolEvalError) as batch_err:
+        eval_symbol(s, pts, [[0, 0], [1, 0]])
     with pytest.raises(SymbolEvalError) as point_err:
-        eval_symbol(s, np.array([(a, b) for a in nodes for b in nodes]), MultiIndex((0, 0)))
-    assert str(grid_err.value) == str(point_err.value)
-    assert str(grid_err.value) == "symbol evaluation not finite at x=(0.0, -1.0), nu=(0, 0)"
+        eval_symbol(s, pts, MultiIndex((0, 0)))
+    assert str(batch_err.value) == str(point_err.value)
+    assert str(batch_err.value) == "symbol evaluation not finite at x=(0.0, -1.0), nu=(0, 0)"
+    corners = np.array([(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)])
     with pytest.raises(SymbolEvalError, match=r"x=\(-1.0, -1.0\), nu=\(1, 0\)$"):
-        eval_symbol_on_grid(s, [-1.0, 1.0], [[0, 0], [1, 0]])
+        eval_symbol(s, corners, [[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("text", [
+    "exp(-0.3*absnu)/(1+0.5*x1^2+0.2*x2^2)",  # nu-free denominator
+    "x1*nu2 - sin(x2)*lam + pow(x1, 2)",
+    "1/(1+x1^2+x2^2)",                        # nu-free throughout
+    "max(x1, absnu - 2) * (1 + nu1)",
+])
+def test_sampler_equals_eval_symbol_bit_for_bit(text):
+    s = parse_symbol(text, 2)
+    pts = np.array([(a, b) for a in (-1.5, -0.2, 0.7) for b in (-0.9, 0.4)])
+    sample = symbol_sampler(s, pts)
+    for block in ([[0, 0], [2, 1], [0, 3]], [[1, 1]], [[4, 0], [0, 4]]):
+        assert np.array_equal(sample(block), eval_symbol(s, pts, block))
+
+
+def test_sampler_of_a_table_and_a_multiplier():
+    g = np.linspace(-2, 2, 21)
+    table = table_symbol(2, [g, g], {(0, 0): np.add.outer(g**2, g), (1, 0): np.ones((21, 21))})
+    heat = builtin_symbol("heat", 2, t=0.5)
+    pts = np.array([[-0.4, 1.0], [0.3, 0.2]])
+    for s in (table, heat):
+        assert np.array_equal(symbol_sampler(s, pts)([[0, 0], [1, 0]]),
+                              eval_symbol(s, pts, [[0, 0], [1, 0]]))
+
+
+def test_sampler_reports_a_bad_nu_free_subtree_like_eval_symbol():
+    s = parse_symbol("x2 / (absnu - 1) + 1 / x1", 2)
+    pts = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+    sample = symbol_sampler(s, pts)  # 1 / x1 is evaluated here, without raising
+    for block in ([[0, 0], [1, 0]], [[1, 0]]):
+        with pytest.raises(SymbolEvalError) as sampled:
+            sample(block)
+        with pytest.raises(SymbolEvalError) as direct:
+            eval_symbol(s, pts, block)
+        assert str(sampled.value) == str(direct.value)
 
 
 def test_table_symbol():
