@@ -66,21 +66,26 @@ def _parse_rs(text: str) -> list[float]:
 
 
 def _load_symbol(args) -> SymbolSpec:
+    """The symbol; an unset --dim becomes the symbol's dim (1 for --builtin)."""
     if args.symbol and args.builtin:
         raise ConfigError("--symbol and --builtin are mutually exclusive")
     if args.symbol:
         try:
-            return load_symbol(args.symbol)
+            sym = load_symbol(args.symbol)
         except FileNotFoundError:
             raise ConfigError(f"symbol file not found: {args.symbol}") from None
         except SymbolError as exc:
             raise ConfigError(f"bad symbol file {args.symbol}: {exc}") from exc
-    if args.builtin:
+    elif args.builtin:
         try:
-            return builtin_symbol(args.builtin, args.dim, **_parse_params(args.param))
+            sym = builtin_symbol(args.builtin, args.dim or 1, **_parse_params(args.param))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    raise ConfigError("a symbol is required: pass --symbol FILE or --builtin NAME")
+    else:
+        raise ConfigError("a symbol is required: pass --symbol FILE or --builtin NAME")
+    if args.dim is None:
+        args.dim = sym.dim
+    return sym
 
 
 def _quad_order(args, level: int) -> int:
@@ -240,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--builtin", help="builtin family: power, heat, bandlimit")
             p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                            help="builtin family parameter (repeatable)")
-        p.add_argument("--dim", type=int, default=1, help="ambient dimension n")
+        p.add_argument("--dim", type=int, default=None if needs_symbol else 1,
+                       help="ambient dimension n (default: the symbol file's dim, else 1)")
         p.add_argument("--level", default="10",
                        help="level cutoff N (comma-separated list for converge)")
         p.add_argument("--quad", type=int, help="quadrature order (default N+32)")
@@ -281,14 +287,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.dim < 1:
+        if args.dim is not None and args.dim < 1:
             raise ConfigError("--dim must be at least 1")
         return args.func(args)
     except (ConfigError, SymbolError, CriterionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

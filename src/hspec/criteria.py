@@ -66,13 +66,8 @@ def shell_partition(spec: TruncationSpec, terms: np.ndarray) -> list[tuple[int, 
     terms = np.asarray(terms, dtype=float)
     if terms.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} terms, got {terms.shape}")
-    out = []
-    pos = 0
-    for s, members in spec.shells():
-        k = len(members)
-        out.append((s, math.fsum(terms[pos:pos + k])))
-        pos += k
-    return out
+    o = spec.offsets
+    return [(s, math.fsum(terms[o[s]:o[s + 1]])) for s in range(spec.level + 1)]
 
 
 def classify_tail(shells: list[tuple[int, float]], dim: int) -> tuple[str, dict]:
@@ -196,7 +191,7 @@ def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
             f"sigma = {sigma} violates the admissibility bound "
             f"sigma > n(1/r - 1/2) = {bound}"
         )
-    lam = np.array([2.0 * nu.order + spec.dim for nu in spec.indices])
+    lam = 2.0 * spec.array.sum(axis=1) + spec.dim
     terms = lam ** (2.0 * sigma) * squared
     return _verdict("Sr-sigma", spec, terms, {"r": r, "sigma": sigma})
 

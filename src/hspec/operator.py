@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,9 @@ def basis_values(spec: TruncationSpec, grid: TensorGrid, weighted: bool = False)
     form meant to be paired with the grid weights.
     """
     table = hermite_table(spec.level, grid.rule_nodes, weighted=weighted)
-    out = np.empty((spec.size, grid.points.shape[0]))
-    for i, nu in enumerate(spec.indices):
-        vals = table[nu[0], grid.coord_index[0]]
-        for j in range(1, spec.dim):
-            vals = vals * table[nu[j], grid.coord_index[j]]
-        out[i] = vals
+    out = table[spec.array[:, :1], grid.coord_index[0]]
+    for j in range(1, spec.dim):
+        out = out * table[spec.array[:, j:j + 1], grid.coord_index[j]]
     return out
 
 
@@ -111,11 +109,6 @@ class CoefficientVector:
     values: np.ndarray
 
 
-def _diagonal(sym: SymbolSpec, spec: TruncationSpec) -> np.ndarray:
-    """The one tabulation of a multiplier: m(nu) in enumeration order."""
-    return np.array([multiplier_value(sym, nu) for nu in spec.indices])
-
-
 # Bytes of symbol samples per chunk of columns; the contraction's temporaries
 # are at most a few times this, so peak memory is O(chunk q^n), never D q^n.
 _CHUNK_BYTES = 8 * 2**20
@@ -135,13 +128,6 @@ def _contract(values: np.ndarray, row: np.ndarray, scales: list) -> np.ndarray:
         t = t.reshape(len(t), -1, q) * scales[j][:, None, :]
         t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
     return t.reshape(c, -1)
-
-
-def _index_array(spec: TruncationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (D, n) array of the truncation's indices, and the position of each
-    in the row-major (N+1)^n box."""
-    nus = np.array([nu.entries for nu in spec.indices])
-    return nus, nus @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
 
 
 def _diagonal_sums(values: np.ndarray, scales: list) -> np.ndarray:
@@ -164,7 +150,7 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = Tr
     row = hermite_table(spec.level, rule.nodes, weighted=False)
     col = rule.weights * row
     diag = col * row
-    nus, box = _index_array(spec)
+    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)  # row-major (N+1)^n
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
@@ -175,7 +161,7 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = Tr
     step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
     for start in range(0, size, step):
         cols = slice(start, start + step)
-        block = nus[cols]
+        block = spec.array[cols]
         values = sample(block).reshape((-1,) + (q,) * spec.dim)
         if matrix:
             entries[:, cols] = _contract(values, row, [col[k] for k in block.T])[:, box].T
@@ -198,7 +184,7 @@ def column_integrals(
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
     if sym.is_multiplier:
-        diag = _diagonal(sym, spec)
+        diag = multiplier_value(sym, spec.array)
         return diag**2 if squared else diag
     if q is None:
         q = default_quadrature_order(spec.level)
@@ -228,7 +214,7 @@ def assemble_matrix(
         raise ValueError(f"quadrature order {q} < N+1 = {spec.level + 1}")
 
     if sym.is_multiplier:
-        diag = _diagonal(sym, spec)
+        diag = multiplier_value(sym, spec.array)
         return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2))
 
     entries, columns = _discretize(sym, spec, q)
@@ -242,7 +228,7 @@ def assemble_matrix(
         per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
                                out=np.zeros(spec.size), where=col_scale > 0)
         k = int(np.argmax(per_column))
-        worst = (spec.indices[k], float(per_column[k]))
+        worst = (spec.unrank(k), float(per_column[k]))
         entries = refined
     return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
                           columns, worst)
@@ -254,17 +240,10 @@ def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.size != spec.dim or y.size != spec.dim:
         raise ValueError(f"points must have dimension {spec.dim}")
-    tx = hermite_table(spec.level, x)
-    ty = hermite_table(spec.level, y)
-    total = 0.0
-    for nu in spec.indices:
-        px = py = 1.0
-        for j in range(spec.dim):
-            px *= tx[nu[j], j]
-            py *= ty[nu[j], j]
-        m = eval_symbol(sym, x, nu)
-        total += m * px * py
-    return float(total)
+    axes = np.arange(spec.dim)
+    px = np.prod(hermite_table(spec.level, x)[spec.array, axes], axis=1)
+    py = np.prod(hermite_table(spec.level, y)[spec.array, axes], axis=1)
+    return math.fsum(eval_symbol(sym, x, spec.array)[:, 0] * px * py)
 
 
 def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
@@ -289,7 +268,8 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
     table = hermite_table(spec.level, grid.rule_nodes, weighted=False)
     coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), table,
                        [half_weight[None, :]] * spec.dim)
-    return CoefficientVector(spec, coeffs[0, _index_array(spec)[1]])
+    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
+    return CoefficientVector(spec, coeffs[0, box])
 
 
 def synthesize(c: CoefficientVector, x) -> float:
@@ -298,14 +278,8 @@ def synthesize(c: CoefficientVector, x) -> float:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != spec.dim:
         raise ValueError(f"point must have dimension {spec.dim}")
-    table = hermite_table(spec.level, x)
-    total = 0.0
-    for ci, nu in zip(c.values, spec.indices):
-        p = 1.0
-        for j in range(spec.dim):
-            p *= table[nu[j], j]
-        total += ci * p
-    return float(total)
+    p = np.prod(hermite_table(spec.level, x)[spec.array, np.arange(spec.dim)], axis=1)
+    return math.fsum(c.values * p)
 
 
 def apply_matrix(m: OperatorMatrix, c: CoefficientVector) -> CoefficientVector:

@@ -418,16 +418,13 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     )
 
 
-def _env(spec: SymbolSpec, nu=None, pts=None) -> dict:
-    """Values of the grammar's variables.  nu is one MultiIndex (floats), a
-    (c, n) array of indices ((c, 1) arrays, broadcasting against the points)
-    or None (no nu-variables); pts an (M, n) batch of points or None."""
+def _env(spec: SymbolSpec, nus=None, pts=None) -> dict:
+    """Values of the grammar's variables.  nus is a (c, n) array of indices,
+    given as (c, 1) arrays that broadcast against the points, or None (no
+    nu-variables); pts an (M, n) batch of points or None."""
     env = {"n": float(spec.dim), "pi": math.pi, "e": math.e}
-    if nu is not None:
-        if isinstance(nu, MultiIndex):
-            comps = [float(k) for k in nu]
-        else:
-            comps = [nu[:, j:j + 1].astype(float) for j in range(spec.dim)]
+    if nus is not None:
+        comps = [nus[:, j:j + 1].astype(float) for j in range(spec.dim)]
         order = sum(comps)
         env.update(absnu=order, lam=2.0 * order + spec.dim)
         env.update((f"nu{j}", k) for j, k in enumerate(comps, start=1))
@@ -436,29 +433,50 @@ def _env(spec: SymbolSpec, nu=None, pts=None) -> dict:
     return env
 
 
-def multiplier_value(spec: SymbolSpec, nu: MultiIndex) -> float:
-    """m(nu) of a multiplier, a symbol with no x-dependence."""
+def _index_rows(spec: SymbolSpec, nu) -> np.ndarray:
+    """nu, one MultiIndex or a (c, n) array of indices, as a (c, n) int array."""
+    if isinstance(nu, MultiIndex):
+        if nu.dim != spec.dim:
+            raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
+        return np.array([nu.entries])
+    rows = np.asarray(nu, dtype=int)
+    if rows.ndim != 2 or rows.shape[1] != spec.dim:
+        raise ValueError(f"index array has shape {rows.shape}, expected (c, {spec.dim})")
+    return rows
+
+
+def _builtin(spec: SymbolSpec, order: int) -> float:
+    """m(nu) of a builtin family at |nu| = order."""
+    lam = 2 * order + spec.dim
+    if spec.family == "bandlimit":
+        return 1.0 if order <= spec.params["cutoff"] else 0.0
+    try:
+        if spec.family == "power":
+            return lam ** (-spec.params["sigma"])
+        return math.exp(-spec.params["t"] * lam)
+    except OverflowError:
+        return math.inf
+
+
+def multiplier_value(spec: SymbolSpec, nu):
+    """m(nu) of a multiplier, a symbol with no x-dependence: a float for one
+    MultiIndex, a (c,) array for a (c, n) array of indices.  A builtin
+    depends on nu only through |nu| and is evaluated once per order."""
     if not spec.is_multiplier:
         raise ValueError("the symbol depends on x; evaluate it with eval_symbol")
-    if nu.dim != spec.dim:
-        raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
-    lam = 2 * nu.order + spec.dim
+    rows = _index_rows(spec, nu)
     if spec.kind == "builtin":
-        try:
-            if spec.family == "power":
-                val = lam ** (-spec.params["sigma"])
-            elif spec.family == "heat":
-                val = math.exp(-spec.params["t"] * lam)
-            else:
-                val = 1.0 if nu.order <= spec.params["cutoff"] else 0.0
-        except OverflowError:
-            val = math.inf
+        orders, where = np.unique(rows.sum(axis=1), return_inverse=True)
+        vals = np.array([_builtin(spec, int(s)) for s in orders], dtype=float)[where]
     else:  # x-free expression
         with np.errstate(all="ignore"):
-            val = _eval_node(spec.tree, _env(spec, nu))
-    if not math.isfinite(val):
-        raise SymbolEvalError(f"symbol evaluation not finite at nu={nu.entries}")
-    return float(val)
+            vals = np.broadcast_to(_eval_node(spec.tree, _env(spec, rows)),
+                                   (len(rows), 1))[:, 0].astype(float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise SymbolEvalError(
+            f"symbol evaluation not finite at nu={tuple(rows[np.argmax(bad)].tolist())}")
+    return float(vals[0]) if isinstance(nu, MultiIndex) else vals
 
 
 def eval_symbol(spec: SymbolSpec, x, nu):
@@ -472,11 +490,7 @@ def eval_symbol(spec: SymbolSpec, x, nu):
     evaluations, not c M.
     """
     single = isinstance(nu, MultiIndex)
-    if single and nu.dim != spec.dim:
-        raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
-    rows = np.array([nu.entries]) if single else np.asarray(nu, dtype=int)
-    if rows.ndim != 2 or rows.shape[1] != spec.dim:
-        raise ValueError(f"index array has shape {rows.shape}, expected (c, {spec.dim})")
+    rows = _index_rows(spec, nu)
     pts = np.asarray(x, dtype=float)
     scalar_input = pts.ndim <= 1
     pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
@@ -485,13 +499,12 @@ def eval_symbol(spec: SymbolSpec, x, nu):
     size = pts.shape[0]
 
     if spec.is_multiplier:
-        vals = np.array([multiplier_value(spec, MultiIndex(tuple(k))) for k in rows.tolist()])
-        out = np.repeat(vals[:, None], size, axis=1)
+        out = np.repeat(multiplier_value(spec, rows)[:, None], size, axis=1)
     elif spec.kind == "table":
-        out = np.stack([_eval_table(spec, pts, MultiIndex(tuple(k))) for k in rows.tolist()])
+        out = np.stack([_eval_table(spec, pts, tuple(k)) for k in rows.tolist()])
     else:
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval_node(spec.tree, _env(spec, nu if single else rows, pts)),
+            out = np.asarray(_eval_node(spec.tree, _env(spec, rows, pts)),
                              dtype=float)
         shape = (out.shape[0] if out.ndim == 2 else 1, size)
         # copy a broadcast result, or one shared with x or a folded subtree
@@ -523,12 +536,12 @@ def symbol_sampler(spec: SymbolSpec, x):
     return lambda nus: eval_symbol(spec, pts, nus)
 
 
-def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: MultiIndex) -> np.ndarray:
+def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: tuple[int, ...]) -> np.ndarray:
     grids = spec.table["grids"]
     try:
-        arr = spec.table["values"][nu.entries]
+        arr = spec.table["values"][nu]
     except KeyError:
-        raise SymbolEvalError(f"tabulated symbol has no values for nu={nu.entries}") from None
+        raise SymbolEvalError(f"tabulated symbol has no values for nu={nu}") from None
     for j, g in enumerate(grids):
         lo, hi = g[0], g[-1]
         out_of_hull = (pts[:, j] < lo) | (pts[:, j] > hi)

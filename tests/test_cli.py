@@ -287,3 +287,39 @@ def test_no_residual_warning_line_when_resolved(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["report"]["residual_warning"] is False
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "criteria", "trace"])
+def test_dim_defaults_to_the_symbol_file(tmp_path, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 2,
+                                "expr": "exp(-absnu)/(1+0.5*x1^2+0.3*x2^2)"}))
+    args = (command, "--symbol", str(path), "--level", "4")
+    code, implicit = run(tmp_path, *args, name="implicit.json")
+    assert code == 0
+    code, explicit = run(tmp_path, *args, "--dim", "2", name="explicit.json")
+    assert code == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def test_explicit_dim_mismatch_exits_2(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "builtin", "dim": 2, "family": "heat",
+                                "params": {"t": 0.5}}))
+    code, out = run(tmp_path, "criteria", "--symbol", str(path), "--dim", "1", "--level", "4")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "symbol dimension 2 != truncation dimension 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+    monkeypatch.setattr("hspec.cli.build_report", out_of_memory)
+    code, out = run(tmp_path, "analyze", "--builtin", "heat", "--param", "t=1", "--level", "4")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Unable to allocate 9.31 GiB for an array\n"
+    assert not out.exists()

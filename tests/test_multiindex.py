@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -94,3 +95,27 @@ def test_shells_cover_everything():
     spec = TruncationSpec(3, 4)
     total = sum(len(members) for _, members in spec.shells())
     assert total == spec.size
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 10))
+def test_array_and_offsets_match_a_sorted_product(n, level):
+    box = [t for t in itertools.product(range(level + 1), repeat=n) if sum(t) <= level]
+    box.sort(key=lambda t: (sum(t), *(-k for k in t)))
+    spec = TruncationSpec(n, level)
+    assert spec.array.shape == (len(box), n)
+    assert [tuple(row) for row in spec.array.tolist()] == box
+    orders = [sum(t) for t in box]
+    assert spec.offsets.tolist() == [sum(o < s for o in orders) for s in range(level + 2)]
+    assert all(spec.rank(MultiIndex(t)) == i for i, t in enumerate(box))
+
+
+def test_truncation_memory_stays_linear_in_its_size():
+    # the (N+1)^n box alone would take 156 MB here; the (D, n) array 2 MB
+    tracemalloc.start()
+    try:
+        TruncationSpec(5, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

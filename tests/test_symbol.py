@@ -9,6 +9,7 @@ from hspec import (
     SymbolError,
     SymbolEvalError,
     SymbolParseError,
+    TruncationSpec,
     builtin_symbol,
     eval_symbol,
     load_symbol,
@@ -141,6 +142,32 @@ def test_multiplier_value():
         multiplier_value(builtin_symbol("heat", 1, t=-1000.0), MultiIndex((3,)))
     with pytest.raises(ValueError, match="depends on x"):
         multiplier_value(parse_symbol("x1", 1), MultiIndex((0,)))
+
+
+@pytest.mark.parametrize("sym, reference", [
+    (builtin_symbol("power", 2, sigma=1.7), lambda nu: (2 * sum(nu) + 2) ** -1.7),
+    (builtin_symbol("heat", 2, t=0.3), lambda nu: math.exp(-0.3 * (2 * sum(nu) + 2))),
+    (builtin_symbol("bandlimit", 2, cutoff=7), lambda nu: 1.0 if sum(nu) <= 7 else 0.0),
+    (parse_symbol("exp(-0.3*lam)*(1+0.5*cos(pi*nu1))", 2), None),
+    (parse_symbol("pow(1+nu1,-1.3)*log(2+nu1*nu2)/lam^2.5", 2), None),
+], ids=["power", "heat", "bandlimit", "exp-cos", "pow-log"])
+def test_multiplier_value_on_an_index_array_is_bitwise_per_index(sym, reference):
+    spec = TruncationSpec(2, 20)
+    got = multiplier_value(sym, spec.array)
+    assert got.shape == (spec.size,)
+    per_index = [multiplier_value(sym, nu) for nu in spec.indices]
+    assert got.tolist() == per_index
+    if reference is not None:
+        assert per_index == [float(reference(nu.entries)) for nu in spec.indices]
+
+
+def test_multiplier_value_on_an_index_array_names_the_first_bad_index():
+    spec = TruncationSpec(2, 6)
+    with pytest.raises(SymbolEvalError, match=r"not finite at nu=\(3, 0\)$"):
+        multiplier_value(parse_symbol("1/(absnu-3)", 2), spec.array)
+    # e^(400 lam) overflows from lam = 3, the 1-D index nu = (1,), on
+    with pytest.raises(SymbolEvalError, match=r"not finite at nu=\(1,\)$"):
+        multiplier_value(builtin_symbol("heat", 1, t=-400.0), TruncationSpec(1, 6).array)
 
 
 def test_expression_evaluation():
