@@ -148,8 +148,7 @@ def _warn_worst_column(worst) -> None:
 def cmd_analyze(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
-    q = _quad_order(args, spec.level)
-    report = build_report(sym, spec, q, r_values=tuple(_parse_rs(args.r)))
+    report = build_report(sym, spec, args.quad, r_values=tuple(_parse_rs(args.r)))
     if report.residual_warning:
         _warn_worst_column(report.worst_column)
     doc = _report(args, sym, report=report.to_dict())
@@ -161,8 +160,7 @@ def cmd_analyze(args) -> int:
 def cmd_criteria(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
-    q = _quad_order(args, spec.level)
-    verdicts = criteria(sym, spec, q, tuple(_parse_rs(args.r)), args.sigma)
+    verdicts = criteria(sym, spec, args.quad, tuple(_parse_rs(args.r)), args.sigma)
     doc = _report(args, sym, verdicts=[v.to_dict() for v in verdicts])
     rows = [(v.criterion, s, val) for v in verdicts for s, val in v.shells]
     _emit(doc, args, csv_rows=rows, csv_header=("criterion", "shell", "sum"))
@@ -172,8 +170,7 @@ def cmd_criteria(args) -> int:
 def cmd_trace(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
-    q = _quad_order(args, spec.level)
-    m = assemble_matrix(sym, spec, q)
+    m = assemble_matrix(sym, spec, args.quad)
     if m.residual_warning:
         _warn_worst_column(m.worst_column)
     _emit(_report(
@@ -195,11 +192,10 @@ def cmd_converge(args) -> int:
     rows = []
     for n in levels:
         spec = TruncationSpec(args.dim, n)
-        q = _quad_order(args, n)
         if args.quantity == "trace":
-            val = trace_formula(sym, spec, q)
+            val = trace_formula(sym, spec, args.quad)
         else:
-            val = hilbert_schmidt_direct(sym, spec, q)
+            val = hilbert_schmidt_direct(sym, spec, args.quad)
         rows.append((n, val))
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
     doc = _report(

@@ -40,22 +40,16 @@ class TensorGrid:
 
 def tensor_grid(dim: int, q: int) -> TensorGrid:
     rule = gauss_hermite_rule(q)
-    if dim == 1:
-        idx = np.arange(q)[None, :]
-        return TensorGrid(rule.nodes[:, None], rule.weights.copy(), idx, rule.nodes, rule.weights)
     idx = np.indices((q,) * dim).reshape(dim, -1)
     points = rule.nodes[idx].T
     weights = np.prod(rule.weights[idx], axis=0)
     return TensorGrid(points, weights, idx, rule.nodes, rule.weights)
 
 
-def basis_values(spec: TruncationSpec, grid: TensorGrid, weighted: bool = False) -> np.ndarray:
-    """(D, M) matrix of basis values at the grid points.
-
-    weighted=False gives the weight-free products prod_j h_{nu_j}(x_j), the
-    form meant to be paired with the grid weights.
-    """
-    table = hermite_table(spec.level, grid.rule_nodes, weighted=weighted)
+def basis_values(spec: TruncationSpec, grid: TensorGrid) -> np.ndarray:
+    """(D, M) matrix of the weight-free products prod_j h_{nu_j}(x_j) at the
+    grid points, the form meant to be paired with the grid weights."""
+    table = hermite_table(spec.level, grid.rule_nodes, weighted=False)
     out = table[spec.array[:, :1], grid.coord_index[0]]
     for j in range(1, spec.dim):
         out = out * table[spec.array[:, j:j + 1], grid.coord_index[j]]
@@ -138,14 +132,32 @@ def _diagonal_sums(values: np.ndarray, scales: list) -> np.ndarray:
     return values.reshape(-1)
 
 
-def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = True,
-                columns: bool = True) -> tuple[np.ndarray | None, tuple | None]:
-    """The order-q matrix and/or the column integrals (of m phi_nu^2, of
-    m^2 phi_nu^2), from one sampling of the symbol per chunk of columns.
+def _order(spec: TruncationSpec, q: int | None) -> int:
+    """The quadrature order: N+32 unless given, and at least N+1."""
+    if q is None:
+        q = default_quadrature_order(spec.level)
+    if q < spec.level + 1:
+        raise ValueError(f"quadrature order {q} must be at least N+1 = {spec.level + 1}")
+    return q
 
+
+def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bool = True,
+                columns: bool = True) -> tuple[int, np.ndarray | None, tuple | None]:
+    """The resolved order q, then the order-q matrix and/or the column
+    integrals (of m phi_nu^2, of m^2 phi_nu^2), from one sampling of the
+    symbol per chunk of columns.
+
+    A multiplier's matrix is its exact diagonal m(nu) and its columns are
+    (m, m^2), since phi_nu has unit norm: no quadrature.  Otherwise
     M[mu, nu] = sum_x m(x, nu) prod_j P[nu_j, mu_j, x_j] with the product
     table P[b, a, i] = w_i h_b(x_i) h_a(x_i), applied in factored form:
     w h_b scales the samples and h_a contracts them."""
+    q = _order(spec, q)
+    if sym.dim != spec.dim:
+        raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
+    if sym.is_multiplier:
+        diag = multiplier_value(sym, spec.array)
+        return q, diag, (diag, diag**2)
     rule = gauss_hermite_rule(q)
     row = hermite_table(spec.level, rule.nodes, weighted=False)
     col = rule.weights * row
@@ -169,26 +181,16 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int, matrix: bool = Tr
             weights = [diag[k] for k in block.T]
             linear[cols] = _diagonal_sums(values, weights)
             squared[cols] = _diagonal_sums(np.square(values), weights)
-    return entries, (linear, squared) if columns else None
+    return q, entries, (linear, squared) if columns else None
 
 
 def column_integrals(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, squared: bool = True
 ) -> np.ndarray:
     """Per-nu integrals of m(x,nu)^2 phi_nu(x)^2 (squared=True) or of
-    m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order.
-
-    Multiplier symbols are exact without quadrature: the integrals collapse
-    to m(nu)^2 resp. m(nu) since phi_nu has unit norm.
-    """
-    if sym.dim != spec.dim:
-        raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
-    if sym.is_multiplier:
-        diag = multiplier_value(sym, spec.array)
-        return diag**2 if squared else diag
-    if q is None:
-        q = default_quadrature_order(spec.level)
-    return _discretize(sym, spec, q, matrix=False)[1][squared]
+    m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order; a multiplier's
+    are exactly m(nu)^2 resp. m(nu)."""
+    return _discretize(sym, spec, q, matrix=False)[2][squared]
 
 
 def assemble_matrix(
@@ -199,28 +201,16 @@ def assemble_matrix(
 ) -> OperatorMatrix:
     """Assemble P_N T_m P_N.
 
-    Multiplier symbols take the analytic fast path: the diagonal of m(nu)
-    values, no quadrature.  Otherwise the order-q pass gives the matrix and
-    the column integrals; the matrix is repeated at order 2q and the
-    relative Frobenius change recorded, overall and per column; an overall
-    change above 1e-6 sets the residual warning flag (the result is still
-    returned).
+    A multiplier is its exact diagonal of m(nu) values.  Otherwise the
+    order-q pass gives the matrix and the column integrals; the matrix is
+    repeated at order 2q and the relative Frobenius change recorded, overall
+    and per column; an overall change above 1e-6 sets the residual warning
+    flag (the result is still returned).
     """
-    if sym.dim != spec.dim:
-        raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
-    if q is None:
-        q = default_quadrature_order(spec.level)
-    if q < spec.level + 1:
-        raise ValueError(f"quadrature order {q} < N+1 = {spec.level + 1}")
-
-    if sym.is_multiplier:
-        diag = multiplier_value(sym, spec.array)
-        return OperatorMatrix(spec, diag, q, 0.0, False, sym, (diag, diag**2))
-
-    entries, columns = _discretize(sym, spec, q)
+    q, entries, columns = _discretize(sym, spec, q)
     residual, worst = 0.0, None
-    if doubling_check:
-        refined, _ = _discretize(sym, spec, 2 * q, columns=False)
+    if doubling_check and not sym.is_multiplier:
+        _, refined, _ = _discretize(sym, spec, 2 * q, columns=False)
         scale = np.linalg.norm(refined)
         change = refined - entries
         residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
@@ -251,10 +241,7 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
 
     f is a callable on (M, n) point arrays (or on 1-D arrays when n = 1).
     """
-    if q is None:
-        q = default_quadrature_order(spec.level)
-    if q < spec.level + 1:
-        raise ValueError(f"quadrature order {q} < N+1 = {spec.level + 1}")
+    q = _order(spec, q)
     grid = tensor_grid(spec.dim, q)
     pts = grid.points[:, 0] if spec.dim == 1 else grid.points
     samples = np.asarray(f(pts), dtype=float)

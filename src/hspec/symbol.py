@@ -92,7 +92,6 @@ def _variables(dim: int) -> set[str]:
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int, int]] = []  # kind, value, line, col
         self._scan()
 

@@ -313,6 +313,40 @@ def test_explicit_dim_mismatch_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+QUAD_COMMANDS = {"analyze": (), "criteria": (), "trace": (), "converge": ("--quantity", "hs")}
+
+
+@pytest.mark.parametrize("symbol", ["builtin", "expression"])
+@pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
+def test_quad_below_level_plus_one_exits_2(tmp_path, capsys, command, symbol):
+    if symbol == "builtin":
+        source = ("--builtin", "heat", "--param", "t=0.5")
+    else:
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                    "expr": "exp(-absnu)/(1+x1^2)"}))
+        source = ("--symbol", str(path))
+    # converge runs level 3 at order 5 before it reaches level 10
+    level = "3,10" if command == "converge" else "10"
+    code, out = run(tmp_path, command, *source, "--level", level, "--quad", "5",
+                    *QUAD_COMMANDS[command])
+    assert code == 2
+    assert capsys.readouterr().err == "error: quadrature order 5 must be at least N+1 = 11\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(QUAD_COMMANDS))
+def test_quad_error_comes_before_the_dimension_error(tmp_path, capsys, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 2,
+                                "expr": "exp(-absnu)/(1+x1^2+x2^2)"}))
+    level = "4,5" if command == "converge" else "4"
+    code, _ = run(tmp_path, command, "--symbol", str(path), "--dim", "1", "--level", level,
+                  "--quad", "2", *QUAD_COMMANDS[command])
+    assert code == 2
+    assert capsys.readouterr().err == "error: quadrature order 2 must be at least N+1 = 5\n"
+
+
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.31 GiB for an array")

@@ -17,6 +17,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
+from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
 HEAT = builtin_symbol("heat", 1, t=1.0)
@@ -168,6 +169,29 @@ def test_multiplier_schatten_any_order():
     assert conv.tail_flag == "converging"
     assert div.tail_flag == "diverging"
     assert div.extras["growth_exponent"] == pytest.approx(0.1, abs=0.02)
+
+
+@pytest.mark.parametrize("sym", [
+    builtin_symbol("power", 2, sigma=1.5),
+    builtin_symbol("heat", 2, t=0.3),
+    builtin_symbol("bandlimit", 2, cutoff=120),  # zeros past the cutoff
+    parse_symbol("sin(nu1) - 0.5", 2),           # signed, many distinct values
+], ids=["power", "heat", "bandlimit", "signed"])
+def test_multiplier_powers_equal_per_index_python_powers(sym):
+    # the exact |m(nu)|^r sums are bit for bit the per-shell fsums of one
+    # Python power per index
+    spec = TruncationSpec(2, 200)
+    values = multiplier_value(sym, spec.array)
+    o = spec.offsets
+
+    def shells(r):
+        terms = [abs(float(v)) ** r for v in values]
+        return [(s, math.fsum(terms[o[s]:o[s + 1]])) for s in range(spec.level + 1)]
+
+    for r in (0.5, 1.0):
+        assert check_sr_small(sym, spec, r=r).shells == shells(r)
+    for r in (0.9, 1.2, 3.0):
+        assert check_multiplier_schatten(sym, spec, r=r).shells == shells(r)
 
 
 def test_multiplier_schatten_rejects_pseudo():

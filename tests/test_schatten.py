@@ -8,6 +8,7 @@ from hspec import (
     assemble_matrix,
     build_report,
     builtin_symbol,
+    column_integrals,
     hilbert_schmidt_direct,
     parse_symbol,
     schatten_norm,
@@ -116,6 +117,16 @@ def test_trace_formula_matches_matrix_diagonal():
     spec = TruncationSpec(1, 12)
     m = assemble_matrix(sym, spec, q=80)
     assert trace_formula(sym, spec, q=160) == pytest.approx(m.trace(), abs=1e-10)
+
+
+@pytest.mark.parametrize("sym", [parse_symbol("exp(-absnu)/(1+x1^2)", 1),
+                                 builtin_symbol("heat", 1, t=1.0)],
+                         ids=["x-dependent", "multiplier"])
+@pytest.mark.parametrize("reader", [column_integrals, trace_formula, hilbert_schmidt_direct])
+def test_column_sums_refuse_an_order_below_level_plus_one(reader, sym):
+    # the same order rule as assemble_matrix, for a multiplier too
+    with pytest.raises(ValueError, match=r"^quadrature order 5 must be at least N\+1 = 21$"):
+        reader(sym, TruncationSpec(1, 20), 5)
 
 
 def test_spectral_trace_diagonal_heat():
