@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import CriterionPreconditionError, criteria
-from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
+from .hermite import gauss_hermite_rule, quadrature_order
 from .multiindex import TruncationSpec
 from .operator import assemble_matrix
 from .schatten import build_report, hilbert_schmidt_direct, spectral_trace, trace_formula
@@ -86,13 +86,6 @@ def _load_symbol(args) -> SymbolSpec:
     if args.dim is None:
         args.dim = sym.dim
     return sym
-
-
-def _quad_order(args, level: int) -> int:
-    q = args.quad if args.quad is not None else default_quadrature_order(level)
-    if q < level + 1:
-        raise ConfigError(f"quadrature order {q} must be at least N+1 = {level + 1}")
-    return q
 
 
 def _echo_config(args, sym: SymbolSpec | None = None) -> dict:
@@ -210,13 +203,11 @@ def cmd_converge(args) -> int:
 
 def cmd_basis_check(args) -> int:
     n_level = _single_level(args)
-    q = _quad_order(args, n_level)
-    rule = gauss_hermite_rule(q)
-    # weight-free values paired with the e^(-x^2) weights: the Gram matrix of
-    # the first N+1 functions, exact up to rounding for Q >= N+1
-    table = hermite_table(n_level, rule.nodes, weighted=False)
-    gram = (table * rule.weights) @ table.T
-    residual = float(np.abs(gram - np.eye(n_level + 1)).max())
+    q = quadrature_order(n_level, args.quad)
+    # the rule's first N+1 basis rows sqrt(w) h_k: their Gram matrix is the
+    # identity up to rounding for Q >= N+1
+    basis = gauss_hermite_rule(q).basis[:n_level + 1]
+    residual = float(np.abs(basis @ basis.T - np.eye(n_level + 1)).max())
     _emit(_report(
         args,
         level=n_level,
@@ -289,7 +280,7 @@ def main(argv=None) -> int:
     except (ConfigError, SymbolError, CriterionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
 

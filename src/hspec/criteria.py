@@ -25,6 +25,7 @@ import numpy as np
 
 from .multiindex import TruncationSpec
 from .operator import OperatorMatrix, assemble_matrix, column_integrals
+from .schatten import abs_powers
 from .symbol import SymbolSpec
 
 DIVERGE_SLOPE = -1.0
@@ -157,20 +158,13 @@ def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
     return _verdict("TraceClass-iff", m.spec, m.column_integrals(squared=False), {})
 
 
-def _abs_powers(values: np.ndarray, r: float) -> np.ndarray:
-    """|v|^r elementwise, as Python-scalar powers (the vectorized power
-    differs in the last bits), taken once per distinct |v|."""
-    distinct, inverse = np.unique(np.abs(values), return_inverse=True)
-    return np.array([float(v) ** r for v in distinct])[inverse]
-
-
 def _sr_small(spec: TruncationSpec, r: float, m: OperatorMatrix | None,
               squared: np.ndarray) -> CriterionVerdict:
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if m is not None and m.is_diagonal:
         # exact: the column integral is m(nu)^2, so the r/2 power is |m(nu)|^r
-        terms = _abs_powers(m.values, r)
+        terms = abs_powers(m.values, r)
     else:
         terms = squared ** (r / 2.0)
     return _verdict("Sr-sufficient", spec, terms, {"r": r})
@@ -296,5 +290,5 @@ def check_multiplier_schatten(
             "the |m(nu)|^r criterion is exact only for multipliers; "
             "this symbol depends on x"
         )
-    terms = _abs_powers(assemble_matrix(sym, spec).values, r)
+    terms = abs_powers(assemble_matrix(sym, spec).values, r)
     return _verdict("Multiplier-Sr", spec, terms, {"r": r})

@@ -7,9 +7,9 @@ normalized three-term recurrence
 
 which keeps every intermediate O(1); the raw polynomials H_k overflow near
 k ~ 90.  The weight-free variant h_k(x) = phi_k(x) e^(x^2/2) follows the same
-recurrence from h_0 = pi^(-1/4) and is what quadrature code should combine
-with e^(-x^2)-weighted Gauss-Hermite rules, so no large/small float products
-ever appear.
+recurrence from h_0 = pi^(-1/4).  A Gauss-Hermite rule keeps its table as the
+bounded basis sqrt(w_i) h_k(x_i), entries in [-1, 1], which is all quadrature
+code pairs: weights meet Hermite values nowhere else, and never overflow.
 """
 
 from __future__ import annotations
@@ -68,10 +68,12 @@ def oscillator_eigenvalue(nu: MultiIndex) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite rule for the weight e^(-x^2) on the real line."""
+    """Gauss-Hermite rule for the weight e^(-x^2) on the real line, with its
+    basis table basis[k, i] = sqrt(w_i) h_k(x_i) for k < q."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    basis: np.ndarray
 
     @property
     def order(self) -> int:
@@ -86,15 +88,16 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     """Golub-Welsch rule of order q: exact for x^k e^(-x^2), k <= 2q-1.
 
     Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    Hermite recurrence (off-diagonals sqrt(k/2)).  Weights come from the
-    Christoffel identity w_i = 1 / sum_{k<q} p_k(x_i)^2 over the orthonormal
-    polynomials; unlike squared eigenvector components this keeps full
-    relative accuracy in the tiny extreme-node weights.
+    Hermite recurrence (off-diagonals sqrt(k/2)).  Each column of the basis
+    runs the weight-free recurrence, rescaled by 1e-150 whenever it passes
+    1e150, and is normalized: by the Christoffel identity w_i = 1 / sum_{k<q}
+    h_k(x_i)^2 it becomes sqrt(w_i) h_k(x_i), and sqrt(pi) basis[0]^2 keeps
+    full relative accuracy in the tiny extreme-node weights.
     """
     if q < 1:
         raise ValueError(f"quadrature order must be >= 1, got {q}")
     if q == 1:
-        return QuadratureRule(np.zeros(1), np.array([np.sqrt(np.pi)]))
+        return QuadratureRule(np.zeros(1), np.array([np.sqrt(np.pi)]), np.ones((1, 1)))
     beta = np.sqrt(np.arange(1, q) / 2.0)
     try:
         nodes = eigh_tridiagonal(np.zeros(q), beta, eigvals_only=True)
@@ -102,12 +105,23 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
         raise RuntimeError(f"Jacobi eigenproblem failed for order {q}: {exc}") from exc
     # symmetrize: nodes come in +/- pairs, enforce it exactly
     nodes = 0.5 * (nodes - nodes[::-1])
-    table = hermite_table(q - 1, nodes, weighted=False)
-    weights = 1.0 / np.sum(table**2, axis=0)
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes, weights)
+    t = np.empty((q, q))
+    t[0] = _PI_QUARTER
+    t[1] = nodes * np.sqrt(2.0) * _PI_QUARTER
+    for k in range(1, q - 1):
+        t[k + 1] = nodes * np.sqrt(2.0 / (k + 1)) * t[k] - np.sqrt(k / (k + 1.0)) * t[k - 1]
+        big = np.abs(t[k + 1]) > 1e150
+        if big.any():
+            t[:k + 2, big] *= 1e-150  # entries that underflow are negligible
+    t /= np.sqrt(np.sum(t**2, axis=0))
+    return QuadratureRule(nodes, np.sqrt(np.pi) * t[0]**2, t)
 
 
-def default_quadrature_order(level: int) -> int:
-    """Exactness for degree-2N integrands plus margin for smooth symbols."""
-    return level + 32
+def quadrature_order(level: int, q: int | None = None) -> int:
+    """The quadrature order for level N: q if given, else N+32 (exactness for
+    degree-2N integrands plus margin for smooth symbols); at least N+1."""
+    if q is None:
+        q = level + 32
+    if q < level + 1:
+        raise ValueError(f"quadrature order {q} must be at least N+1 = {level + 1}")
+    return q

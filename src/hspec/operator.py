@@ -6,9 +6,10 @@ M[mu, nu] = <T_m phi_nu, phi_mu> = integral of m(x, nu) phi_nu(x) phi_mu(x).
 Columns are indexed by the input basis function nu, so each column is one
 1-D family of integrals of m(., nu) against the basis.
 
-Quadrature never multiplies the Gaussian tails: the integrand is rewritten as
-[m(x, nu) h_nu(x) h_mu(x)] e^(-|x|^2) with the weight-free values
-h_k = phi_k e^(x^2/2), which Gauss-Hermite rules integrate directly.
+Quadrature never multiplies the Gaussian tails: the integral of
+m(x, nu) phi_nu(x) phi_mu(x) is the sum over the tensor Gauss-Hermite grid of
+m(x, nu) prod_j B[nu_j, x_j] B[mu_j, x_j] with the rule's bounded basis table
+B[k, i] = sqrt(w_i) h_k(x_i), h_k = phi_k e^(x^2/2).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import default_quadrature_order, gauss_hermite_rule, hermite_table
+from .hermite import gauss_hermite_rule, hermite_table, quadrature_order
 from .multiindex import MultiIndex, TruncationSpec
 from .symbol import SymbolSpec, eval_symbol, multiplier_value, symbol_sampler
 
@@ -35,7 +36,6 @@ class TensorGrid:
     weights: np.ndarray  # (M,) products of 1-D weights, carry e^(-|x|^2)
     coord_index: np.ndarray  # (n, M) index of each point into the 1-D rule
     rule_nodes: np.ndarray   # 1-D nodes
-    rule_weights: np.ndarray  # 1-D weights
 
 
 def tensor_grid(dim: int, q: int) -> TensorGrid:
@@ -43,7 +43,7 @@ def tensor_grid(dim: int, q: int) -> TensorGrid:
     idx = np.indices((q,) * dim).reshape(dim, -1)
     points = rule.nodes[idx].T
     weights = np.prod(rule.weights[idx], axis=0)
-    return TensorGrid(points, weights, idx, rule.nodes, rule.weights)
+    return TensorGrid(points, weights, idx, rule.nodes)
 
 
 def basis_values(spec: TruncationSpec, grid: TensorGrid) -> np.ndarray:
@@ -132,13 +132,15 @@ def _diagonal_sums(values: np.ndarray, scales: list) -> np.ndarray:
     return values.reshape(-1)
 
 
-def _order(spec: TruncationSpec, q: int | None) -> int:
-    """The quadrature order: N+32 unless given, and at least N+1."""
-    if q is None:
-        q = default_quadrature_order(spec.level)
-    if q < spec.level + 1:
-        raise ValueError(f"quadrature order {q} must be at least N+1 = {spec.level + 1}")
-    return q
+def _grid(spec: TruncationSpec, q: int):
+    """The order-q rule, the (q^n, n) tensor grid points in row-major order
+    (x_1 slowest) and the row-major index of each nu in the box [0, N]^n."""
+    rule = gauss_hermite_rule(q)
+    points = np.empty((q,) * spec.dim + (spec.dim,))  # x_j along axis j
+    for j in range(spec.dim):
+        points[..., j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
+    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
+    return rule, points.reshape(-1, spec.dim), box
 
 
 def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bool = True,
@@ -149,34 +151,30 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
 
     A multiplier's matrix is its exact diagonal m(nu) and its columns are
     (m, m^2), since phi_nu has unit norm: no quadrature.  Otherwise
-    M[mu, nu] = sum_x m(x, nu) prod_j P[nu_j, mu_j, x_j] with the product
-    table P[b, a, i] = w_i h_b(x_i) h_a(x_i), applied in factored form:
-    w h_b scales the samples and h_a contracts them."""
-    q = _order(spec, q)
+    M[mu, nu] = sum_x m(x, nu) prod_j B[nu_j, x_j] B[mu_j, x_j] with the
+    rule's basis rows B[k, i] = sqrt(w_i) h_k(x_i), k <= N, applied in
+    factored form: B[nu_j] scales the samples and B contracts them; the
+    column integrals reduce the samples against B[nu_j]^2."""
+    q = quadrature_order(spec.level, q)
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
     if sym.is_multiplier:
         diag = multiplier_value(sym, spec.array)
         return q, diag, (diag, diag**2)
-    rule = gauss_hermite_rule(q)
-    row = hermite_table(spec.level, rule.nodes, weighted=False)
-    col = rule.weights * row
-    diag = col * row
-    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)  # row-major (N+1)^n
+    rule, points, box = _grid(spec, q)
+    row = rule.basis[:spec.level + 1]
+    diag = row * row
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    points = np.empty((q,) * spec.dim + (spec.dim,))  # x_j along axis j
-    for j in range(spec.dim):
-        points[..., j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
-    sample = symbol_sampler(sym, points.reshape(-1, spec.dim))
+    sample = symbol_sampler(sym, points)
     step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
     for start in range(0, size, step):
         cols = slice(start, start + step)
         block = spec.array[cols]
         values = sample(block).reshape((-1,) + (q,) * spec.dim)
         if matrix:
-            entries[:, cols] = _contract(values, row, [col[k] for k in block.T])[:, box].T
+            entries[:, cols] = _contract(values, row, [row[k] for k in block.T])[:, box].T
         if columns:
             weights = [diag[k] for k in block.T]
             linear[cols] = _diagonal_sums(values, weights)
@@ -241,21 +239,18 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
 
     f is a callable on (M, n) point arrays (or on 1-D arrays when n = 1).
     """
-    q = _order(spec, q)
-    grid = tensor_grid(spec.dim, q)
-    pts = grid.points[:, 0] if spec.dim == 1 else grid.points
-    samples = np.asarray(f(pts), dtype=float)
-    if samples.shape != (grid.points.shape[0],):
+    q = quadrature_order(spec.level, q)
+    rule, points, box = _grid(spec, q)
+    samples = np.asarray(f(points[:, 0] if spec.dim == 1 else points), dtype=float)
+    if samples.shape != (len(points),):
         raise ValueError(f"f must return one value per node, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("f produced non-finite samples at quadrature nodes")
-    # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2); fold the half
-    # weight into the quadrature weights where it only shrinks them
-    half_weight = grid.rule_weights * np.exp(0.5 * grid.rule_nodes**2)
-    table = hermite_table(spec.level, grid.rule_nodes, weighted=False)
-    coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), table,
+    # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is
+    # the half weight sqrt(w) e^(x^2/2) times the basis row
+    half_weight = np.sqrt(rule.weights) * np.exp(0.5 * rule.nodes**2)
+    coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), rule.basis[:spec.level + 1],
                        [half_weight[None, :]] * spec.dim)
-    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
     return CoefficientVector(spec, coeffs[0, box])
 
 

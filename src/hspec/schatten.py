@@ -51,11 +51,18 @@ def singular_values(m) -> np.ndarray:
     return np.sort(sv)[::-1]
 
 
+def abs_powers(values, r: float) -> np.ndarray:
+    """|v|^r elementwise, as Python-scalar powers (the vectorized power
+    differs in the last bits), taken once per distinct |v|."""
+    distinct, inverse = np.unique(np.abs(np.asarray(values, dtype=float)), return_inverse=True)
+    return np.array([float(v) ** r for v in distinct])[inverse]
+
+
 def schatten_sum(sv, r: float) -> float:
-    """Raw sum of sigma_i^r over the singular values, in given order."""
+    """Raw sum of sigma_i^r over the singular values, exactly rounded."""
     if r <= 0:
         raise ValueError(f"Schatten order must be positive, got {r}")
-    return math.fsum(float(s) ** r for s in np.asarray(sv, dtype=float))
+    return math.fsum(abs_powers(sv, r))
 
 
 def schatten_norm(sv, r: float) -> float:

@@ -137,6 +137,42 @@ def test_basis_check(tmp_path):
         assert doc["orthonormality_residual"] <= 1e-10
 
 
+def test_basis_check_at_high_level(tmp_path):
+    code, out = run(tmp_path, "basis-check", "--level", "1000")
+    assert code == 0
+    assert json.loads(out.read_text())["orthonormality_residual"] <= 1e-11
+
+
+def test_x_dependent_trace_at_high_level(tmp_path, capsys):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                "expr": "exp(-0.1*absnu)/(1+x1^2)"}))
+    code, out = run(tmp_path, "trace", "--symbol", str(path), "--level", "400")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert doc["spectral_trace"] == pytest.approx(doc["formula_trace"], rel=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    # (sum sigma^r)^(1/r) leaves the double range at r = 0.01
+    ("analyze", "--builtin", "power", "--param", "sigma=1", "--dim", "2", "--level", "50",
+     "--r", "0.01"),
+    # the exactly rounded sums of the diagonal 1e307 overflow
+    *[(command, "--symbol", "SYM", "--level", level) for command, level in
+      (("analyze", "30"), ("criteria", "30"), ("trace", "30"), ("converge", "20,30"))],
+], ids=["schatten-norm", "analyze", "criteria", "trace", "converge"])
+def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "1e307+0*absnu"}))
+    with np.errstate(all="ignore"):
+        code, out = run(tmp_path, *(str(path) if a == "SYM" else a for a in args))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     args = ("criteria", "--builtin", "heat", "--param", "t=1", "--dim", "1",
             "--level", "25", "--r", "1,2")
@@ -200,9 +236,10 @@ def test_malformed_symbol_documents_exit_2(tmp_path, capsys, doc):
 
 
 def test_non_finite_report_exits_3(tmp_path, capsys):
-    # the Golub-Welsch weights overflow at this order, so the residual is NaN
+    # the weights lam^(2 sigma) of the Sr-sigma sum overflow, so the report has inf
     with np.errstate(all="ignore"):
-        code, out = run(tmp_path, "basis-check", "--level", "700")
+        code, out = run(tmp_path, "criteria", "--builtin", "power", "--param", "sigma=0.5",
+                        "--dim", "1", "--level", "10", "--r", "1.5", "--sigma", "200")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

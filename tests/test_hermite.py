@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_hermite
 
 from hspec import (
     MultiIndex,
@@ -13,6 +15,7 @@ from hspec import (
     hermite_table,
     oscillator_eigenvalue,
 )
+from hspec.hermite import quadrature_order
 
 # frozen from tests/oracles.py phi_mp at 50 digits
 PHI_4_AT_0P7 = -0.23036447379803544656
@@ -133,3 +136,39 @@ def test_bad_orders():
         gauss_hermite_rule(0)
     with pytest.raises(ValueError):
         eval_hermite_1d(-1, 0.0)
+
+
+@pytest.mark.parametrize("q", [200, 800, 2000])
+def test_rule_matches_scipy_at_high_order(q):
+    nodes, weights = roots_hermite(q)
+    r = gauss_hermite_rule(q)
+    assert np.abs(r.nodes - nodes).max() <= 1e-11
+    # below 1e-290 the reference weights lose relative accuracy to underflow
+    kept = weights > 1e-290
+    assert np.abs(r.weights[kept] / weights[kept] - 1).max() <= 1e-10
+
+
+def test_basis_table_is_the_weighted_hermite_table():
+    r = gauss_hermite_rule(64)
+    expected = np.sqrt(r.weights) * hermite_table(30, r.nodes, weighted=False)
+    assert r.basis.shape == (64, 64)
+    assert np.abs(r.basis[:31] - expected).max() <= 1e-13
+    assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
+
+
+def test_basis_table_bounded_and_orthonormal_at_high_order():
+    q, n_level = 2000, 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = gauss_hermite_rule(q).basis
+        rows = basis[:n_level + 1]
+        gram = rows @ rows.T
+    assert np.abs(basis).max() <= 1.0
+    assert np.abs(gram - np.eye(n_level + 1)).max() <= 1e-12
+
+
+def test_quadrature_order():
+    assert quadrature_order(10) == 42
+    assert quadrature_order(10, 11) == 11
+    with pytest.raises(ValueError, match=r"quadrature order 10 must be at least N\+1 = 11"):
+        quadrature_order(10, 10)

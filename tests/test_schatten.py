@@ -200,3 +200,14 @@ def test_diagonal_operator_matches_dense_lapack(sym):
     assert np.array_equal(singular_values(m), singular_values(dense))
     assert spectral_trace(m) == spectral_trace(dense)
     assert m.trace() == float(np.trace(dense))
+
+
+@pytest.mark.parametrize("family,params", [("power", {"sigma": 1.3}), ("heat", {"t": 0.2}),
+                                           ("bandlimit", {"cutoff": 150})])
+def test_schatten_sum_equals_the_per_value_fsum(family, params):
+    # powers are taken once per distinct value; the exactly rounded sum must
+    # not move from the one Python power per singular value
+    sv = singular_values(assemble_matrix(builtin_symbol(family, 2, **params),
+                                         TruncationSpec(2, 200)))
+    for r in (0.5, 1.0, 1.5, 2.0, 2.7):
+        assert schatten_sum(sv, r) == math.fsum(float(s) ** r for s in sv)
