@@ -25,6 +25,8 @@ print(f"phi_4(0.7) = {eval_hermite_1d(4, 0.7):.12f}")
 
 print("\nThe recurrence stays bounded where raw Hermite polynomials overflow:")
 print(f"phi_500(10) = {eval_hermite_1d(500, 10.0):.6e}  (finite, no 2^k k! blowup)")
+print(f"phi_1000(40) = {eval_hermite_1d(1000, 40.0):.15f}  (50-digit oracle 0.172250520732792;"
+      " e^(-40^2/2) alone underflows)")
 
 print("\n== Oscillator eigenvalues 2|nu| + n ==")
 for entries in [(0,), (3,), (1, 2), (0, 0, 0)]:

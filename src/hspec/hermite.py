@@ -1,15 +1,17 @@
 """Normalized Hermite functions, oscillator eigenvalues, Gauss-Hermite rules.
 
-phi_k(x) = (2^k k! sqrt(pi))^(-1/2) H_k(x) e^(-x^2/2) is evaluated through the
-normalized three-term recurrence
+phi_k(x) = (2^k k! sqrt(pi))^(-1/2) H_k(x) e^(-x^2/2) has one evaluator,
+hermite_table.  It runs the normalized three-term recurrence
 
-    phi_{k+1}(x) = x sqrt(2/(k+1)) phi_k(x) - sqrt(k/(k+1)) phi_{k-1}(x),
+    h_{k+1}(x) = x sqrt(2/(k+1)) h_k(x) - sqrt(k/(k+1)) h_{k-1}(x)
 
-which keeps every intermediate O(1); the raw polynomials H_k overflow near
-k ~ 90.  The weight-free variant h_k(x) = phi_k(x) e^(x^2/2) follows the same
-recurrence from h_0 = pi^(-1/4).  A Gauss-Hermite rule keeps its table as the
-bounded basis sqrt(w_i) h_k(x_i), entries in [-1, 1], which is all quadrature
-code pairs: weights meet Hermite values nowhere else, and never overflow.
+on the weight-free values h_k(x) = phi_k(x) e^(x^2/2) from h_0 = pi^(-1/4);
+the raw polynomials H_k would overflow near k ~ 90.  A column that passes
+1e150 is multiplied by 1e-150 and the factor kept in a per-column logarithm,
+together with the Gaussian's -x^2/2, which meets the values once, at the end.
+A Gauss-Hermite rule normalizes the columns of this table at its nodes into
+the bounded basis sqrt(w_i) h_k(x_i), entries in [-1, 1], which is all
+quadrature code pairs: weights meet Hermite values nowhere else.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ _PI_QUARTER = np.pi ** (-0.25)
 
 
 def hermite_table(max_degree: int, x, weighted: bool = True) -> np.ndarray:
-    """Values phi_k(x) for k = 0..max_degree, shape (max_degree+1, len(x)).
+    """Values phi_k(x) for k = 0..max_degree, shape (max_degree+1, len(x)),
+    correct at any x.
 
     With weighted=False the Gaussian factor e^(-x^2/2) is dropped, giving the
-    weight-free values h_k(x) = phi_k(x) e^(x^2/2).
+    weight-free values h_k(x) = phi_k(x) e^(x^2/2).  These overflow past about
+    |x| = 37 at high degree, so quadrature should read a rule's basis.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -36,12 +40,20 @@ def hermite_table(max_degree: int, x, weighted: bool = True) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
     out = np.empty((max_degree + 1, x.size))
-    out[0] = _PI_QUARTER * np.exp(-0.5 * x * x) if weighted else _PI_QUARTER
+    out[0] = _PI_QUARTER
     if max_degree >= 1:
         out[1] = x * np.sqrt(2.0) * out[0]
+    log_scale = -0.5 * x * x if weighted else np.zeros(x.size)
+    # Cramer's bound |h_k(x)| <= 0.82 e^(x^2/2) keeps columns below 1e150 for |x| <= 26
+    rescale = np.any(np.abs(x) > 26.0)
     for k in range(1, max_degree):
         out[k + 1] = x * np.sqrt(2.0 / (k + 1)) * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+        if rescale:
+            big = np.abs(out[k + 1]) > 1e150
+            if big.any():
+                out[:k + 2, big] *= 1e-150  # entries that underflow are negligible
+                log_scale[big] += np.log(1e150)
+    return out * np.exp(log_scale)
 
 
 def eval_hermite_1d(k: int, x: float) -> float:
@@ -88,16 +100,14 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     """Golub-Welsch rule of order q: exact for x^k e^(-x^2), k <= 2q-1.
 
     Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    Hermite recurrence (off-diagonals sqrt(k/2)).  Each column of the basis
-    runs the weight-free recurrence, rescaled by 1e-150 whenever it passes
-    1e150, and is normalized: by the Christoffel identity w_i = 1 / sum_{k<q}
-    h_k(x_i)^2 it becomes sqrt(w_i) h_k(x_i), and sqrt(pi) basis[0]^2 keeps
-    full relative accuracy in the tiny extreme-node weights.
+    Hermite recurrence (off-diagonals sqrt(k/2)).  The basis is hermite_table
+    at the nodes with each column normalized: by the Christoffel identity
+    w_i = e^(-x_i^2) / sum_{k<q} phi_k(x_i)^2 it becomes sqrt(w_i) h_k(x_i),
+    and sqrt(pi) basis[0]^2 keeps full relative accuracy in the tiny
+    extreme-node weights.
     """
     if q < 1:
         raise ValueError(f"quadrature order must be >= 1, got {q}")
-    if q == 1:
-        return QuadratureRule(np.zeros(1), np.array([np.sqrt(np.pi)]), np.ones((1, 1)))
     beta = np.sqrt(np.arange(1, q) / 2.0)
     try:
         nodes = eigh_tridiagonal(np.zeros(q), beta, eigvals_only=True)
@@ -105,14 +115,7 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
         raise RuntimeError(f"Jacobi eigenproblem failed for order {q}: {exc}") from exc
     # symmetrize: nodes come in +/- pairs, enforce it exactly
     nodes = 0.5 * (nodes - nodes[::-1])
-    t = np.empty((q, q))
-    t[0] = _PI_QUARTER
-    t[1] = nodes * np.sqrt(2.0) * _PI_QUARTER
-    for k in range(1, q - 1):
-        t[k + 1] = nodes * np.sqrt(2.0 / (k + 1)) * t[k] - np.sqrt(k / (k + 1.0)) * t[k - 1]
-        big = np.abs(t[k + 1]) > 1e150
-        if big.any():
-            t[:k + 2, big] *= 1e-150  # entries that underflow are negligible
+    t = hermite_table(q - 1, nodes)
     t /= np.sqrt(np.sum(t**2, axis=0))
     return QuadratureRule(nodes, np.sqrt(np.pi) * t[0]**2, t)
 

@@ -215,7 +215,9 @@ def assemble_matrix(
         col_scale = np.linalg.norm(refined, axis=0)
         per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
                                out=np.zeros(spec.size), where=col_scale > 0)
-        k = int(np.argmax(per_column))
+        # the first column in graded order within 1e-9 of the largest change,
+        # so mirrored columns of a symmetric symbol do not swap on a last bit
+        k = int(np.argmax(per_column >= (1 - 1e-9) * per_column.max()))
         worst = (spec.unrank(k), float(per_column[k]))
         entries = refined
     return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
@@ -246,9 +248,10 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
         raise ValueError(f"f must return one value per node, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("f produced non-finite samples at quadrature nodes")
-    # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is
-    # the half weight sqrt(w) e^(x^2/2) times the basis row
-    half_weight = np.sqrt(rule.weights) * np.exp(0.5 * rule.nodes**2)
+    # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is the
+    # half weight sqrt(w) e^(x^2/2) times the basis row; by the Christoffel
+    # identity the half weight is 1 / |(phi_0, ..., phi_{q-1})(x_i)|
+    half_weight = 1.0 / np.sqrt(np.sum(hermite_table(q - 1, rule.nodes)**2, axis=0))
     coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), rule.basis[:spec.level + 1],
                        [half_weight[None, :]] * spec.dim)
     return CoefficientVector(spec, coeffs[0, box])

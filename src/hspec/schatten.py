@@ -133,7 +133,6 @@ class SchattenReport:
     hs_direct: float = 0.0
     assembly_residual: float = 0.0
     residual_warning: bool = False
-    convergence: list = field(default_factory=list)  # (N, value) pairs
     # (nu, relative change) of the column that moved most between q and 2q
     # (OperatorMatrix.worst_column); not part of the serialized report
     worst_column: tuple | None = None
@@ -152,7 +151,7 @@ class SchattenReport:
             "hilbert_schmidt_direct": self.hs_direct,
             "assembly_residual": self.assembly_residual,
             "residual_warning": self.residual_warning,
-            "convergence": [[n, v] for n, v in self.convergence],
+            "convergence": [],  # kept so existing readers of the report find the key
         }
 
 

@@ -289,6 +289,42 @@ def test_symbol_undefined_on_the_grid_exits_2(tmp_path, capsys, command, symbol,
     assert not out.exists()
 
 
+HEAT = ("--builtin", "heat", "--param", "t=1")
+
+
+@pytest.mark.parametrize("args, expr", [
+    (("analyze", "--builtin", "heat", "--param", "t"), None),
+    (("analyze", "--builtin", "heat", "--param", "t=abc"), None),
+    (("analyze", *HEAT, "--level", "a"), None),
+    (("analyze", *HEAT, "--level", "-1"), None),
+    (("analyze", *HEAT, "--r", "x"), None),
+    (("analyze", *HEAT, "--r", "0"), None),
+    (("analyze", "--symbol", "F", *HEAT), None),
+    (("analyze", "--builtin", "heat", "--param", "x=1"), None),
+    (("analyze", *HEAT, "--level", "5,6"), None),
+    (("analyze", *HEAT, "--dim", "0"), None),
+    (("criteria", *HEAT, "--r", "3"), None),
+    (("analyze", "--level", "3"), "1.2.3"),
+    (("analyze", "--level", "3"), "x1 $ 2"),
+    (("analyze", "--level", "3"), "x1 x1"),
+], ids=["param-without-value", "param-not-a-number", "level-not-an-integer", "level-negative",
+        "r-not-a-number", "r-zero", "symbol-and-builtin", "wrong-param-name",
+        "analyze-two-levels", "dim-0", "criteria-r-above-2", "malformed-number",
+        "unexpected-character", "trailing-input"])
+def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, args, expr):
+    if expr is not None:
+        sym = tmp_path / "sym.json"
+        sym.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr}))
+        args = (*args, "--symbol", str(sym))
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "trace"])
 def test_residual_warning_names_the_worst_column(tmp_path, capsys, command):
     path = tmp_path / "sym.json"

@@ -21,6 +21,13 @@ from hspec.hermite import quadrature_order
 PHI_4_AT_0P7 = -0.23036447379803544656
 PHI_2_AT_0P3 = -0.41635917055704163841
 PHI_3_AT_M0P4 = 0.42914408535388808286
+# past |x| = 38.6, where the Gaussian factor e^(-x^2/2) alone underflows
+PHI_AT_LARGE_X = [
+    (800, 38.3, 0.23370145187074941018),
+    (1000, 40.0, 0.17225052073279226983),
+    (2000, 50.0, -0.09825497710990165512),
+    (3000, 70.0, -0.12333239418815263435),
+]
 
 
 def test_ground_state_at_origin():
@@ -85,10 +92,20 @@ def test_no_overflow_high_degree():
     assert np.all(np.isfinite(t))
 
 
+@pytest.mark.parametrize("k, x, expected", PHI_AT_LARGE_X)
+def test_phi_correct_where_the_gaussian_underflows(k, x, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_hermite_1d(k, x) == pytest.approx(expected, rel=1e-11)
+
+
 def test_rule_q1():
     r = gauss_hermite_rule(1)
     assert r.nodes.tolist() == [0.0]
     assert r.weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    # the generic path, with no special case, is exact at q = 1
+    assert r.weights.tolist() == [math.sqrt(math.pi)]
+    assert r.basis.tolist() == [[1.0]]
 
 
 def test_rule_q2():
@@ -154,6 +171,11 @@ def test_basis_table_is_the_weighted_hermite_table():
     assert r.basis.shape == (64, 64)
     assert np.abs(r.basis[:31] - expected).max() <= 1e-13
     assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
+    # Christoffel normalization: w_i e^(x_i^2) = 1 / sum_{k<q} phi_k(x_i)^2,
+    # against the reference rule
+    nodes, weights = roots_hermite(64)
+    christoffel = 1 / np.sum(hermite_table(63, nodes) ** 2, axis=0)
+    assert np.abs(christoffel / (weights * np.exp(nodes**2)) - 1).max() <= 1e-11
 
 
 def test_basis_table_bounded_and_orthonormal_at_high_order():

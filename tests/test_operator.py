@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from oracles import mehler_heat_kernel
 # frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
 INNER_GAUSS_PHI0 = 1.0870307726111884785  # = pi^(-1/4) sqrt(2 pi / 3)
 INNER_GAUSS_PHI2 = -0.25621561022394111639
+# frozen from tests/oracles.py phi_mp at 50 digits; e^(-40^2/2) alone underflows
+PHI_1000_AT_40 = 0.17225052073279226983
 
 ONE = parse_symbol("1", 1)
 
@@ -109,6 +112,12 @@ def test_kernel_heat_matches_mehler_off_diagonal():
     for t, x, y in [(0.7, 0.3, -0.2), (1.0, 1.1, 0.4), (0.5, -0.8, -0.8)]:
         got = kernel_eval(builtin_symbol("heat", 1, t=t), spec, [x], [y])
         assert got == pytest.approx(mehler_heat_kernel(t, x, y), abs=1e-8)
+
+
+@pytest.mark.parametrize("y", [40.0, 39.5])
+def test_kernel_heat_matches_mehler_far_out(y):
+    got = kernel_eval(builtin_symbol("heat", 1, t=0.05), TruncationSpec(1, 1500), [40.0], [y])
+    assert got == pytest.approx(mehler_heat_kernel(0.05, 40.0, y), rel=1e-11, abs=0)
 
 
 def test_kernel_projection_identity():
@@ -235,6 +244,16 @@ def test_worst_column_is_recorded_with_the_doubling_check():
     assert change == pytest.approx(per_column.max(), rel=1e-12)
 
 
+def test_worst_column_of_a_mirrored_tie_is_the_first_in_graded_order():
+    # the symbol is symmetric under x1 <-> x2, so nu = (0, 10) and (10, 0)
+    # change alike up to rounding; the first of the two is named
+    sym = parse_symbol("lam^(-0.75)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2)
+    spec = TruncationSpec(2, 10)
+    nu, _ = assemble_matrix(sym, spec, q=16).worst_column
+    assert nu == MultiIndex((10, 0))
+    assert spec.rank(MultiIndex((10, 0))) < spec.rank(MultiIndex((0, 10)))
+
+
 @pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9)])
 def test_analyze_matches_dense_sums(dim, level, q):
     spec = TruncationSpec(dim, level)
@@ -253,6 +272,21 @@ def test_synthesize_unit_vector():
     spec = TruncationSpec(1, 4)
     c = unit_vector(spec, MultiIndex((0,)))
     assert synthesize(c, 0.9) == pytest.approx(eval_hermite_1d(0, 0.9), rel=1e-14)
+
+
+def test_synthesize_far_out():
+    spec = TruncationSpec(1, 1000)
+    c = unit_vector(spec, MultiIndex((1000,)))
+    assert synthesize(c, 40.0) == pytest.approx(PHI_1000_AT_40, rel=1e-11)
+
+
+@pytest.mark.parametrize("level", [700, 1500])
+def test_analyze_ground_state_at_high_level(level):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = analyze(lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x), TruncationSpec(1, level))
+    assert abs(c.values[0] - 1) <= 1e-12
+    assert np.abs(c.values[1:]).max() <= 1e-12
 
 
 def test_analyze_synthesize_round_trip():
