@@ -60,8 +60,8 @@ def _parse_rs(text: str) -> list[float]:
         rs = [float(s) for s in text.split(",")]
     except ValueError:
         raise ConfigError(f"--r expects numbers, got {text!r}") from None
-    if any(r <= 0 for r in rs):
-        raise ConfigError("every r must be positive")
+    if not all(0 < r < math.inf for r in rs):
+        raise ConfigError("every r must be positive and finite")
     return rs
 
 

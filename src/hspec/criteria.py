@@ -110,8 +110,8 @@ def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
     )
 
 
-def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
-                matrix: bool) -> tuple[OperatorMatrix | None, np.ndarray]:
+def _operator_and_squares(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
+                          matrix: bool) -> tuple[OperatorMatrix | None, np.ndarray]:
     # (operator, squared column integrals); the operator is None unless a
     # verdict reads it or it is a multiplier's diagonal, which costs no quadrature
     if matrix or sym.is_multiplier:
@@ -186,6 +186,8 @@ def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
     bound = sigma_lower_bound(spec.dim, r)
     if sigma is None:
         sigma = default_sigma(spec.dim, r)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma <= bound:
         raise CriterionPreconditionError(
             f"sigma = {sigma} violates the admissibility bound "
@@ -207,7 +209,7 @@ def criteria(
         raise ValueError(f"no criterion applies for r > 2, got {max(rs)}")
     trace_class = 1.0 in rs and sym.claims_positive_selfadjoint
     cross_check = 2.0 in rs and spec.size <= CROSS_CHECK_MAX_SIZE
-    m, squared = _discretize(sym, spec, q, trace_class or cross_check)
+    m, squared = _operator_and_squares(sym, spec, q, trace_class or cross_check)
     verdicts = []
     for r in rs:
         if r == 2.0:
@@ -233,7 +235,7 @@ def check_hilbert_schmidt(
     """
     if cross_check is None:
         cross_check = spec.size <= CROSS_CHECK_MAX_SIZE
-    m, terms = _discretize(sym, spec, q, cross_check)
+    m, terms = _operator_and_squares(sym, spec, q, cross_check)
     return _hilbert_schmidt(spec, terms, m if cross_check else None)
 
 
@@ -260,20 +262,20 @@ def check_sr_small(
 ) -> CriterionVerdict:
     """Sufficient S_r criterion for 0 < r <= 1: sum of the r/2 powers of the
     column integrals of |m(x,nu)|^2 phi_nu^2."""
-    return _sr_small(spec, r, *_discretize(sym, spec, q, False))
+    return _sr_small(spec, r, *_operator_and_squares(sym, spec, q, False))
 
 
 def check_sr_sigma(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
     r: float = 1.5, sigma: float | None = None,
 ) -> CriterionVerdict:
-    """Sufficient S_r criterion for 1 < r < 2: the column integrals weighted
-    by (2|nu|+n)^(2 sigma), with sigma > n(1/r - 1/2) required.
+    """Sufficient S_r criterion for 1 < r < 2: the column integrals times
+    (2|nu|+n)^(2 sigma), with sigma > n(1/r - 1/2) required.
 
     The weight uses 2|nu|+n rather than |nu| (the two are comparable), which
     keeps the nu = 0 term non-degenerate.
     """
-    return _sr_sigma(spec, r, sigma, _discretize(sym, spec, q, False)[1])
+    return _sr_sigma(spec, r, sigma, _operator_and_squares(sym, spec, q, False)[1])
 
 
 def check_multiplier_schatten(
@@ -283,8 +285,8 @@ def check_multiplier_schatten(
 
     Valid because the singular values of a multiplier are the |m(nu)|; no
     quadrature is involved."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     if not sym.is_multiplier:
         raise CriterionPreconditionError(
             "the |m(nu)|^r criterion is exact only for multipliers; "

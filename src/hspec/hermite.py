@@ -9,9 +9,10 @@ on the weight-free values h_k(x) = phi_k(x) e^(x^2/2) from h_0 = pi^(-1/4);
 the raw polynomials H_k would overflow near k ~ 90.  A column that passes
 1e150 is multiplied by 1e-150 and the factor kept in a per-column logarithm,
 together with the Gaussian's -x^2/2, which meets the values once, at the end.
-A Gauss-Hermite rule normalizes the columns of this table at its nodes into
-the bounded basis sqrt(w_i) h_k(x_i), entries in [-1, 1], which is all
-quadrature code pairs: weights meet Hermite values nowhere else.
+A Gauss-Hermite rule is the one place where weights meet Hermite values: it
+normalizes the columns of this table at its nodes into the bounded basis
+sqrt(w_i) h_k(x_i), entries in [-1, 1], and keeps the reciprocal column norms
+as its half weights sqrt(w_i) e^(x_i^2/2).  Quadrature code reads these two.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from .multiindex import MultiIndex
 _PI_QUARTER = np.pi ** (-0.25)
 
 
-def hermite_table(max_degree: int, x, weighted: bool = True) -> np.ndarray:
+def hermite_table(max_degree: int, x) -> np.ndarray:
     """Values phi_k(x) for k = 0..max_degree, shape (max_degree+1, len(x)),
-    correct at any x.
-
-    With weighted=False the Gaussian factor e^(-x^2/2) is dropped, giving the
-    weight-free values h_k(x) = phi_k(x) e^(x^2/2).  These overflow past about
-    |x| = 37 at high degree, so quadrature should read a rule's basis.
+    correct at any x.  Quadrature reads a rule's basis and half weights
+    instead of this table at the nodes.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -43,7 +41,7 @@ def hermite_table(max_degree: int, x, weighted: bool = True) -> np.ndarray:
     out[0] = _PI_QUARTER
     if max_degree >= 1:
         out[1] = x * np.sqrt(2.0) * out[0]
-    log_scale = -0.5 * x * x if weighted else np.zeros(x.size)
+    log_scale = -0.5 * x * x
     # Cramer's bound |h_k(x)| <= 0.82 e^(x^2/2) keeps columns below 1e150 for |x| <= 26
     rescale = np.any(np.abs(x) > 26.0)
     for k in range(1, max_degree):
@@ -81,11 +79,16 @@ def oscillator_eigenvalue(nu: MultiIndex) -> float:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Hermite rule for the weight e^(-x^2) on the real line, with its
-    basis table basis[k, i] = sqrt(w_i) h_k(x_i) for k < q."""
+    basis table basis[k, i] = sqrt(w_i) h_k(x_i) for k < q and its half
+    weights sqrt(w_i) e^(x_i^2/2), the reciprocal column norms of the table."""
 
     nodes: np.ndarray
-    weights: np.ndarray
     basis: np.ndarray
+    half_weights: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.sqrt(np.pi) * self.basis[0]**2
 
     @property
     def order(self) -> int:
@@ -103,8 +106,8 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     Hermite recurrence (off-diagonals sqrt(k/2)).  The basis is hermite_table
     at the nodes with each column normalized: by the Christoffel identity
     w_i = e^(-x_i^2) / sum_{k<q} phi_k(x_i)^2 it becomes sqrt(w_i) h_k(x_i),
-    and sqrt(pi) basis[0]^2 keeps full relative accuracy in the tiny
-    extreme-node weights.
+    its reciprocal norm is the half weight sqrt(w_i) e^(x_i^2/2), and
+    sqrt(pi) basis[0]^2 gives the weights to full relative accuracy.
     """
     if q < 1:
         raise ValueError(f"quadrature order must be >= 1, got {q}")
@@ -116,8 +119,9 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     # symmetrize: nodes come in +/- pairs, enforce it exactly
     nodes = 0.5 * (nodes - nodes[::-1])
     t = hermite_table(q - 1, nodes)
-    t /= np.sqrt(np.sum(t**2, axis=0))
-    return QuadratureRule(nodes, np.sqrt(np.pi) * t[0]**2, t)
+    norm = np.sqrt(np.sum(t**2, axis=0))
+    t /= norm
+    return QuadratureRule(nodes, t, 1.0 / norm)
 
 
 def quadrature_order(level: int, q: int | None = None) -> int:

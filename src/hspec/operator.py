@@ -29,34 +29,6 @@ RESIDUAL_WARN = 1e-6
 
 
 @dataclass(frozen=True)
-class TensorGrid:
-    """Tensor-product Gauss-Hermite grid in n dimensions."""
-
-    points: np.ndarray   # (M, n)
-    weights: np.ndarray  # (M,) products of 1-D weights, carry e^(-|x|^2)
-    coord_index: np.ndarray  # (n, M) index of each point into the 1-D rule
-    rule_nodes: np.ndarray   # 1-D nodes
-
-
-def tensor_grid(dim: int, q: int) -> TensorGrid:
-    rule = gauss_hermite_rule(q)
-    idx = np.indices((q,) * dim).reshape(dim, -1)
-    points = rule.nodes[idx].T
-    weights = np.prod(rule.weights[idx], axis=0)
-    return TensorGrid(points, weights, idx, rule.nodes)
-
-
-def basis_values(spec: TruncationSpec, grid: TensorGrid) -> np.ndarray:
-    """(D, M) matrix of the weight-free products prod_j h_{nu_j}(x_j) at the
-    grid points, the form meant to be paired with the grid weights."""
-    table = hermite_table(spec.level, grid.rule_nodes, weighted=False)
-    out = table[spec.array[:, :1], grid.coord_index[0]]
-    for j in range(1, spec.dim):
-        out = out * table[spec.array[:, j:j + 1], grid.coord_index[j]]
-    return out
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
     """The truncated operator, the one discretization every report reads.
 
@@ -224,15 +196,17 @@ def assemble_matrix(
                           columns, worst)
 
 
+def _basis_at(spec: TruncationSpec, x) -> np.ndarray:
+    """The values phi_nu(x) over the truncation at one point x of R^n."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != spec.dim:
+        raise ValueError(f"point must have dimension {spec.dim}")
+    return np.prod(hermite_table(spec.level, x)[spec.array, np.arange(spec.dim)], axis=1)
+
+
 def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:
     """Truncated kernel K_m(x, y) = sum over |nu| <= N of m(x,nu) phi_nu(x) phi_nu(y)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != spec.dim or y.size != spec.dim:
-        raise ValueError(f"points must have dimension {spec.dim}")
-    axes = np.arange(spec.dim)
-    px = np.prod(hermite_table(spec.level, x)[spec.array, axes], axis=1)
-    py = np.prod(hermite_table(spec.level, y)[spec.array, axes], axis=1)
+    px, py = _basis_at(spec, x), _basis_at(spec, y)
     return math.fsum(eval_symbol(sym, x, spec.array)[:, 0] * px * py)
 
 
@@ -249,22 +223,15 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
     if not np.all(np.isfinite(samples)):
         raise ValueError("f produced non-finite samples at quadrature nodes")
     # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is the
-    # half weight sqrt(w) e^(x^2/2) times the basis row; by the Christoffel
-    # identity the half weight is 1 / |(phi_0, ..., phi_{q-1})(x_i)|
-    half_weight = 1.0 / np.sqrt(np.sum(hermite_table(q - 1, rule.nodes)**2, axis=0))
+    # rule's half weight sqrt(w) e^(x^2/2) times its basis row
     coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), rule.basis[:spec.level + 1],
-                       [half_weight[None, :]] * spec.dim)
+                       [rule.half_weights[None, :]] * spec.dim)
     return CoefficientVector(spec, coeffs[0, box])
 
 
 def synthesize(c: CoefficientVector, x) -> float:
     """Pointwise sum of c_nu phi_nu(x) over the truncation."""
-    spec = c.spec
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != spec.dim:
-        raise ValueError(f"point must have dimension {spec.dim}")
-    p = np.prod(hermite_table(spec.level, x)[spec.array, np.arange(spec.dim)], axis=1)
-    return math.fsum(c.values * p)
+    return math.fsum(c.values * _basis_at(c.spec, x))
 
 
 def apply_matrix(m: OperatorMatrix, c: CoefficientVector) -> CoefficientVector:

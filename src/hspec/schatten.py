@@ -60,8 +60,8 @@ def abs_powers(values, r: float) -> np.ndarray:
 
 def schatten_sum(sv, r: float) -> float:
     """Raw sum of sigma_i^r over the singular values, exactly rounded."""
-    if r <= 0:
-        raise ValueError(f"Schatten order must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"Schatten order must be positive and finite, got {r}")
     return math.fsum(abs_powers(sv, r))
 
 

@@ -382,13 +382,16 @@ def builtin_symbol(family: str, dim: int, **params) -> SymbolSpec:
     required = {"power": {"sigma"}, "heat": {"t"}, "bandlimit": {"cutoff"}}[family]
     if set(params) != required:
         raise ValueError(f"family {family!r} needs params {sorted(required)}, got {sorted(params)}")
+    params = {k: float(v) for k, v in params.items()}
+    if not all(math.isfinite(v) for v in params.values()):
+        raise ValueError(f"family {family!r} needs finite params, got {params}")
     return SymbolSpec(
         kind="builtin",
         dim=dim,
         is_multiplier=True,
         claims_positive_selfadjoint=True,
         family=family,
-        params={k: float(v) for k, v in params.items()},
+        params=params,
     )
 
 
@@ -545,9 +548,9 @@ def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: tuple[int, ...]) -> np.nd
         lo, hi = g[0], g[-1]
         out_of_hull = (pts[:, j] < lo) | (pts[:, j] > hi)
         if np.any(out_of_hull):
-            bad = pts[out_of_hull][0]
+            bad = tuple(float(v) for v in pts[out_of_hull][0])
             raise SymbolEvalError(
-                f"point x={tuple(bad)} outside tabulated hull in coordinate {j + 1} "
+                f"point x={bad} outside tabulated hull in coordinate {j + 1} "
                 f"[{lo}, {hi}]; extrapolation is refused"
             )
     if spec.dim == 1:
@@ -594,11 +597,16 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
     dim = _field(doc, "dim")
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise SymbolError(f"symbol field 'dim' must be an integer, got {dim!r}")
-    psd = bool(doc.get("positive_selfadjoint", False))
+    psd, multiplier = doc.get("positive_selfadjoint", False), doc.get("multiplier", False)
+    if not (isinstance(psd, bool) and isinstance(multiplier, bool)):
+        raise SymbolError("symbol fields 'multiplier' and 'positive_selfadjoint' must be true "
+                          f"or false, got {multiplier!r} and {psd!r}")
     if kind == "builtin":
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise SymbolError(f"symbol field 'params' must be a mapping, got {params!r}")
+        if not all(type(v) in (int, float) for v in params.values()):
+            raise SymbolError(f"symbol field 'params' must map names to numbers, got {params!r}")
         spec = builtin_symbol(_field(doc, "family"), dim, **params)
         if not psd:
             spec = SymbolSpec(**{**spec.__dict__, "claims_positive_selfadjoint": False})
@@ -608,14 +616,17 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
         if not isinstance(expr, str):
             raise SymbolError(f"symbol field 'expr' must be a string, got {expr!r}")
         spec = parse_symbol(expr, dim, positive_selfadjoint=psd)
-        if "multiplier" in doc and bool(doc["multiplier"]) != spec.is_multiplier:
+        if "multiplier" in doc and multiplier != spec.is_multiplier:
             raise SymbolError(
-                f"document claims multiplier={doc['multiplier']} but the expression "
+                f"document claims multiplier={multiplier} but the expression "
                 f"{'has no' if spec.is_multiplier else 'has'} x-dependence"
             )
         return spec
     if kind == "table":
         t = _field(doc, "table")
+        if not (isinstance(t, dict) and isinstance(t.get("grids"), list)
+                and isinstance(t.get("values"), dict)):
+            raise SymbolError("symbol field 'table' needs a 'grids' list and a 'values' mapping")
         values = {tuple(int(s) for s in k.split(",")): v for k, v in t["values"].items()}
         return table_symbol(dim, t["grids"], values, positive_selfadjoint=psd)
     raise SymbolError(f"unknown symbol kind {kind!r}")

@@ -1,14 +1,23 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately implemented without the package's recurrence
-machinery: extended-precision explicit formulas (mpmath), closed-form series
-values, and the Mehler heat-kernel formula.  Frozen decimal constants in the
-test modules were produced by these routines at 50 digits.
+The value oracles are deliberately implemented without the package's
+recurrence machinery: extended-precision explicit formulas (mpmath),
+closed-form series values, and the Mehler heat-kernel formula.  Frozen decimal
+constants in the test modules were produced by these routines at 50 digits.
+
+The module also holds the dense sums that the operator's sum factorization
+replaces: D x q^n tables of tensor products of a rule's basis rows, summed
+over the whole grid at once.  They read the rule's basis and half weights and
+nothing of the contraction, chunking or box indexing they check.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
+
+from hspec import gauss_hermite_rule
+from hspec.symbol import eval_symbol
 
 mp.mp.dps = 50
 
@@ -45,3 +54,31 @@ def heat_hs_limit(t: float) -> float:
 def odd_reciprocal_square_sum() -> float:
     """sum_k (2k+1)^(-2) = pi^2 / 8."""
     return math.pi**2 / 8.0
+
+
+def dense_basis(spec, rule):
+    """(D, q^n) products prod_j basis[nu_j, x_j] of the rule's basis rows over
+    the tensor grid (x_1 slowest), the (q^n, n) grid points and the (n, q^n)
+    index of each point into the rule."""
+    idx = np.indices((rule.order,) * spec.dim).reshape(spec.dim, -1)
+    basis = np.prod([rule.basis[spec.array[:, j:j + 1], idx[j]] for j in range(spec.dim)],
+                    axis=0)
+    return basis, rule.nodes[idx].T, idx
+
+
+def dense_sums(sym, spec, q):
+    """The order-q matrix, then the integrals of m phi_nu^2 and m^2 phi_nu^2."""
+    basis, points, _ = dense_basis(spec, gauss_hermite_rule(q))
+    mvals = np.array([eval_symbol(sym, points, nu) for nu in spec.indices])
+    return (basis @ (mvals * basis).T,
+            np.sum(mvals * basis**2, axis=1),
+            np.sum(mvals**2 * basis**2, axis=1))
+
+
+def dense_coefficients(f, spec, q):
+    """<f, phi_nu> as one sum over the grid of f times the tensor half
+    weights and basis rows; f is called as analyze calls it."""
+    rule = gauss_hermite_rule(q)
+    basis, points, idx = dense_basis(spec, rule)
+    samples = f(points[:, 0] if spec.dim == 1 else points)
+    return basis @ (np.prod(rule.half_weights[idx], axis=0) * samples)

@@ -12,7 +12,7 @@ import pytest
 
 import hspec as H
 from hspec.cli import main as cli_main
-from oracles import heat_trace_limit, mehler_heat_kernel, odd_reciprocal_square_sum
+from oracles import dense_basis, heat_trace_limit, mehler_heat_kernel, odd_reciprocal_square_sum
 from test_symbol import CORPUS
 
 
@@ -109,15 +109,13 @@ def test_criterion_5_trace_class_value():
 
 def test_criterion_6_orthonormality_suite():
     rule = H.gauss_hermite_rule(64)
-    table = H.hermite_table(30, rule.nodes, weighted=False)
+    table = H.hermite_table(30, rule.nodes) * np.exp(rule.nodes**2 / 2)
     gram = (table * rule.weights) @ table.T
     resid_1d = np.abs(gram - np.eye(31)).max()
 
     spec = H.TruncationSpec(2, 10)
-    from hspec.operator import basis_values, tensor_grid
-    grid = tensor_grid(2, 42)
-    basis = basis_values(spec, grid)
-    gram2 = (basis * grid.weights) @ basis.T
+    basis, _, _ = dense_basis(spec, H.gauss_hermite_rule(42))
+    gram2 = basis @ basis.T
     resid_2d = np.abs(gram2 - np.eye(spec.size)).max()
 
     ok = resid_1d <= 1e-10 and resid_2d <= 1e-9

@@ -325,6 +325,46 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, args, expr):
     assert not out.exists()
 
 
+TABLE_GRID = [[-1.0, 1.0]]
+
+
+@pytest.mark.parametrize("args, doc", [
+    (("analyze", *HEAT, "--level", "4", "--r", "inf"), None),
+    (("analyze", *HEAT, "--level", "4", "--r", "nan"), None),
+    (("criteria", *HEAT, "--r", "1.5", "--sigma", "nan"), None),
+    (("criteria", *HEAT, "--r", "1.5", "--sigma", "inf"), None),
+    (("analyze", "--builtin", "heat", "--param", "t=inf"), None),
+    (("analyze", "--builtin", "heat", "--param", "t=nan"), None),
+    (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": math.inf}}),
+    (("trace",), '{"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": 1e400}}'),
+    (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": None}}),
+    (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": [1]}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": [TABLE_GRID, [1.0, 2.0]]}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {"grids": TABLE_GRID}}),
+    # bool("no") and bool("false") are True, which these symbols would satisfy
+    (("criteria", "--r", "1"), {"kind": "expression", "dim": 1, "expr": "1/(1+x1^2)",
+                                "positive_selfadjoint": "no"}),
+    (("trace",), {"kind": "expression", "dim": 1, "expr": "exp(-absnu)",
+                  "multiplier": "false"}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": TABLE_GRID, "values": {str(k): [1.0, 2.0] for k in range(4)}}}),
+], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "param-inf", "param-nan",
+        "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
+        "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull"])
+def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
+    if doc is not None:
+        sym = tmp_path / "sym.json"
+        sym.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        args = (*args, "--symbol", str(sym), "--level", "3")
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "np.float64" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "trace"])
 def test_residual_warning_names_the_worst_column(tmp_path, capsys, command):
     path = tmp_path / "sym.json"

@@ -194,6 +194,13 @@ def test_multiplier_powers_equal_per_index_python_powers(sym):
         assert check_multiplier_schatten(sym, spec, r=r).shells == shells(r)
 
 
+@pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
+def test_multiplier_schatten_needs_a_positive_finite_order(r):
+    # |m|^inf would sum to 0 for a heat multiplier, not its largest value
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_multiplier_schatten(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 3), r=r)
+
+
 def test_multiplier_schatten_rejects_pseudo():
     sym = parse_symbol("x1 * exp(-absnu)", 1)
     with pytest.raises(CriterionPreconditionError, match="multiplier"):

@@ -143,7 +143,7 @@ def test_rule_matches_numpy():
 @pytest.mark.parametrize("n_level,q,tol", [(30, 64, 1e-10), (20, 40, 1e-10)])
 def test_orthonormality(n_level, q, tol):
     r = gauss_hermite_rule(q)
-    t = hermite_table(n_level, r.nodes, weighted=False)
+    t = hermite_table(n_level, r.nodes) * np.exp(r.nodes**2 / 2)
     gram = (t * r.weights) @ t.T
     assert np.abs(gram - np.eye(n_level + 1)).max() < tol
 
@@ -167,7 +167,7 @@ def test_rule_matches_scipy_at_high_order(q):
 
 def test_basis_table_is_the_weighted_hermite_table():
     r = gauss_hermite_rule(64)
-    expected = np.sqrt(r.weights) * hermite_table(30, r.nodes, weighted=False)
+    expected = np.sqrt(r.weights) * hermite_table(30, r.nodes) * np.exp(r.nodes**2 / 2)
     assert r.basis.shape == (64, 64)
     assert np.abs(r.basis[:31] - expected).max() <= 1e-13
     assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
@@ -176,6 +176,15 @@ def test_basis_table_is_the_weighted_hermite_table():
     nodes, weights = roots_hermite(64)
     christoffel = 1 / np.sum(hermite_table(63, nodes) ** 2, axis=0)
     assert np.abs(christoffel / (weights * np.exp(nodes**2)) - 1).max() <= 1e-11
+
+
+@pytest.mark.parametrize("q", [1, 64, 732, 2000])
+def test_rule_keeps_its_column_norms(q):
+    r = gauss_hermite_rule(q)
+    # the Christoffel half weights sqrt(w) e^(x^2/2), finite past |x| = 37.7
+    expected = 1 / np.sqrt(np.sum(hermite_table(q - 1, r.nodes) ** 2, axis=0))
+    assert np.array_equal(r.half_weights, expected)
+    assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
 
 
 def test_basis_table_bounded_and_orthonormal_at_high_order():

@@ -22,9 +22,7 @@ from hspec import (
     synthesize,
     table_symbol,
 )
-from hspec.operator import basis_values, tensor_grid
-from hspec.symbol import eval_symbol
-from oracles import mehler_heat_kernel
+from oracles import dense_coefficients, dense_sums, mehler_heat_kernel
 
 # frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
 INNER_GAUSS_PHI0 = 1.0870307726111884785  # = pi^(-1/4) sqrt(2 pi / 3)
@@ -192,17 +190,6 @@ def test_assembly_carries_the_column_integrals(text, dim, level, q):
                                                rel=1e-12, abs=1e-14)
 
 
-def _dense_reference(sym, spec, q):
-    # the D x q^n sums the sum factorization replaces: matrix, then the
-    # integrals of m phi_nu^2 and m^2 phi_nu^2
-    grid = tensor_grid(spec.dim, q)
-    basis = basis_values(spec, grid)
-    mvals = np.array([eval_symbol(sym, grid.points, nu) for nu in spec.indices])
-    return (basis @ (grid.weights * mvals * basis).T,
-            (mvals * basis**2) @ grid.weights,
-            (mvals**2 * basis**2) @ grid.weights)
-
-
 _TABLE_GRID = np.linspace(-12.0, 12.0, 49)
 
 EQUIVALENCE_CASES = {
@@ -213,6 +200,8 @@ EQUIVALENCE_CASES = {
     "3d-nu": (parse_symbol("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3), 4, 10),
     "1d-table": (table_symbol(1, [_TABLE_GRID], {
         (k,): (1.0 + k) / (1.0 + _TABLE_GRID**2) for k in range(7)}), 6, 14),
+    # extreme nodes near 38.2, where e^(x^2/2) alone overflows
+    "1d-level-700": (parse_symbol("exp(-0.01*absnu)/(1+x1^2)", 1), 700, 732),
 }
 
 
@@ -223,8 +212,10 @@ def test_sum_factorization_matches_dense_sums(monkeypatch, case, chunked):
     spec = TruncationSpec(sym.dim, level)
     if chunked:  # three columns per chunk
         monkeypatch.setattr(operator, "_CHUNK_BYTES", 3 * 8 * q**sym.dim)
-    m = assemble_matrix(sym, spec, q=q, doubling_check=False)
-    matrix, linear, squared = _dense_reference(sym, spec, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = assemble_matrix(sym, spec, q=q, doubling_check=False)
+        matrix, linear, squared = dense_sums(sym, spec, q)
     scale = np.abs(matrix).max()
     assert np.abs(m.entries - matrix).max() <= 1e-13 * scale
     assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
@@ -254,17 +245,18 @@ def test_worst_column_of_a_mirrored_tie_is_the_first_in_graded_order():
     assert spec.rank(MultiIndex((10, 0))) < spec.rank(MultiIndex((0, 10)))
 
 
-@pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9)])
+@pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9), (1, 700, 732)])
 def test_analyze_matches_dense_sums(dim, level, q):
     spec = TruncationSpec(dim, level)
 
     def f(x):
+        x = x.reshape(len(x), -1)
         return np.exp(-np.sum((x - 0.3) ** 2, axis=1)) * (1 + x[:, 0])
 
-    grid = tensor_grid(dim, q)
-    half_weight = grid.weights * np.exp(0.5 * np.sum(grid.points**2, axis=1))
-    expected = basis_values(spec, grid) @ (half_weight * f(grid.points))
-    got = analyze(f, spec, q=q).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = dense_coefficients(f, spec, q)
+        got = analyze(f, spec, q=q).values
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 

@@ -68,6 +68,12 @@ def test_schatten_order_validation():
         schatten_sum(np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("r", [np.inf, np.nan])
+def test_schatten_order_must_be_finite(r):
+    with pytest.raises(ValueError, match="positive and finite"):
+        schatten_sum(np.ones(3), r)
+
+
 def test_frobenius_identity():
     sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
     m = assemble_matrix(sym, TruncationSpec(1, 15), q=60)

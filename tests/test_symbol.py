@@ -126,6 +126,9 @@ def test_builtin_param_validation():
         builtin_symbol("wave", 1, t=1.0)
     with pytest.raises(ValueError, match="needs params"):
         builtin_symbol("heat", 1, sigma=1.0)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="needs finite params"):
+            builtin_symbol("heat", 1, t=value)
 
 
 def test_builtin_rejects_dimension_below_one():
