@@ -20,6 +20,7 @@ from .symbol import (
     SymbolSpec,
     builtin_symbol,
     eval_symbol,
+    invariant_flips,
     load_symbol,
     multiplier_value,
     parse_symbol,

@@ -148,7 +148,7 @@ def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
                 f"symmetry check failed: max|M - M^T| = {asym:.3e} "
                 f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
             )
-        lo = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
+        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in m.diagonal_blocks())
         norm = float(np.linalg.norm(a))
         if lo < -POSITIVITY_TOL * norm:
             raise CriterionPreconditionError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .hermite import gauss_hermite_rule, hermite_table, quadrature_order
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import SymbolSpec, eval_symbol, multiplier_value, symbol_sampler
+from .symbol import SymbolSpec, eval_symbol, invariant_flips, multiplier_value, symbol_sampler
 
 RESIDUAL_WARN = 1e-6
 
@@ -35,6 +35,9 @@ class OperatorMatrix:
     values is the diagonal m(nu) of a multiplier, else the dense matrix.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
+    blocks are the index sets of the parity blocks: M[mu, nu] = 0 unless mu
+    and nu lie in the same one, so the spectrum is the union of the spectra of
+    the blocks values[b, b].
     worst_column is the nu whose column moved most between the order-q and
     order-2q matrices, with its relative change (None without the check).
     """
@@ -46,6 +49,7 @@ class OperatorMatrix:
     residual_warning: bool
     symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
+    blocks: tuple[np.ndarray, ...]
     worst_column: tuple[MultiIndex, float] | None = None
 
     @property
@@ -60,6 +64,13 @@ class OperatorMatrix:
     def entries(self) -> np.ndarray:
         """Dense D x D matrix; a diagonal operator builds it on each access."""
         return np.diag(self.values) if self.is_diagonal else self.values
+
+    def diagonal_blocks(self) -> list[np.ndarray]:
+        """The dense matrix cut into its parity blocks values[b, b]; the
+        matrix itself when it has one block."""
+        if len(self.blocks) == 1:
+            return [self.values]
+        return [self.values[np.ix_(b, b)] for b in self.blocks]
 
     def column_integrals(self, squared: bool = True) -> np.ndarray:
         """Per-nu integrals of m^2 phi_nu^2 (squared=True) or of m phi_nu^2."""
@@ -154,6 +165,18 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     return q, entries, (linear, squared) if columns else None
 
 
+def _parity_blocks(sym: SymbolSpec, spec: TruncationSpec) -> tuple[np.ndarray, ...]:
+    """The nu grouped by the parities of nu . h over the flips h that leave
+    the symbol invariant.  phi_nu(hx) = (-1)^(nu . h) phi_nu(x) and the rule's
+    nodes are symmetric, so M[mu, nu] = 0 unless mu and nu share them all."""
+    flips = [] if sym.is_multiplier else invariant_flips(sym)
+    if not flips:
+        return (np.arange(spec.size),)
+    bits = (np.array(flips)[:, None] >> np.arange(spec.dim)) & 1
+    group = np.unique(spec.array @ bits.T % 2, axis=0, return_inverse=True)[1].ravel()
+    return tuple(np.flatnonzero(group == g) for g in range(group.max() + 1))
+
+
 def column_integrals(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, squared: bool = True
 ) -> np.ndarray:
@@ -193,7 +216,7 @@ def assemble_matrix(
         worst = (spec.unrank(k), float(per_column[k]))
         entries = refined
     return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
-                          columns, worst)
+                          columns, _parity_blocks(sym, spec), worst)
 
 
 def _basis_at(spec: TruncationSpec, x) -> np.ndarray:

@@ -8,7 +8,12 @@ this module.
 
 A multiplier's operator is its diagonal, so its singular values are the
 sorted |m(nu)| and its eigenvalue sum is the fsum of m(nu): no dense
-factorization is needed.
+factorization is needed.  Any other matrix is factored per parity block:
+the flips x -> hx that leave the symbol invariant are read from its
+expression tree (symbol.invariant_flips), phi_nu(hx) = (-1)^(nu . h) phi_nu(x),
+so the matrix is block diagonal over OperatorMatrix.blocks.  The singular
+values are the union of the blocks' and the eigenvalue sum the sum of the
+blocks' sums; one SVD and one eigensolve run per block.
 
 All criterion-style sums are accumulated with math.fsum in a fixed order
 (graded enumeration order of the truncation), so reports are reproducible
@@ -38,14 +43,19 @@ def _finite(m) -> np.ndarray:
     return a
 
 
+def _blocks(m, a: np.ndarray) -> list[np.ndarray]:
+    # an operator's parity blocks; a plain matrix is one block
+    return m.diagonal_blocks() if isinstance(m, OperatorMatrix) else [a]
+
+
 def singular_values(m) -> np.ndarray:
-    """Singular values of the matrix, descending; the sorted |m(nu)| for a
-    diagonal operator."""
+    """Singular values of the matrix, descending: the union over its parity
+    blocks; the sorted |m(nu)| for a diagonal operator."""
     a = _finite(m)
     if a.ndim == 1:
         return np.sort(np.abs(a))[::-1]
     try:
-        sv = np.linalg.svd(a, compute_uv=False)
+        sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in _blocks(m, a)])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD did not converge: {exc}") from exc
     return np.sort(sv)[::-1]
@@ -71,19 +81,22 @@ def schatten_norm(sv, r: float) -> float:
 
 
 def spectral_trace(m) -> float:
-    """Sum of the eigenvalues of the matrix, multiplicities included.
+    """Sum of the eigenvalues of the matrix, multiplicities included, taken
+    block by block over its parity blocks.
 
-    A diagonal operator sums its entries.  Otherwise the dense nonsymmetric
-    eigensolver runs; the imaginary parts must cancel to within 1e-8 * ||M||
-    or a warning is issued.
+    A diagonal operator sums its entries.  A symmetric matrix takes the
+    symmetric eigensolver, any other the dense nonsymmetric one; the
+    imaginary parts must cancel to within 1e-8 * ||M|| or a warning is
+    issued.
     """
     a = _finite(m)
     if a.ndim == 1:
         return math.fsum(a)
+    blocks = _blocks(m, a)
     if np.allclose(a, a.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max())):
-        return math.fsum(np.linalg.eigvalsh(a))
+        return math.fsum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     try:
-        eigs = np.linalg.eigvals(a)
+        eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
     scale = np.linalg.norm(a)

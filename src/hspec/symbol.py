@@ -277,6 +277,37 @@ def _uses_nu(node: Node) -> bool:
     return any(v in ("absnu", "lam") or v.startswith("nu") for v in _names(node))
 
 
+def _flip_signs(node: Node, dim: int) -> np.ndarray:
+    """The node's sign under each coordinate flip x -> hx, indexed by the bit
+    mask h (bit j flips x_{j+1}): +1 if it is unchanged, -1 if it changes
+    sign, 0 if unknown."""
+    if isinstance(node, Var) and node.name.startswith("x"):
+        bit = 1 << (int(node.name[1:]) - 1)
+        return np.where(np.arange(2**dim) & bit, -1, 1)
+    if isinstance(node, (Num, Var)):  # constants, n, pi, e and the nu-variables
+        return np.ones(2**dim, dtype=int)
+    if isinstance(node, Neg):
+        return _flip_signs(node.arg, dim)
+    if isinstance(node, BinOp) and node.op in "+-":
+        a, b = _flip_signs(node.left, dim), _flip_signs(node.right, dim)
+        return np.where(a == b, a, 0)
+    if isinstance(node, BinOp) and node.op in "*/":
+        return _flip_signs(node.left, dim) * _flip_signs(node.right, dim)
+    if isinstance(node, BinOp) or node.func == "pow":
+        base, exponent = (node.left, node.right) if isinstance(node, BinOp) else node.args
+        b = _flip_signs(base, dim)
+        # (-b)^k = (-1)^k b^k needs an integer k; an even base takes any even exponent
+        if isinstance(exponent, Num) and float(exponent.value).is_integer():
+            return b if exponent.value % 2 else np.abs(b)
+        return np.where((b == 1) & (_flip_signs(exponent, dim) == 1), 1, 0)
+    args = [_flip_signs(a, dim) for a in node.args]
+    if node.func == "sin":
+        return args[0]
+    if node.func in ("abs", "cos"):
+        return np.abs(args[0])
+    return np.where(np.all(np.array(args) == 1, axis=0), 1, 0)  # exp log sqrt min max
+
+
 @dataclass(frozen=True, eq=False)
 class _Values:
     """A nu-free subtree replaced by its values at fixed points (symbol_sampler)."""
@@ -408,9 +439,11 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     shape = tuple(g.size for g in grids)
     vals = {}
     for nu, arr in values.items():
-        key = tuple(int(k) for k in nu)
-        arr = np.asarray(arr, dtype=float).reshape(shape)
-        vals[key] = arr
+        try:
+            vals[tuple(int(k) for k in nu)] = np.asarray(arr, dtype=float).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise SymbolError(f"symbol field 'table.values' at nu={nu!r} must be numbers "
+                              f"of shape {shape} over the grid ({exc})") from None
     return SymbolSpec(
         kind="table",
         dim=dim,
@@ -418,6 +451,19 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
         claims_positive_selfadjoint=positive_selfadjoint,
         table={"grids": grids, "values": vals},
     )
+
+
+def invariant_flips(spec: SymbolSpec) -> list[int]:
+    """The bit masks h of the coordinate sign flips x -> hx (bit j flips
+    x_{j+1}) that leave m(x, nu) unchanged for every nu, read from the
+    expression tree.  The check is sufficient, not necessary: a flip the
+    rules cannot prove is left out.  A table symbol has none proved; a
+    builtin, free of x, is invariant under every flip."""
+    if spec.kind == "table":
+        return []
+    if spec.kind == "builtin":
+        return list(range(1, 2**spec.dim))
+    return [h for h, s in enumerate(_flip_signs(spec.tree, spec.dim)) if h and s == 1]
 
 
 def _env(spec: SymbolSpec, nus=None, pts=None) -> dict:
@@ -627,7 +673,16 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
         if not (isinstance(t, dict) and isinstance(t.get("grids"), list)
                 and isinstance(t.get("values"), dict)):
             raise SymbolError("symbol field 'table' needs a 'grids' list and a 'values' mapping")
-        values = {tuple(int(s) for s in k.split(",")): v for k, v in t["values"].items()}
+        values = {}
+        for key, v in t["values"].items():
+            try:
+                nu = tuple(int(s) for s in key.split(","))
+            except ValueError:
+                nu = ()
+            if len(nu) != dim:
+                raise SymbolError(f"symbol field 'table.values' has key {key!r}; expected a "
+                                  f"multi-index of {dim} comma-separated integers")
+            values[nu] = v
         return table_symbol(dim, t["grids"], values, positive_selfadjoint=psd)
     raise SymbolError(f"unknown symbol kind {kind!r}")
 

@@ -348,9 +348,16 @@ TABLE_GRID = [[-1.0, 1.0]]
                   "multiplier": "false"}),
     (("trace",), {"kind": "table", "dim": 1, "table": {
         "grids": TABLE_GRID, "values": {str(k): [1.0, 2.0] for k in range(4)}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": TABLE_GRID, "values": {"a": [1.0, 2.0]}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": TABLE_GRID, "values": {"0": [1.0, 2.0, 3.0]}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": TABLE_GRID, "values": {"0": "abc"}}}),
 ], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
-        "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull"])
+        "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull",
+        "table-key-not-an-index", "table-values-wrong-length", "table-values-not-numbers"])
 def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
     if doc is not None:
         sym = tmp_path / "sym.json"

@@ -217,3 +217,29 @@ def test_schatten_sum_equals_the_per_value_fsum(family, params):
                                          TruncationSpec(2, 200)))
     for r in (0.5, 1.0, 1.5, 2.0, 2.7):
         assert schatten_sum(sv, r) == math.fsum(float(s) ** r for s in sv)
+
+
+@pytest.mark.parametrize("text, dim, level, blocks", [
+    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2, 20, 4),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, 20, 2),
+    ("exp(-0.3*lam)*(2+0.7*x1/(1+x2^2))", 2, 20, 2),
+    ("1/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, 5, 8),
+    ("x1*sin(x1)/(1+x1^2)", 1, 60, 2),
+], ids=["even-2d", "joint-flip-2d", "x2-flip-2d", "even-3d-symmetric", "even-1d"])
+def test_blocked_spectra_match_the_whole_matrix(text, dim, level, blocks):
+    # the spectrum of a block-diagonal matrix is the union of the blocks' spectra
+    m = assemble_matrix(parse_symbol(text, dim), TruncationSpec(dim, level))
+    assert len(m.blocks) == blocks
+    sv = singular_values(m)
+    whole = np.linalg.svd(m.values, compute_uv=False)
+    assert np.all(np.abs(sv - whole) <= 1e-14 * whole[0])
+    dense = math.fsum(np.linalg.eigvals(m.values).real)
+    assert spectral_trace(m) == pytest.approx(dense, rel=1e-12)
+
+
+def test_a_symbol_without_an_invariant_flip_is_one_block():
+    m = assemble_matrix(parse_symbol("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 2),
+                        TruncationSpec(2, 12))
+    assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], np.arange(m.size))
+    assert np.array_equal(singular_values(m), singular_values(m.values))
+    assert spectral_trace(m) == spectral_trace(m.values)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hspec import (
     MultiIndex,
@@ -10,8 +12,10 @@ from hspec import (
     SymbolEvalError,
     SymbolParseError,
     TruncationSpec,
+    assemble_matrix,
     builtin_symbol,
     eval_symbol,
+    invariant_flips,
     load_symbol,
     multiplier_value,
     parse_symbol,
@@ -21,7 +25,7 @@ from hspec import (
     symbol_to_dict,
     table_symbol,
 )
-from hspec.symbol import _Parser
+from hspec.symbol import _env, _eval_node, _Parser
 
 # corpus for the round-trip property; dim 2 unless marked
 CORPUS = [
@@ -353,3 +357,94 @@ def test_bad_documents(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SymbolError, match="not valid JSON"):
         load_symbol(bad)
+
+    with pytest.raises(SymbolError, match=r"table.values.*'a'.*1 comma-separated"):
+        symbol_from_dict({"kind": "table", "dim": 1, "table": {
+            "grids": [[-1, 0, 1]], "values": {"a": [1, 2, 3]}}})
+    for value in ([1, 2], "abc"):
+        with pytest.raises(SymbolError, match=r"table.values.*nu=\(0,\).*shape \(3,\)"):
+            symbol_from_dict({"kind": "table", "dim": 1, "table": {
+                "grids": [[-1, 0, 1]], "values": {"0": value}}})
+
+
+# ---------------------------------------------------------------------------
+# coordinate sign flips
+
+@pytest.mark.parametrize("text, dim, flips", [
+    ("exp(-0.3*absnu)/(1+0.4*x1^2+0.5*x2^2)", 2, [1, 2, 3]),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, [3]),
+    ("exp(-0.3*lam)*(2+0.4*x1/(1+x2^2))", 2, [2]),
+    ("1/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, list(range(1, 8))),
+    ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, list(range(1, 8))),
+    ("x1^3*x2", 2, [3]),
+    ("x1*sin(x1)", 1, [1]),
+    ("min(x1, x2)", 2, []),
+    ("abs(x1) + x1", 1, []),
+    ("x1^0.5", 1, []),
+    ("pow(x1, 1.5) * x2^2", 2, [2]),
+    ("(x1^2)^0.5 + cos(x2) * sqrt(x1^2)", 2, [1, 2, 3]),
+    ("exp(-absnu)", 2, [1, 2, 3]),
+])
+def test_invariant_flips(text, dim, flips):
+    assert invariant_flips(parse_symbol(text, dim)) == flips
+
+
+def test_invariant_flips_of_a_table_and_a_builtin():
+    g = np.linspace(-1, 1, 5)
+    assert invariant_flips(table_symbol(1, [g], {(0,): g**2})) == []
+    assert invariant_flips(builtin_symbol("heat", 2, t=1.0)) == [1, 2, 3]
+
+
+def _expressions(dim: int):
+    leaves = st.sampled_from([f"x{j}" for j in range(1, dim + 1)]
+                             + [f"nu{j}" for j in range(1, dim + 1)]
+                             + ["absnu", "lam", "n", "pi", "0.5", "2", "3"])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, st.sampled_from(["2", "3", "0.5"])).map(lambda t: f"(({t[0]})^{t[1]})"),
+        sub.map(lambda a: f"(-{a})"),
+        st.tuples(st.sampled_from(["exp", "log", "sin", "cos", "sqrt", "abs"]), sub)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["pow", "min", "max"]), sub, sub)
+        .map(lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    ), max_leaves=8)
+
+
+symbols = st.integers(1, 3).flatmap(lambda dim: _expressions(dim).map(
+    lambda text: parse_symbol(text, dim)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(symbols)
+def test_invariant_flips_leave_the_samples_unchanged(sym):
+    axis = np.array([-2.3, -0.7, 0.0, 0.4, 1.9])
+    pts = np.stack(np.meshgrid(*[axis] * sym.dim, indexing="ij"), axis=-1).reshape(-1, sym.dim)
+    nus = np.array([[0] * sym.dim, [1] + [0] * (sym.dim - 1), [2] + [1] * (sym.dim - 1)])
+
+    def sample(x):
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(_eval_node(sym.tree, _env(sym, nus, x)), (len(nus), len(x)))
+
+    base = sample(pts)
+    for h in invariant_flips(sym):
+        sign = np.where((h >> np.arange(sym.dim)) & 1, -1.0, 1.0)
+        flipped = sample(pts * sign)
+        ok = np.isfinite(base) & np.isfinite(flipped)
+        assert np.all(np.abs(flipped[ok] - base[ok]) <= 1e-14 * np.abs(base[ok])), (sym.text, h)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(symbols)
+def test_parity_blocks_hold_the_whole_assembled_matrix(sym):
+    spec = TruncationSpec(sym.dim, (6, 3, 2)[sym.dim - 1])
+    try:
+        m = assemble_matrix(sym, spec, doubling_check=False)
+    except SymbolError:  # not finite on the grid
+        return
+    block = np.empty(spec.size, dtype=int)
+    for k, b in enumerate(m.blocks):
+        block[b] = k
+    assert np.array_equal(np.sort(np.concatenate(m.blocks)), np.arange(spec.size))
+    off = block[:, None] != block[None, :]
+    a = np.abs(m.entries)
+    assert np.all(a[off] <= 1e-13 * a.max()), sym.text
