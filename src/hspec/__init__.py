@@ -25,6 +25,7 @@ from .symbol import (
     multiplier_value,
     parse_symbol,
     pretty_print,
+    separate,
     symbol_from_dict,
     symbol_sampler,
     symbol_to_dict,

@@ -10,6 +10,13 @@ Quadrature never multiplies the Gaussian tails: the integral of
 m(x, nu) phi_nu(x) phi_mu(x) is the sum over the tensor Gauss-Hermite grid of
 m(x, nu) prod_j B[nu_j, x_j] B[mu_j, x_j] with the rule's bounded basis table
 B[k, i] = sqrt(w_i) h_k(x_i), h_k = phi_k e^(x^2/2).
+
+A symbol whose top-level product splits as m(x, nu) = a(nu) b(x)
+(symbol.separate) has M = G diag(a), with G the matrix of b.  Then b is
+sampled once on the grid, and the partial sum over x_{j+1}, ..., x_n, which
+depends on nu only through (nu_{j+1}, ..., nu_n), is formed once per such
+tail and shared by all columns below it.  Any other symbol is sampled and
+contracted column by column.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ import numpy as np
 
 from .hermite import gauss_hermite_rule, hermite_table, quadrature_order
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import SymbolSpec, eval_symbol, invariant_flips, multiplier_value, symbol_sampler
+from .symbol import (SymbolEvalError, SymbolSpec, eval_symbol, invariant_flips, multiplier_value,
+                     separate, symbol_sampler)
 
 RESIDUAL_WARN = 1e-6
 
@@ -86,58 +94,134 @@ class CoefficientVector:
     values: np.ndarray
 
 
-# Bytes of symbol samples per chunk of columns; the contraction's temporaries
-# are at most a few times this, so peak memory is O(chunk q^n), never D q^n.
+# Bytes per chunk of columns: of samples of m, or of the (N+1)^n partial sums
+# of each column of G.  Besides the (N+1)^2 q basis products that G's
+# contraction reads, a temporary is at most about this size, so peak memory is
+# a few chunks, never D q^n.
 _CHUNK_BYTES = 8 * 2**20
 
 
-def _contract(values: np.ndarray, row: np.ndarray, scales: list) -> np.ndarray:
+def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
+              block: np.ndarray) -> np.ndarray:
     """Sum factorization: sum over the grid of values[c, x] times
-    prod_j scales[j][c, x_j] row[a_j, x_j], one axis at a time, as a
+    prod_j weights[block[c, j], x_j] row[a_j, x_j], one axis at a time, as a
     (c, (N+1)^n) block over the box a in [0, N]^n in row-major order.
 
-    values has shape (c|1, q, ..., q) and scales[j] shape (c|1, q)."""
-    c = max(len(values), *(len(s) for s in scales))
+    values has shape (c|1, q, ..., q) and block shape (c, n), with distinct
+    rows.  Values of one row, sampled once for all columns, are contracted
+    depth first over the tails (block[c, j], ..., block[c, n-1]): the partial
+    sum over x_{j+1..n} is formed once per distinct tail and shared by the
+    columns below it."""
+    c, n = block.shape
     q, rows = row.shape[1], row.shape[0]
-    t = values
-    for j in reversed(range(len(scales))):
-        # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
-        t = t.reshape(len(t), -1, q) * scales[j][:, None, :]
-        t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
-    return t.reshape(c, -1)
+    if len(values) > 1:
+        t = values
+        for j in reversed(range(n)):
+            # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
+            t = t.reshape(c, -1, q) * weights[block[:, j], None, :]
+            t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
+        return t.reshape(c, -1)
+    order = np.lexsort(block.T)  # block[:, n-1] slowest, so every tail is a run
+    block, out = block[order], np.empty((c, rows**n))
+    # pairs[k] = weights[k] row, the basis scaled for nu_j = k: (N+1)^2 q values,
+    # fewer than the matrix has for N > 8.  In 1-D the samples are scaled instead.
+    pairs = weights[:, None, :] * row if n > 1 else None
+
+    def descend(t: np.ndarray, lo: int, hi: int, j: int) -> None:
+        # t, (P, q), holds [a_{j+2}..a_n, x_1..x_{j+1}] for the run lo:hi
+        ks, starts = np.unique(block[lo:hi, j], return_index=True)
+        ends = np.append(starts[1:], hi - lo) + lo
+        group = max(1, _CHUNK_BYTES // (8 * (rows * len(t) + q)))  # per kid: sums, scaled t
+        for s in range(0, len(ks), group):
+            k = ks[s:s + group]
+            # a view, not a copy; a run's ks are consecutive in a truncation, so
+            # the span wastes no kid
+            span = slice(k[0], k[-1] + 1)
+            if pairs is None:
+                kids = ((t * weights[span]) @ row.T)[:, :, None]
+            else:
+                kids = (pairs[span].reshape(-1, q) @ t.T).reshape(-1, rows, len(t))
+            if j == 0:
+                out[order[starts[s:s + group] + lo]] = kids.reshape(len(kids), -1)[k - k[0]]
+                continue
+            for i, start, end in zip(k - k[0], starts[s:s + group] + lo, ends[s:s + group]):
+                descend(kids[i].reshape(-1, q), start, end, j - 1)
+
+    descend(values.reshape(-1, q), 0, c, n - 1)
+    return out
 
 
-def _diagonal_sums(values: np.ndarray, scales: list) -> np.ndarray:
-    """(c,) sums over the grid of values[c, x] prod_j scales[j][c, x_j]."""
-    q = scales[0].shape[1]
-    for s in reversed(scales):
-        values = values.reshape(len(values), -1, q) @ s[:, :, None]
+def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(c,) sums over the grid of values[c|0, x] prod_j weights[block[c, j], x_j];
+    one-row values take the step over x_n once per distinct block[:, -1]."""
+    q, axes = weights.shape[1], range(block.shape[1])
+    if len(values) == 1:
+        ks, where = np.unique(block[:, -1], return_inverse=True)
+        values = (values.reshape(-1, q) @ weights[ks].T).T[where]
+        axes = range(block.shape[1] - 1)
+    for j in reversed(axes):
+        values = values.reshape(len(values), -1, q) @ weights[block[:, j], :, None]
     return values.reshape(-1)
 
 
 def _grid(spec: TruncationSpec, q: int):
     """The order-q rule, the (q^n, n) tensor grid points in row-major order
-    (x_1 slowest) and the row-major index of each nu in the box [0, N]^n."""
+    (x_1 slowest), each coordinate contiguous, and the row-major index of
+    each nu in the box [0, N]^n."""
     rule = gauss_hermite_rule(q)
-    points = np.empty((q,) * spec.dim + (spec.dim,))  # x_j along axis j
+    points = np.empty((spec.dim,) + (q,) * spec.dim)  # x_j along axis j of points[j]
     for j in range(spec.dim):
-        points[..., j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
+        points[j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
     box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
-    return rule, points.reshape(-1, spec.dim), box
+    return rule, points.reshape(spec.dim, -1).T, box
+
+
+def _separable_samples(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
+    """(a, b), the values of m(x, nu) = a(nu) b(x) at the truncation's indices
+    and at the points, when m splits (symbol.separate) and every a(nu) b(x) is
+    finite: that holds iff max|a| max|b| is finite.  Else None, and the
+    per-column path samples m and names its first non-finite value."""
+    split = separate(sym)
+    if split is None:
+        return None
+    try:
+        a = multiplier_value(split[0], spec.array)
+        b = eval_symbol(split[1], points, spec.array[:1])
+    except SymbolEvalError:
+        return None
+    with np.errstate(over="ignore"):
+        return (a, b) if np.isfinite(np.abs(a).max() * np.abs(b).max()) else None
+
+
+def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
+    """Raise FloatingPointError naming the first column nu where sums, of
+    finite samples, overflowed."""
+    bad = ~np.isfinite(sums.reshape(-1, spec.size)).all(axis=0)
+    if bad.any():
+        nu = spec.unrank(int(np.argmax(bad)))
+        raise FloatingPointError(f"{what} overflows at nu={nu.entries}")
 
 
 def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bool = True,
                 columns: bool = True) -> tuple[int, np.ndarray | None, tuple | None]:
     """The resolved order q, then the order-q matrix and/or the column
     integrals (of m phi_nu^2, of m^2 phi_nu^2), from one sampling of the
-    symbol per chunk of columns.
+    symbol.
 
     A multiplier's matrix is its exact diagonal m(nu) and its columns are
     (m, m^2), since phi_nu has unit norm: no quadrature.  Otherwise
     M[mu, nu] = sum_x m(x, nu) prod_j B[nu_j, x_j] B[mu_j, x_j] with the
     rule's basis rows B[k, i] = sqrt(w_i) h_k(x_i), k <= N, applied in
     factored form: B[nu_j] scales the samples and B contracts them; the
-    column integrals reduce the samples against B[nu_j]^2."""
+    column integrals reduce the samples against B[nu_j]^2.
+
+    A separable symbol m = a(nu) b(x) samples b once on the grid and
+    contracts it as above, each partial sum shared by the columns with the
+    same tail (nu_{j+1}, ..., nu_n), in chunks of columns in that order;
+    column nu of the result is scaled by a(nu), and the column integrals are
+    a(nu) sum b B^2 and a(nu)^2 sum b^2 B^2.  Any other symbol is sampled
+    once per chunk of columns in enumeration order.  Sums that overflow
+    raise FloatingPointError naming the first such column."""
     q = quadrature_order(spec.level, q)
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
@@ -150,18 +234,32 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    sample = symbol_sampler(sym, points)
-    step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
-    for start in range(0, size, step):
-        cols = slice(start, start + step)
-        block = spec.array[cols]
-        values = sample(block).reshape((-1,) + (q,) * spec.dim)
-        if matrix:
-            entries[:, cols] = _contract(values, row, [row[k] for k in block.T])[:, box].T
-        if columns:
-            weights = [diag[k] for k in block.T]
-            linear[cols] = _diagonal_sums(values, weights)
-            squared[cols] = _diagonal_sums(np.square(values), weights)
+    split = _separable_samples(sym, spec, points)
+    if split is None:
+        scale, sample = np.ones(size), symbol_sampler(sym, points)
+        order, column_bytes = np.arange(size), 8 * q**spec.dim
+    else:
+        scale, b = split
+        sample = lambda block: b
+        order = np.lexsort(spec.array.T)  # columns sharing tails of nu share chunks
+        column_bytes = 8 * (spec.level + 1)**spec.dim
+    step = max(1, _CHUNK_BYTES // column_bytes)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start in range(0, size, step):
+            cols = order[start:start + step]
+            block = spec.array[cols]
+            values = sample(block).reshape((-1,) + (q,) * spec.dim)
+            if matrix:
+                entries[:, cols] = _contract(values, row, row, block)[:, box].T * scale[cols]
+            if columns:
+                linear[cols] = scale[cols] * _diagonal_sums(values, diag, block)
+                squared[cols] = (np.square(scale[cols])
+                                 * _diagonal_sums(np.square(values), diag, block))
+    if matrix:
+        _check_finite(f"the order-{q} matrix", entries, spec)
+    if columns:
+        _check_finite(f"the order-{q} quadrature sum of m phi_nu^2", linear, spec)
+        _check_finite(f"the order-{q} quadrature sum of m^2 phi_nu^2", squared, spec)
     return q, entries, (linear, squared) if columns else None
 
 
@@ -204,12 +302,16 @@ def assemble_matrix(
     residual, worst = 0.0, None
     if doubling_check and not sym.is_multiplier:
         _, refined, _ = _discretize(sym, spec, 2 * q, columns=False)
-        scale = np.linalg.norm(refined)
-        change = refined - entries
-        residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
-        col_scale = np.linalg.norm(refined, axis=0)
-        per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
-                               out=np.zeros(spec.size), where=col_scale > 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            scale = np.linalg.norm(refined)
+            change = refined - entries
+            residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
+            col_scale = np.linalg.norm(refined, axis=0)
+            per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
+                                   out=np.zeros(spec.size), where=col_scale > 0)
+        if not np.isfinite([scale, residual]).all():
+            raise FloatingPointError(f"the Frobenius norm in the order-{2 * q} doubling check "
+                                     "overflows")
         # the first column in graded order within 1e-9 of the largest change,
         # so mirrored columns of a symmetric symbol do not swap on a last bit
         k = int(np.argmax(per_column >= (1 - 1e-9) * per_column.max()))
@@ -248,7 +350,7 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
     # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is the
     # rule's half weight sqrt(w) e^(x^2/2) times its basis row
     coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), rule.basis[:spec.level + 1],
-                       [rule.half_weights[None, :]] * spec.dim)
+                       rule.half_weights[None, :], np.zeros((1, spec.dim), dtype=int))
     return CoefficientVector(spec, coeffs[0, box])
 
 

@@ -466,6 +466,44 @@ def invariant_flips(spec: SymbolSpec) -> list[int]:
     return [h for h, s in enumerate(_flip_signs(spec.tree, spec.dim)) if h and s == 1]
 
 
+def _factors(node: Node, divides: bool = False) -> list[tuple[Node, bool]]:
+    """The factors of the top-level * / chain as (factor, divides) pairs in
+    order; a Neg on the way becomes the factor -1."""
+    if isinstance(node, Neg):
+        return [(Num(-1.0), False)] + _factors(node.arg, divides)
+    if isinstance(node, BinOp) and node.op in "*/":
+        return _factors(node.left, divides) + _factors(node.right, divides ^ (node.op == "/"))
+    return [(node, divides)]
+
+
+def _product(factors: list[tuple[Node, bool]]) -> Node:
+    """The * / chain of (factor, divides) pairs; 1 for none."""
+    node = None
+    for f, divides in factors:
+        if node is None:
+            node = BinOp("/", Num(1.0), f) if divides else f
+        else:
+            node = BinOp("/" if divides else "*", node, f)
+    return Num(1.0) if node is None else node
+
+
+def separate(spec: SymbolSpec) -> tuple[SymbolSpec, SymbolSpec] | None:
+    """Expression symbols (a, b) with m(x, nu) = a(nu) b(x), read from the
+    factors of the top-level * / chain: a is an x-free symbol (1 when every
+    factor reads x), b a nu-free one.  Constant factors and the signs of Neg
+    go to a.  None when a factor reads both x and nu, and for a table or a
+    builtin."""
+    if spec.kind != "expression":
+        return None
+    factors = _factors(spec.tree)
+    if any(_uses_x(f) and _uses_nu(f) for f, _ in factors):
+        return None
+    a = _product([(f, d) for f, d in factors if not _uses_x(f)])
+    b = _product([(f, d) for f, d in factors if _uses_x(f)])
+    return (replace(spec, is_multiplier=True, tree=a, text=pretty_print(a)),
+            replace(spec, is_multiplier=not _uses_x(b), tree=b, text=pretty_print(b)))
+
+
 def _env(spec: SymbolSpec, nus=None, pts=None) -> dict:
     """Values of the grammar's variables.  nus is a (c, n) array of indices,
     given as (c, 1) arrays that broadcast against the points, or None (no

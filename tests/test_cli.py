@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,42 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("expr, level, message", [
+    # m is finite on the grid, m^2 is not; the first splits into a(nu) b(x)
+    ("1e200*(1+x1^2)", "3", "the order-35 quadrature sum of m^2 phi_nu^2 overflows at nu=(0,)"),
+    ("1e200*(1+nu1*x1^2)", "3",
+     "the order-35 quadrature sum of m^2 phi_nu^2 overflows at nu=(0,)"),
+    # every m^2 sum is finite, their total is not
+    ("1.2e153*(1+0.000001*x1^2)", "200",
+     "the Frobenius norm in the order-464 doubling check overflows"),
+], ids=["separable", "non-separable", "frobenius"])
+@pytest.mark.parametrize("command", ["analyze", "criteria", "trace"])
+def test_overflowing_sums_of_a_finite_symbol_exit_3_with_one_line(tmp_path, capsys, command,
+                                                                   expr, level, message):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, command, "--symbol", str(path), "--level", level)
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+def test_a_product_of_finite_factors_that_overflows_keeps_its_message(tmp_path, capsys):
+    # e^(200 nu1) and 1e200 + x1^2 are finite, their product is not at nu1 = 2
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                "expr": "exp(200*nu1)*(1e200+x1^2)"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "trace", "--symbol", str(path), "--level", "3")
+    assert code == 2
+    assert capsys.readouterr().err == ("error: symbol evaluation not finite at "
+                                       "x=(-7.504021146448938,), nu=(2,)\n")
     assert not out.exists()
 
 

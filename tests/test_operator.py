@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hspec.operator as operator
 from hspec import (
     CoefficientVector,
     MultiIndex,
+    SymbolEvalError,
     TruncationSpec,
     analyze,
     apply_matrix,
@@ -15,10 +18,13 @@ from hspec import (
     builtin_symbol,
     column_integrals,
     eval_hermite_1d,
+    eval_symbol,
     export_matrix_csv,
     gauss_hermite_rule,
     kernel_eval,
     parse_symbol,
+    separate,
+    symbol_sampler,
     synthesize,
     table_symbol,
 )
@@ -176,6 +182,8 @@ def test_analyze_rejects_nonfinite():
 @pytest.mark.parametrize("text, dim, level, q", [
     ("exp(-absnu/2)/(1+x1^2)", 1, 15, 60),
     ("lam^(-1)*(1+0.4*x1*x2/(1+x1^2+x2^2))", 2, 6, 20),
+    ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, 4, 12),
+    ("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2, 6, 20),  # sampled per column
 ])
 def test_assembly_carries_the_column_integrals(text, dim, level, q):
     # the operator's columns are reduced from its own order-q samples, and
@@ -202,16 +210,22 @@ EQUIVALENCE_CASES = {
         (k,): (1.0 + k) / (1.0 + _TABLE_GRID**2) for k in range(7)}), 6, 14),
     # extreme nodes near 38.2, where e^(x^2/2) alone overflows
     "1d-level-700": (parse_symbol("exp(-0.01*absnu)/(1+x1^2)", 1), 700, 732),
+    # nu2 inside the denominator: sampled per column
+    "2d-non-separable": (parse_symbol("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2), 7, 16),
+    "2d-negated": (parse_symbol("-exp(-0.2*absnu)*(1+0.5*x1^2)/(1+x2^2)", 2), 7, 16),
 }
+# the cases that do not split into a(nu) b(x), so sample m once per column
+PER_COLUMN_CASES = {"3d-nu", "1d-table", "2d-non-separable"}
 
 
-@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("columns", [None, 3, 0], ids=["one-chunk", "chunked", "column-by-column"])
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-def test_sum_factorization_matches_dense_sums(monkeypatch, case, chunked):
+def test_sum_factorization_matches_dense_sums(monkeypatch, case, columns):
     sym, level, q = EQUIVALENCE_CASES[case]
     spec = TruncationSpec(sym.dim, level)
-    if chunked:  # three columns per chunk
-        monkeypatch.setattr(operator, "_CHUNK_BYTES", 3 * 8 * q**sym.dim)
+    if columns is not None:  # a budget of that many columns of samples of m; with
+        # one sample of b it holds more, and 0 leaves one column and one partial sum
+        monkeypatch.setattr(operator, "_CHUNK_BYTES", columns * 8 * q**sym.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = assemble_matrix(sym, spec, q=q, doubling_check=False)
@@ -221,6 +235,72 @@ def test_sum_factorization_matches_dense_sums(monkeypatch, case, chunked):
     assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
     # m^2 integrals carry the square of the symbol's scale
     assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_only_symbols_that_do_not_split_are_sampled_per_column(monkeypatch, case):
+    sym, level, q = EQUIVALENCE_CASES[case]
+    sampled = []
+    monkeypatch.setattr(operator, "symbol_sampler",
+                        lambda *args: sampled.append(args) or symbol_sampler(*args))
+    assemble_matrix(sym, TruncationSpec(sym.dim, min(level, 4)), q=q, doubling_check=False)
+    assert bool(sampled) == (case in PER_COLUMN_CASES)
+
+
+def _factor_products(dim: int):
+    """Texts of products and quotients of nu-only factors and at least one
+    x-only factor, with an optional leading minus; every divisor is positive
+    on the whole grid."""
+    j = st.integers(1, dim)
+    nu_factor = st.one_of(
+        st.sampled_from(["exp(-0.3*absnu)", "lam^(-0.5)", "0.5", "3", "(1+absnu)"]),
+        j.map(lambda k: f"(2+nu{k})"))
+    x_factor = st.one_of(
+        st.sampled_from(["(1+x1^2)", "exp(-0.1*x1^2)", "(2+sin(x1))"]),
+        j.map(lambda k: f"(1+0.3*x{k}^2)"),
+        st.tuples(j, j).map(lambda t: f"(1.5+x{t[0]}/(1+x{t[1]}^2))"))
+    terms = st.lists(st.tuples(st.sampled_from("*/"), st.one_of(nu_factor, x_factor)), max_size=4)
+    return st.tuples(st.booleans(), x_factor, terms, st.integers(0, 4)).map(
+        lambda t: ("-" if t[0] else "") + "".join(
+            f"({f})" if i == 0 else f"{o}({f})"
+            for i, (o, f) in enumerate(t[2][:t[3]] + [("*", t[1])] + t[2][t[3]:])))
+
+
+separable_symbols = st.integers(1, 3).flatmap(lambda dim: _factor_products(dim).map(
+    lambda text: parse_symbol(text, dim)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(separable_symbols)
+def test_separable_assembly_matches_dense_sums(sym):
+    assert separate(sym) is not None
+    level, q = (5, 3, 2)[sym.dim - 1], (12, 8, 6)[sym.dim - 1]
+    spec = TruncationSpec(sym.dim, level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = assemble_matrix(sym, spec, q=q, doubling_check=False)
+        matrix, linear, squared = dense_sums(sym, spec, q)
+    scale = np.abs(matrix).max()
+    assert np.abs(m.entries - matrix).max() <= 1e-13 * scale, sym.text
+    assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale, sym.text
+    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2, sym.text
+
+
+def test_a_product_of_finite_factors_that_overflows_names_the_first_bad_point():
+    # a(nu) = e^(200 nu1) and b(x) = 1e200 + x1^2 are finite on the grid, and
+    # a(nu) b(x) overflows first at nu = (2,); the message is the one
+    # eval_symbol gives for m over the whole grid
+    sym, spec, q = parse_symbol("exp(200*nu1)*(1e200+x1^2)", 1), TruncationSpec(1, 3), 35
+    assert separate(sym) is not None
+    with pytest.raises(SymbolEvalError) as expected:
+        eval_symbol(sym, gauss_hermite_rule(q).nodes[:, None], spec.array)
+    assert "nu=(2,)" in str(expected.value)
+    for reader in (lambda: assemble_matrix(sym, spec, q), lambda: column_integrals(sym, spec, q)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymbolEvalError) as raised:
+                reader()
+        assert str(raised.value) == str(expected.value)
 
 
 def test_worst_column_is_recorded_with_the_doubling_check():

@@ -20,6 +20,7 @@ from hspec import (
     multiplier_value,
     parse_symbol,
     pretty_print,
+    separate,
     symbol_from_dict,
     symbol_sampler,
     symbol_to_dict,
@@ -448,3 +449,78 @@ def test_parity_blocks_hold_the_whole_assembled_matrix(sym):
     off = block[:, None] != block[None, :]
     a = np.abs(m.entries)
     assert np.all(a[off] <= 1e-13 * a.max()), sym.text
+
+
+# ---------------------------------------------------------------------------
+# separable symbols m(x, nu) = a(nu) b(x)
+
+def _check_split(sym, a_text, b_text):
+    a, b = separate(sym)
+    assert (pretty_print(a.tree), pretty_print(b.tree)) == (a_text, b_text)
+    assert a.is_multiplier and a.text == a_text
+    axis = np.array([-2.1, -0.3, 0.0, 0.8, 1.7])
+    pts = np.stack(np.meshgrid(*[axis] * sym.dim, indexing="ij"), axis=-1).reshape(-1, sym.dim)
+    nus = TruncationSpec(sym.dim, 3).array
+    b_values = eval_symbol(b, pts, nus)
+    assert b_values.shape == (1, len(pts))  # b reads no nu
+    product = multiplier_value(a, nus)[:, None] * b_values
+    m = eval_symbol(sym, pts, nus)
+    assert np.all(np.abs(product - m) <= 4e-16 * np.abs(m)), sym.text
+
+
+@pytest.mark.parametrize("text, dim, a_text, b_text", [
+    ("exp(-0.3*absnu)/(1+0.4*x1^2+0.5*x2^2)", 2, "exp(((-0.3) * absnu))",
+     "(1.0 / ((1.0 + (0.4 * (x1 ^ 2.0))) + (0.5 * (x2 ^ 2.0))))"),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, "(lam ^ (-0.8))",
+     "(1.0 + (((0.9 * x1) * x2) / ((1.0 + (x1 ^ 2.0)) + (x2 ^ 2.0))))"),
+    ("exp(-0.3*lam)*(2+0.4*x1/(1+x2^2))", 2, "exp(((-0.3) * lam))",
+     "(2.0 + ((0.4 * x1) / (1.0 + (x2 ^ 2.0))))"),
+    # the nu-free 3-D template: a is the constant numerator
+    ("1/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, "1.0",
+     "(1.0 / (((1.0 + (0.3 * (x1 ^ 2.0))) + (0.4 * (x2 ^ 2.0))) + (0.5 * (x3 ^ 2.0))))"),
+    ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, "exp(((-0.2) * absnu))",
+     "(1.0 / (((1.0 + (0.3 * (x1 ^ 2.0))) + (0.4 * (x2 ^ 2.0))) + (0.5 * (x3 ^ 2.0))))"),
+], ids=["2d-exp-absnu", "2d-lam-power", "2d-exp-lam", "3d-nu-free", "3d-exp-absnu"])
+def test_the_benchmark_templates_split(text, dim, a_text, b_text):
+    _check_split(parse_symbol(text, dim), a_text, b_text)
+
+
+@pytest.mark.parametrize("text, dim, a_text, b_text", [
+    # each factor reads one side, so a product of two variables splits
+    ("x1*nu1", 1, "nu1", "x1"),
+    # a leading minus and constant factors go to a, divisors stay divisors
+    ("-exp(-absnu)/(1+x1^2)", 1, "(-1.0 * exp((-absnu)))", "(1.0 / (1.0 + (x1 ^ 2.0)))"),
+    ("2*x1/3*lam/(1+x2^2)", 2, "((2.0 / 3.0) * lam)", "(x1 / (1.0 + (x2 ^ 2.0)))"),
+    ("x1/((1+nu1)/x2)", 2, "(1.0 / (1.0 + nu1))", "(x1 * x2)"),
+    ("x2*-(nu1*x1)", 2, "(-1.0 * nu1)", "(x2 * x1)"),
+    # an x-only tree: a is 1
+    ("1+x1^2", 1, "1.0", "(1.0 + (x1 ^ 2.0))"),
+    ("x1^2*cos(x2)", 2, "1.0", "((x1 ^ 2.0) * cos(x2))"),
+])
+def test_signs_constants_and_x_only_trees_split(text, dim, a_text, b_text):
+    _check_split(parse_symbol(text, dim), a_text, b_text)
+
+
+def test_an_x_only_tree_has_a_identically_one_and_a_constant_b_one():
+    a, _ = separate(parse_symbol("1/(1+x1^2+x2^2)", 2))
+    assert np.array_equal(multiplier_value(a, TruncationSpec(2, 4).array), np.ones(15))
+    a, b = separate(parse_symbol("5", 1))
+    assert (a.text, b.text) == ("5.0", "1.0") and b.is_multiplier
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("exp(x1*nu1)", 1),
+    ("(x1*nu1)^2", 1),
+    ("(x1+nu1)*x2", 2),
+    ("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3),
+    ("exp(-absnu)*x1 + x2", 2),
+    ("-(x1 + nu1)", 1),
+])
+def test_factors_reading_x_and_nu_do_not_split(text, dim):
+    assert separate(parse_symbol(text, dim)) is None
+
+
+def test_tables_and_builtins_do_not_split():
+    g = np.linspace(-1, 1, 5)
+    assert separate(table_symbol(1, [g], {(0,): g**2})) is None
+    assert separate(builtin_symbol("heat", 2, t=1.0)) is None
