@@ -94,10 +94,9 @@ class CoefficientVector:
     values: np.ndarray
 
 
-# Bytes per chunk of columns: of samples of m, or of the (N+1)^n partial sums
-# of each column of G.  Besides the (N+1)^2 q basis products that G's
-# contraction reads, a temporary is at most about this size, so peak memory is
-# a few chunks, never D q^n.
+# Bytes per chunk of columns: of samples of m, or of the (N+1)^n sums of each
+# column of G.  Besides one sample of b (and its square), a temporary is at
+# most about this size, so peak memory is a few chunks, never D q^n.
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -107,42 +106,44 @@ def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
     prod_j weights[block[c, j], x_j] row[a_j, x_j], one axis at a time, as a
     (c, (N+1)^n) block over the box a in [0, N]^n in row-major order.
 
-    values has shape (c|1, q, ..., q) and block shape (c, n), with distinct
-    rows.  Values of one row, sampled once for all columns, are contracted
+    values has shape (c|1, q, ..., q) and block shape (c, n).  Values of one
+    row for several columns, sampled once for all of them, need distinct rows
+    of block sorted by (block[:, n-1], ..., block[:, 0]); they are contracted
     depth first over the tails (block[c, j], ..., block[c, n-1]): the partial
     sum over x_{j+1..n} is formed once per distinct tail and shared by the
     columns below it."""
     c, n = block.shape
     q, rows = row.shape[1], row.shape[0]
-    if len(values) > 1:
+    if len(values) == c:
         t = values
         for j in reversed(range(n)):
             # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
             t = t.reshape(c, -1, q) * weights[block[:, j], None, :]
             t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
         return t.reshape(c, -1)
-    order = np.lexsort(block.T)  # block[:, n-1] slowest, so every tail is a run
-    block, out = block[order], np.empty((c, rows**n))
-    # pairs[k] = weights[k] row, the basis scaled for nu_j = k: (N+1)^2 q values,
-    # fewer than the matrix has for N > 8.  In 1-D the samples are scaled instead.
-    pairs = weights[:, None, :] * row if n > 1 else None
+    out = np.empty((c, rows**n))
 
     def descend(t: np.ndarray, lo: int, hi: int, j: int) -> None:
         # t, (P, q), holds [a_{j+2}..a_n, x_1..x_{j+1}] for the run lo:hi
         ks, starts = np.unique(block[lo:hi, j], return_index=True)
         ends = np.append(starts[1:], hi - lo) + lo
-        group = max(1, _CHUNK_BYTES // (8 * (rows * len(t) + q)))  # per kid: sums, scaled t
+        # per kid: a scaled operand and the sums, at most (rows + q) len(t) values
+        group = max(1, _CHUNK_BYTES // (8 * (rows + q) * len(t)))
         for s in range(0, len(ks), group):
             k = ks[s:s + group]
             # a view, not a copy; a run's ks are consecutive in a truncation, so
             # the span wastes no kid
             span = slice(k[0], k[-1] + 1)
-            if pairs is None:
-                kids = ((t * weights[span]) @ row.T)[:, :, None]
+            # kids[k, a, p] = sum_x weights[k, x] row[a, x] t[p, x] as one GEMM,
+            # scaling the smaller of row and t (t is smaller only in 1-D, as one row)
+            if rows <= len(t):
+                kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
+                kids = kids.reshape(-1, rows, len(t))
             else:
-                kids = (pairs[span].reshape(-1, q) @ t.T).reshape(-1, rows, len(t))
+                kids = (t * weights[span, None, :]).reshape(-1, q) @ row.T
+                kids = kids.reshape(-1, len(t), rows).transpose(0, 2, 1)
             if j == 0:
-                out[order[starts[s:s + group] + lo]] = kids.reshape(len(kids), -1)[k - k[0]]
+                out[starts[s:s + group] + lo] = kids.reshape(len(kids), -1)[k - k[0]]
                 continue
             for i, start, end in zip(k - k[0], starts[s:s + group] + lo, ends[s:s + group]):
                 descend(kids[i].reshape(-1, q), start, end, j - 1)
@@ -152,16 +153,22 @@ def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
 
 
 def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(c,) sums over the grid of values[c|0, x] prod_j weights[block[c, j], x_j];
-    one-row values take the step over x_n once per distinct block[:, -1]."""
-    q, axes = weights.shape[1], range(block.shape[1])
-    if len(values) == 1:
-        ks, where = np.unique(block[:, -1], return_inverse=True)
-        values = (values.reshape(-1, q) @ weights[ks].T).T[where]
-        axes = range(block.shape[1] - 1)
-    for j in reversed(axes):
-        values = values.reshape(len(values), -1, q) @ weights[block[:, j], :, None]
-    return values.reshape(-1)
+    """(c,) sums over the grid of values[c|0, x] prod_j weights[block[c, j], x_j].
+
+    Values of one row for several columns need block sorted as in _contract:
+    the sum over x_n is taken once per distinct block[:, -1], and what is left
+    is summed the same way over each run of columns sharing it."""
+    c, n = block.shape
+    q = weights.shape[1]
+    if len(values) == c or n == 1:
+        for j in reversed(range(n)):
+            values = values.reshape(len(values), -1, q) @ weights[block[:, j], :, None]
+        return values.reshape(-1)
+    ks, starts = np.unique(block[:, -1], return_index=True)
+    ends = np.append(starts[1:], c)
+    partial = weights[ks] @ values.reshape(-1, q).T  # (distinct nu_n, q^(n-1))
+    return np.concatenate([_diagonal_sums(partial[i:i + 1], weights, block[lo:hi, :-1])
+                           for i, (lo, hi) in enumerate(zip(starts, ends))])
 
 
 def _grid(spec: TruncationSpec, q: int):
@@ -180,7 +187,13 @@ def _separable_samples(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray
     """(a, b), the values of m(x, nu) = a(nu) b(x) at the truncation's indices
     and at the points, when m splits (symbol.separate) and every a(nu) b(x) is
     finite: that holds iff max|a| max|b| is finite.  Else None, and the
-    per-column path samples m and names its first non-finite value."""
+    per-column path samples m and names its first non-finite value.
+
+    Finiteness is judged on the products a(nu) b(x), not on the steps of m's
+    own order of evaluation, which the split regroups: 1e307*x1^2*1e-307 is
+    x1^2 here, though m evaluated left to right overflows for |x1| > 4.24,
+    and exp(-500*nu1)*(1e200*(1+x1^2))*exp(-500*nu1) has a = 0 for nu1 >= 1,
+    where m's order keeps values near 5e-235 (1+x1^2)."""
     split = separate(sym)
     if split is None:
         return None
@@ -219,9 +232,10 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     contracts it as above, each partial sum shared by the columns with the
     same tail (nu_{j+1}, ..., nu_n), in chunks of columns in that order;
     column nu of the result is scaled by a(nu), and the column integrals are
-    a(nu) sum b B^2 and a(nu)^2 sum b^2 B^2.  Any other symbol is sampled
-    once per chunk of columns in enumeration order.  Sums that overflow
-    raise FloatingPointError naming the first such column."""
+    a(nu) sum b B^2 and a(nu)^2 sum b^2 B^2.  Its finiteness is judged on
+    a(nu) b(x), not on m's order of evaluation (_separable_samples).  Any
+    other symbol is sampled once per chunk of columns in enumeration order.
+    Sums that overflow raise FloatingPointError naming the first such column."""
     q = quadrature_order(spec.level, q)
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
@@ -236,25 +250,28 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
     split = _separable_samples(sym, spec, points)
     if split is None:
-        scale, sample = np.ones(size), symbol_sampler(sym, points)
-        order, column_bytes = np.arange(size), 8 * q**spec.dim
+        sample, order = symbol_sampler(sym, points), None
+        step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
     else:
-        scale, b = split
-        sample = lambda block: b
-        order = np.lexsort(spec.array.T)  # columns sharing tails of nu share chunks
-        column_bytes = 8 * (spec.level + 1)**spec.dim
-    step = max(1, _CHUNK_BYTES // column_bytes)
+        sample, order = (lambda block: split[1]), np.lexsort(spec.array.T)  # tails are runs
+        step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1)**spec.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for start in range(0, size, step):
-            cols = order[start:start + step]
+            cols = slice(start, start + step) if order is None else order[start:start + step]
             block = spec.array[cols]
             values = sample(block).reshape((-1,) + (q,) * spec.dim)
             if matrix:
-                entries[:, cols] = _contract(values, row, row, block)[:, box].T * scale[cols]
+                entries[:, cols] = _contract(values, row, row, block)[:, box].T
             if columns:
-                linear[cols] = scale[cols] * _diagonal_sums(values, diag, block)
-                squared[cols] = (np.square(scale[cols])
-                                 * _diagonal_sums(np.square(values), diag, block))
+                linear[cols] = _diagonal_sums(values, diag, block)
+                squared[cols] = _diagonal_sums(np.square(values), diag, block)
+        if split is not None:  # column nu times a(nu)
+            a = split[0]
+            if matrix:
+                entries *= a
+            if columns:
+                linear *= a
+                squared *= np.square(a)
     if matrix:
         _check_finite(f"the order-{q} matrix", entries, spec)
     if columns:

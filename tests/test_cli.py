@@ -210,6 +210,19 @@ def test_a_product_of_finite_factors_that_overflows_keeps_its_message(tmp_path, 
     assert not out.exists()
 
 
+def test_a_split_symbol_is_judged_finite_on_a_times_b(tmp_path):
+    # evaluated left to right, 1e307*x1^2 overflows at the outer nodes; split,
+    # it is a = 1e307*1e-307 and b = x1^2, finite everywhere
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "1e307*x1^2*1e-307"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "trace", "--symbol", str(path), "--level", "3")
+    assert code == 0
+    # the trace of x1^2 over phi_0..phi_3 is 1/2 + 3/2 + 5/2 + 7/2
+    assert json.loads(out.read_text())["matrix_trace"] == pytest.approx(8.0, rel=1e-14)
+
+
 def test_reports_are_byte_identical(tmp_path):
     args = ("criteria", "--builtin", "heat", "--param", "t=1", "--dim", "1",
             "--level", "25", "--r", "1,2")

@@ -213,6 +213,8 @@ EQUIVALENCE_CASES = {
     # nu2 inside the denominator: sampled per column
     "2d-non-separable": (parse_symbol("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2), 7, 16),
     "2d-negated": (parse_symbol("-exp(-0.2*absnu)*(1+0.5*x1^2)/(1+x2^2)", 2), 7, 16),
+    # shares partial sums over three nested index tails
+    "4d-nu": (parse_symbol("(2+nu4)*x1*x2^2/(1+0.3*x3^2+0.5*x4^2)", 4), 3, 7),
 }
 # the cases that do not split into a(nu) b(x), so sample m once per column
 PER_COLUMN_CASES = {"3d-nu", "1d-table", "2d-non-separable"}
