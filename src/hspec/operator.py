@@ -122,34 +122,43 @@ def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
             t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
         return t.reshape(c, -1)
     out = np.empty((c, rows**n))
-
-    def descend(t: np.ndarray, lo: int, hi: int, j: int) -> None:
-        # t, (P, q), holds [a_{j+2}..a_n, x_1..x_{j+1}] for the run lo:hi
-        ks, starts = np.unique(block[lo:hi, j], return_index=True)
-        ends = np.append(starts[1:], hi - lo) + lo
-        # per kid: a scaled operand and the sums, at most (rows + q) len(t) values
-        group = max(1, _CHUNK_BYTES // (8 * (rows + q) * len(t)))
-        for s in range(0, len(ks), group):
-            k = ks[s:s + group]
-            # a view, not a copy; a run's ks are consecutive in a truncation, so
-            # the span wastes no kid
-            span = slice(k[0], k[-1] + 1)
-            # kids[k, a, p] = sum_x weights[k, x] row[a, x] t[p, x] as one GEMM,
-            # scaling the smaller of row and t (t is smaller only in 1-D, as one row)
-            if rows <= len(t):
-                kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
-                kids = kids.reshape(-1, rows, len(t))
-            else:
-                kids = (t * weights[span, None, :]).reshape(-1, q) @ row.T
-                kids = kids.reshape(-1, len(t), rows).transpose(0, 2, 1)
-            if j == 0:
-                out[starts[s:s + group] + lo] = kids.reshape(len(kids), -1)[k - k[0]]
-                continue
-            for i, start, end in zip(k - k[0], starts[s:s + group] + lo, ends[s:s + group]):
-                descend(kids[i].reshape(-1, q), start, end, j - 1)
-
-    descend(values.reshape(-1, q), 0, c, n - 1)
+    _descend(values.reshape(-1, q), row, weights, block, out, 0, c, n - 1)
     return out
+
+
+def _descend(t: np.ndarray, row: np.ndarray, weights: np.ndarray, block: np.ndarray,
+             out: np.ndarray, lo: int, hi: int, j: int) -> None:
+    """One step of _contract's walk over the tails: t, (P, q), holds
+    [a_{j+2}..a_n, x_1..x_{j+1}] for the columns lo:hi, which share
+    block[:, j+1:]; contract x_{j+1} once per distinct block[c, j] and recurse,
+    or write the rows of out at j = 0.
+
+    Not nested in _contract: a nested function that calls itself is a
+    reference cycle, and would keep out alive until the cyclic garbage
+    collector next runs."""
+    q, rows = row.shape[1], row.shape[0]
+    ks, starts = np.unique(block[lo:hi, j], return_index=True)
+    ends = np.append(starts[1:], hi - lo) + lo
+    # per kid: a scaled operand and the sums, at most (rows + q) len(t) values
+    group = max(1, _CHUNK_BYTES // (8 * (rows + q) * len(t)))
+    for s in range(0, len(ks), group):
+        k = ks[s:s + group]
+        # a view, not a copy; a run's ks are consecutive in a truncation, so
+        # the span wastes no kid
+        span = slice(k[0], k[-1] + 1)
+        # kids[k, a, p] = sum_x weights[k, x] row[a, x] t[p, x] as one GEMM,
+        # scaling the smaller of row and t (t is smaller only in 1-D, as one row)
+        if rows <= len(t):
+            kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
+            kids = kids.reshape(-1, rows, len(t))
+        else:
+            kids = (t * weights[span, None, :]).reshape(-1, q) @ row.T
+            kids = kids.reshape(-1, len(t), rows).transpose(0, 2, 1)
+        if j == 0:
+            out[starts[s:s + group] + lo] = kids.reshape(len(kids), -1)[k - k[0]]
+            continue
+        for i, start, end in zip(k - k[0], starts[s:s + group] + lo, ends[s:s + group]):
+            _descend(kids[i].reshape(-1, q), row, weights, block, out, start, end, j - 1)
 
 
 def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -247,6 +248,20 @@ def test_only_symbols_that_do_not_split_are_sampled_per_column(monkeypatch, case
                         lambda *args: sampled.append(args) or symbol_sampler(*args))
     assemble_matrix(sym, TruncationSpec(sym.dim, min(level, 4)), q=q, doubling_check=False)
     assert bool(sampled) == (case in PER_COLUMN_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_assembly_leaves_no_reference_cycles(case):
+    # what a pass allocates is freed when it returns, not whenever the cyclic
+    # garbage collector next runs, so peak memory does not depend on its timing
+    sym, level, q = EQUIVALENCE_CASES[case]
+    gc.collect()
+    gc.disable()
+    try:
+        assemble_matrix(sym, TruncationSpec(sym.dim, level), q=q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _factor_products(dim: int):
