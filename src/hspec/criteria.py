@@ -62,13 +62,28 @@ class CriterionVerdict:
         }
 
 
-def shell_partition(spec: TruncationSpec, terms: np.ndarray) -> list[tuple[int, float]]:
-    """Group per-index terms (enumeration order) into per-shell fsum totals."""
+def _fsum(what: str, values) -> float:
+    """math.fsum of values; a total that overflows, where fsum itself would
+    raise a bare OverflowError, raises FloatingPointError naming what."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise FloatingPointError(f"{what} overflows")
+    return total
+
+
+def shell_partition(spec: TruncationSpec, terms: np.ndarray,
+                    what: str = "the sum") -> list[tuple[int, float]]:
+    """Group per-index terms (enumeration order) into per-shell fsum totals;
+    a total that overflows raises FloatingPointError naming what and the shell."""
     terms = np.asarray(terms, dtype=float)
     if terms.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} terms, got {terms.shape}")
     o = spec.offsets
-    return [(s, math.fsum(terms[o[s]:o[s + 1]])) for s in range(spec.level + 1)]
+    return [(s, _fsum(f"{what} over shell {s}", terms[o[s]:o[s + 1]]))
+            for s in range(spec.level + 1)]
 
 
 def classify_tail(shells: list[tuple[int, float]], dim: int) -> tuple[str, dict]:
@@ -95,14 +110,14 @@ def classify_tail(shells: list[tuple[int, float]], dim: int) -> tuple[str, dict]
 
 def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
              parameters: dict, extras: dict | None = None) -> CriterionVerdict:
-    shells = shell_partition(spec, terms)
+    shells = shell_partition(spec, terms, f"the {name} sum")
     flag, fit = classify_tail(shells, spec.dim)
     merged = dict(fit)
     if extras:
         merged.update(extras)
     return CriterionVerdict(
         criterion=name,
-        partial_sum=math.fsum(v for _, v in shells),
+        partial_sum=_fsum(f"the {name} sum", (v for _, v in shells)),
         shells=shells,
         tail_flag=flag,
         parameters=parameters,
@@ -125,7 +140,7 @@ def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
     extras = {}
     if m is not None:
         fro2 = float(np.sum(m.entries**2))
-        direct = math.fsum(terms)
+        direct = _fsum("the HS-iff sum", terms)
         extras["frobenius_squared"] = fro2
         extras["relative_gap"] = abs(fro2 - direct) / direct if direct > 0 else 0.0
     return _verdict("HS-iff", spec, terms, {}, extras)
@@ -194,7 +209,8 @@ def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
             f"sigma > n(1/r - 1/2) = {bound}"
         )
     lam = 2.0 * spec.array.sum(axis=1) + spec.dim
-    terms = lam ** (2.0 * sigma) * squared
+    with np.errstate(over="ignore", invalid="ignore"):  # the shell sums name it
+        terms = lam ** (2.0 * sigma) * squared
     return _verdict("Sr-sigma", spec, terms, {"r": r, "sigma": sigma})
 
 

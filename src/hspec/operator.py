@@ -11,12 +11,14 @@ m(x, nu) phi_nu(x) phi_mu(x) is the sum over the tensor Gauss-Hermite grid of
 m(x, nu) prod_j B[nu_j, x_j] B[mu_j, x_j] with the rule's bounded basis table
 B[k, i] = sqrt(w_i) h_k(x_i), h_k = phi_k e^(x^2/2).
 
-A symbol whose top-level product splits as m(x, nu) = a(nu) b(x)
-(symbol.separate) has M = G diag(a), with G the matrix of b.  Then b is
-sampled once on the grid, and the partial sum over x_{j+1}, ..., x_n, which
-depends on nu only through (nu_{j+1}, ..., nu_n), is formed once per such
-tail and shared by all columns below it.  Any other symbol is sampled and
-contracted column by column.
+Every symbol is assembled the same way: a chunk of columns is sampled,
+contracted, and each column scaled by one factor.  A symbol whose top-level
+product splits as m(x, nu) = a(nu) b(x) (symbol.separate) has M = G diag(a),
+with G the matrix of b: b is sampled once on the grid for all columns, and
+the factor of column nu is a(nu).  From 2-D up, the partial sum over
+x_{j+1}, ..., x_n, which depends on nu only through (nu_{j+1}, ..., nu_n),
+is then formed once per such tail and shared by all columns below it.  Any
+other symbol is sampled per chunk of columns, with factor 1.
 """
 
 from __future__ import annotations
@@ -102,23 +104,24 @@ _CHUNK_BYTES = 8 * 2**20
 
 def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
               block: np.ndarray) -> np.ndarray:
-    """Sum factorization: sum over the grid of values[c, x] times
+    """Sum factorization: sum over the grid of values[c|0, x] times
     prod_j weights[block[c, j], x_j] row[a_j, x_j], one axis at a time, as a
     (c, (N+1)^n) block over the box a in [0, N]^n in row-major order.
 
-    values has shape (c|1, q, ..., q) and block shape (c, n).  Values of one
-    row for several columns, sampled once for all of them, need distinct rows
-    of block sorted by (block[:, n-1], ..., block[:, 0]); they are contracted
-    depth first over the tails (block[c, j], ..., block[c, n-1]): the partial
-    sum over x_{j+1..n} is formed once per distinct tail and shared by the
-    columns below it."""
+    values holds c or 1 rows of q^n samples, block has shape (c, n).  One row
+    for several columns, sampled once for all of them, needs distinct rows of
+    block sorted by (block[:, n-1], ..., block[:, 0]).  From 2-D up it is
+    contracted depth first over the tails (block[c, j], ..., block[c, n-1]):
+    the partial sum over x_{j+1..n} is formed once per distinct tail and
+    shared by the columns below it.  c rows, or one row in 1-D, where it
+    broadcasts, are contracted column by column."""
     c, n = block.shape
     q, rows = row.shape[1], row.shape[0]
-    if len(values) == c:
+    if len(values) == c or n == 1:
         t = values
         for j in reversed(range(n)):
             # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
-            t = t.reshape(c, -1, q) * weights[block[:, j], None, :]
+            t = t.reshape(len(t), -1, q) * weights[block[:, j], None, :]
             t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
         return t.reshape(c, -1)
     out = np.empty((c, rows**n))
@@ -139,7 +142,7 @@ def _descend(t: np.ndarray, row: np.ndarray, weights: np.ndarray, block: np.ndar
     q, rows = row.shape[1], row.shape[0]
     ks, starts = np.unique(block[lo:hi, j], return_index=True)
     ends = np.append(starts[1:], hi - lo) + lo
-    # per kid: a scaled operand and the sums, at most (rows + q) len(t) values
+    # per kid: the scaled basis rows and the sums, at most (rows + q) len(t) values
     group = max(1, _CHUNK_BYTES // (8 * (rows + q) * len(t)))
     for s in range(0, len(ks), group):
         k = ks[s:s + group]
@@ -147,13 +150,9 @@ def _descend(t: np.ndarray, row: np.ndarray, weights: np.ndarray, block: np.ndar
         # the span wastes no kid
         span = slice(k[0], k[-1] + 1)
         # kids[k, a, p] = sum_x weights[k, x] row[a, x] t[p, x] as one GEMM,
-        # scaling the smaller of row and t (t is smaller only in 1-D, as one row)
-        if rows <= len(t):
-            kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
-            kids = kids.reshape(-1, rows, len(t))
-        else:
-            kids = (t * weights[span, None, :]).reshape(-1, q) @ row.T
-            kids = kids.reshape(-1, len(t), rows).transpose(0, 2, 1)
+        # scaling the basis rows, no more than t's from 2-D up (1-D never gets here)
+        kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
+        kids = kids.reshape(-1, rows, len(t))
         if j == 0:
             out[starts[s:s + group] + lo] = kids.reshape(len(kids), -1)[k - k[0]]
             continue
@@ -192,11 +191,14 @@ def _grid(spec: TruncationSpec, q: int):
     return rule, points.reshape(spec.dim, -1).T, box
 
 
-def _separable_samples(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
-    """(a, b), the values of m(x, nu) = a(nu) b(x) at the truncation's indices
-    and at the points, when m splits (symbol.separate) and every a(nu) b(x) is
-    finite: that holds iff max|a| max|b| is finite.  Else None, and the
-    per-column path samples m and names its first non-finite value.
+def _sampler(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
+    """(sample, shared): sample(cols) gives the values of the columns cols at
+    the points and one factor per column that scales their sums.
+
+    When m splits (symbol.separate) and every a(nu) b(x) is finite, which
+    holds iff max|a| max|b| is finite, the sample is shared: b's single row
+    and the factors a[cols].  Else the values are m's own, sampled per column
+    by symbol_sampler, with factor 1, and the first non-finite value is named.
 
     Finiteness is judged on the products a(nu) b(x), not on the steps of m's
     own order of evaluation, which the split regroups: 1e307*x1^2*1e-307 is
@@ -204,15 +206,17 @@ def _separable_samples(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray
     and exp(-500*nu1)*(1e200*(1+x1^2))*exp(-500*nu1) has a = 0 for nu1 >= 1,
     where m's order keeps values near 5e-235 (1+x1^2)."""
     split = separate(sym)
-    if split is None:
-        return None
-    try:
-        a = multiplier_value(split[0], spec.array)
-        b = eval_symbol(split[1], points, spec.array[:1])
-    except SymbolEvalError:
-        return None
+    if split is not None:
+        try:
+            a = multiplier_value(split[0], spec.array)
+            b = eval_symbol(split[1], points, spec.array[:1])
+        except SymbolEvalError:
+            split = None
     with np.errstate(over="ignore"):
-        return (a, b) if np.isfinite(np.abs(a).max() * np.abs(b).max()) else None
+        if split is not None and np.isfinite(np.abs(a).max() * np.abs(b).max()):
+            return (lambda cols: (b, a[cols])), True
+    sample = symbol_sampler(sym, points)
+    return (lambda cols: (sample(spec.array[cols]), 1.0)), False
 
 
 def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
@@ -237,50 +241,39 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     factored form: B[nu_j] scales the samples and B contracts them; the
     column integrals reduce the samples against B[nu_j]^2.
 
-    A separable symbol m = a(nu) b(x) samples b once on the grid and
-    contracts it as above, each partial sum shared by the columns with the
-    same tail (nu_{j+1}, ..., nu_n), in chunks of columns in that order;
-    column nu of the result is scaled by a(nu), and the column integrals are
-    a(nu) sum b B^2 and a(nu)^2 sum b^2 B^2.  Its finiteness is judged on
-    a(nu) b(x), not on m's order of evaluation (_separable_samples).  Any
-    other symbol is sampled once per chunk of columns in enumeration order.
-    Sums that overflow raise FloatingPointError naming the first such column."""
+    Each chunk of columns is sampled (_sampler), contracted, and column nu
+    scaled by its factor f(nu); the column integrals are f sum v B^2 and
+    f^2 sum v^2 B^2 of the values v.  A shared sample takes the columns in
+    tail order (nu_n, ..., nu_1), so each tail is a run; any other in
+    enumeration order, so the first non-finite value named is the first
+    column's.  Sums that overflow raise FloatingPointError naming the first
+    such column."""
     q = quadrature_order(spec.level, q)
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
     if sym.is_multiplier:
         diag = multiplier_value(sym, spec.array)
-        return q, diag, (diag, diag**2)
+        with np.errstate(over="ignore"):  # an m^2 that overflows is named where it is summed
+            return q, diag, (diag, diag**2)
     rule, points, box = _grid(spec, q)
     row = rule.basis[:spec.level + 1]
     diag = row * row
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    split = _separable_samples(sym, spec, points)
-    if split is None:
-        sample, order = symbol_sampler(sym, points), None
-        step = max(1, _CHUNK_BYTES // (8 * q**spec.dim))
-    else:
-        sample, order = (lambda block: split[1]), np.lexsort(spec.array.T)  # tails are runs
-        step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1)**spec.dim))
+    sample, shared = _sampler(sym, spec, points)
+    order = np.lexsort(spec.array.T) if shared else np.arange(size)
+    step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else q)**spec.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for start in range(0, size, step):
-            cols = slice(start, start + step) if order is None else order[start:start + step]
+            cols = order[start:start + step]
             block = spec.array[cols]
-            values = sample(block).reshape((-1,) + (q,) * spec.dim)
+            values, factor = sample(cols)
             if matrix:
-                entries[:, cols] = _contract(values, row, row, block)[:, box].T
+                entries[:, cols] = _contract(values, row, row, block)[:, box].T * factor
             if columns:
-                linear[cols] = _diagonal_sums(values, diag, block)
-                squared[cols] = _diagonal_sums(np.square(values), diag, block)
-        if split is not None:  # column nu times a(nu)
-            a = split[0]
-            if matrix:
-                entries *= a
-            if columns:
-                linear *= a
-                squared *= np.square(a)
+                linear[cols] = _diagonal_sums(values, diag, block) * factor
+                squared[cols] = _diagonal_sums(np.square(values), diag, block) * (factor * factor)
     if matrix:
         _check_finite(f"the order-{q} matrix", entries, spec)
     if columns:

@@ -33,6 +33,9 @@ from .operator import OperatorMatrix, assemble_matrix, column_integrals
 from .symbol import SymbolSpec
 
 IMAG_RESIDUAL_TOL = 1e-8
+# what _fsum names when the sum of the column integrals overflows
+_TRACE_SUM = "the trace formula sum of the integrals of m phi_nu^2"
+_HS_SUM = "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"
 
 
 def _finite(m) -> np.ndarray:
@@ -41,6 +44,18 @@ def _finite(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def _fsum(what: str, values) -> float:
+    """math.fsum of values; a total that overflows, where fsum itself would
+    raise a bare OverflowError, raises FloatingPointError naming what."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise FloatingPointError(f"{what} overflows")
+    return total
 
 
 def _blocks(m, a: np.ndarray) -> list[np.ndarray]:
@@ -72,7 +87,7 @@ def schatten_sum(sv, r: float) -> float:
     """Raw sum of sigma_i^r over the singular values, exactly rounded."""
     if not 0 < r < math.inf:
         raise ValueError(f"Schatten order must be positive and finite, got {r}")
-    return math.fsum(abs_powers(sv, r))
+    return _fsum(f"the Schatten sum of order {r!r}", abs_powers(sv, r))
 
 
 def schatten_norm(sv, r: float) -> float:
@@ -119,14 +134,14 @@ def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -
 
     These integrals are exactly the diagonal entries of the assembled matrix.
     """
-    return math.fsum(column_integrals(sym, spec, q, squared=False))
+    return _fsum(_TRACE_SUM, column_integrals(sym, spec, q, squared=False))
 
 
 def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
     """Truncated Hilbert-Schmidt criterion sum: sum of the integrals of
     |m(x,nu)|^2 phi_nu(x)^2 (the squared HS norm of T_m before truncation
     loss)."""
-    return math.fsum(column_integrals(sym, spec, q, squared=True))
+    return _fsum(_HS_SUM, column_integrals(sym, spec, q, squared=True))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +198,9 @@ def build_report(
         quad_order=m.quad_order,
         singular_values=sv,
         matrix_trace=m.trace(),
-        formula_trace=math.fsum(m.column_integrals(squared=False)),
+        formula_trace=_fsum(_TRACE_SUM, m.column_integrals(squared=False)),
         spectral_trace=spectral_trace(m),
-        hs_direct=math.fsum(m.column_integrals(squared=True)),
+        hs_direct=_fsum(_HS_SUM, m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
         worst_column=m.worst_column,

@@ -196,6 +196,46 @@ def test_overflowing_sums_of_a_finite_symbol_exit_3_with_one_line(tmp_path, caps
     assert not out.exists()
 
 
+SUM_OVERFLOW = "1.2e153*(1+0.000001*x1^2)"  # every m^2 column integral is about 1.4e306
+
+
+@pytest.mark.parametrize("dim, args, message", [
+    (1, ("converge", "--quantity", "hs", "--level", "100,200"),
+     "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2 overflows"),
+    # the weight (2|nu|+1)^(2 sigma) times one column integral leaves the range
+    (1, ("criteria", "--level", "200", "--r", "1.5"), "the Sr-sigma sum over shell 19 overflows"),
+    # above 512 basis functions HS-iff reads the column integrals alone
+    (2, ("criteria", "--level", "40", "--r", "2"), "the HS-iff sum overflows"),
+    # the weights (2|nu|+1)^400 alone leave the range
+    (None, ("criteria", "--builtin", "power", "--param", "sigma=0.5", "--dim", "1",
+            "--level", "10", "--r", "1.5", "--sigma", "200"),
+     "the Sr-sigma sum over shell 3 overflows"),
+], ids=["converge-hs", "criteria-sr-sigma", "criteria-hs", "sr-sigma-weights"])
+def test_overflowing_reported_sums_name_the_quantity(tmp_path, capsys, dim, args, message):
+    if dim is not None:
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": "expression", "dim": dim, "expr": SUM_OVERFLOW}))
+        args = (*args, "--symbol", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, *args)
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+def test_positivity_refusal_of_a_symmetric_matrix_exits_2(tmp_path, capsys):
+    # x1^2 - 1 claims positivity; its symmetric matrix has an eigenvalue near -0.9
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "x1^2-1",
+                                "positive_selfadjoint": True}))
+    code, out = run(tmp_path, "criteria", "--symbol", str(path), "--level", "10", "--r", "1")
+    assert code == 2
+    assert capsys.readouterr().err == ("error: positivity check failed: smallest eigenvalue "
+                                       "-9.013e-01 below -1e-08 * ||M||\n")
+    assert not out.exists()
+
+
 def test_a_product_of_finite_factors_that_overflows_keeps_its_message(tmp_path, capsys):
     # e^(200 nu1) and 1e200 + x1^2 are finite, their product is not at nu1 = 2
     path = tmp_path / "sym.json"
@@ -277,7 +317,10 @@ def test_undefined_multiplier_exits_2(tmp_path, capsys):
     {"kind": "builtin", "dim": 1, "params": {"t": 1}},
     {"kind": "builtin", "dim": 0, "family": "heat", "params": {"t": 1}},
     {"kind": "table", "dim": 1},
-], ids=["no-expr", "null-dim", "string-dim", "list-params", "no-family", "dim-0", "no-table"])
+    [{"kind": "expression", "dim": 1, "expr": "x1"}],
+    {"kind": "expression", "dim": 1, "expr": 5},
+], ids=["no-expr", "null-dim", "string-dim", "list-params", "no-family", "dim-0", "no-table",
+        "not-a-mapping", "number-expr"])
 def test_malformed_symbol_documents_exit_2(tmp_path, capsys, doc):
     sym = tmp_path / "sym.json"
     sym.write_text(json.dumps(doc))
@@ -286,12 +329,16 @@ def test_malformed_symbol_documents_exit_2(tmp_path, capsys, doc):
 
 
 def test_non_finite_report_exits_3(tmp_path, capsys):
-    # the weights lam^(2 sigma) of the Sr-sigma sum overflow, so the report has inf
-    with np.errstate(all="ignore"):
-        code, out = run(tmp_path, "criteria", "--builtin", "power", "--param", "sigma=0.5",
-                        "--dim", "1", "--level", "10", "--r", "1.5", "--sigma", "200")
+    # the trace formula is 1e308 at level 0 and -1.5e308 at level 2, both
+    # finite; their difference is not, so the report has -inf
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1,
+                                "expr": "1e308*(1-2.25*min(absnu,1))"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "converge", "--symbol", str(path), "--level", "0,2")
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == "numerical failure: the report has non-finite values\n"
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
+from hspec.criteria import shell_partition
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
@@ -128,6 +129,12 @@ def test_sr_small_range_validation():
         check_sr_small(HEAT, TruncationSpec(1, 10), r=1.5)
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 0.5])
+def test_sr_sigma_range_validation(r):
+    with pytest.raises(ValueError, match=r"r must lie in \(1, 2\)"):
+        check_sr_sigma(HEAT, TruncationSpec(1, 10), r=r)
+
+
 def test_sr_sigma_heat():
     v = check_sr_sigma(HEAT, TruncationSpec(1, 40), r=1.5, sigma=1.0)
     assert v.tail_flag == "converging"
@@ -223,6 +230,28 @@ def test_classify_tail_boundary():
     assert classify_tail(shells, 1)[0] == "converging"
     shells = [(s, (2.0 * s + 1.0) ** -1.1) for s in range(200)]
     assert classify_tail(shells, 1)[0] == "inconclusive"
+
+
+def test_classify_tail_with_too_few_positive_tail_shells():
+    shells = [(s, 1.0 if s in (5, 7) else -1e-20) for s in range(8)]
+    flag, fit = classify_tail(shells, 1)
+    assert flag == "inconclusive"
+    assert fit == {"fit_slope": None, "growth_exponent": None,
+                   "note": "too few positive tail shells to fit"}
+
+
+def test_shell_partition_needs_one_term_per_index():
+    spec = TruncationSpec(2, 3)
+    with pytest.raises(ValueError, match="expected 10 terms"):
+        shell_partition(spec, np.ones(spec.size - 1))
+
+
+def test_a_shell_sum_that_overflows_names_the_sum_and_the_shell():
+    # every term is finite; shell 1 holds two of them, whose total is not
+    spec = TruncationSpec(2, 2)
+    terms = np.full(spec.size, 1e308)
+    with pytest.raises(FloatingPointError, match="^the HS-iff sum over shell 1 overflows$"):
+        shell_partition(spec, terms, "the HS-iff sum")
 
 
 def test_verdict_reproducibility():

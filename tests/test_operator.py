@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import warnings
 
@@ -211,14 +212,15 @@ EQUIVALENCE_CASES = {
         (k,): (1.0 + k) / (1.0 + _TABLE_GRID**2) for k in range(7)}), 6, 14),
     # extreme nodes near 38.2, where e^(x^2/2) alone overflows
     "1d-level-700": (parse_symbol("exp(-0.01*absnu)/(1+x1^2)", 1), 700, 732),
-    # nu2 inside the denominator: sampled per column
+    # nu inside the denominator: sampled per column
+    "1d-non-separable": (parse_symbol("1/(1+(1+0.1*nu1)*x1^2)", 1), 12, 30),
     "2d-non-separable": (parse_symbol("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2), 7, 16),
     "2d-negated": (parse_symbol("-exp(-0.2*absnu)*(1+0.5*x1^2)/(1+x2^2)", 2), 7, 16),
     # shares partial sums over three nested index tails
     "4d-nu": (parse_symbol("(2+nu4)*x1*x2^2/(1+0.3*x3^2+0.5*x4^2)", 4), 3, 7),
 }
 # the cases that do not split into a(nu) b(x), so sample m once per column
-PER_COLUMN_CASES = {"3d-nu", "1d-table", "2d-non-separable"}
+PER_COLUMN_CASES = {"3d-nu", "1d-table", "1d-non-separable", "2d-non-separable"}
 
 
 @pytest.mark.parametrize("columns", [None, 3, 0], ids=["one-chunk", "chunked", "column-by-column"])
@@ -262,6 +264,20 @@ def test_assembly_leaves_no_reference_cycles(case):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_shared_one_dimensional_row_contracts_as_that_row_repeated():
+    # in 1-D one row of samples broadcasts over the columns: the same
+    # contraction, bit for bit, as the row repeated once per column
+    spec, q = TruncationSpec(1, 9), 20
+    rule = gauss_hermite_rule(q)
+    row, block = rule.basis[:spec.level + 1], spec.array
+    shared = (1.0 / (1.0 + rule.nodes**2))[None, :]
+    repeated = np.repeat(shared, spec.size, axis=0)
+    assert np.array_equal(operator._contract(shared, row, row, block),
+                          operator._contract(repeated, row, row, block))
+    assert np.array_equal(operator._diagonal_sums(shared, row * row, block),
+                          operator._diagonal_sums(repeated, row * row, block))
 
 
 def _factor_products(dim: int):
@@ -476,3 +492,14 @@ def test_csv_export(tmp_path):
     loaded = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
     assert np.array_equal(loaded, m.entries)
     assert (tmp_path / "mat.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("sym, described", [
+    (parse_symbol("exp(-absnu)/(1+x1^2)", 1), "expression 'exp(-absnu)/(1+x1^2)'"),
+    (table_symbol(1, [_TABLE_GRID], {(k,): 1.0 / (1.0 + _TABLE_GRID**2) for k in range(4)}),
+     "tabulated grid"),
+], ids=["expression", "table"])
+def test_csv_sidecar_describes_the_symbol(tmp_path, sym, described):
+    path = tmp_path / "mat.csv"
+    export_matrix_csv(assemble_matrix(sym, TruncationSpec(1, 3), q=12), str(path))
+    assert json.loads((tmp_path / "mat.csv.meta.json").read_text())["symbol"] == described

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,3 +244,20 @@ def test_a_symbol_without_an_invariant_flip_is_one_block():
     assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], np.arange(m.size))
     assert np.array_equal(singular_values(m), singular_values(m.values))
     assert spectral_trace(m) == spectral_trace(m.values)
+
+
+@pytest.mark.parametrize("text, level, reader, message", [
+    # a multiplier's values are its column integrals: 31 of them at 1e307
+    ("1e307+0*absnu", 30, trace_formula, "the trace formula sum of the integrals of m phi_nu^2"),
+    ("1.2e153*(1+0.000001*x1^2)", 200, hilbert_schmidt_direct,
+     "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"),
+    # m^2 = 1e400 is not finite, and is named where it is summed
+    ("1e200+0*absnu", 3, hilbert_schmidt_direct,
+     "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"),
+], ids=["trace-formula", "hs-direct", "hs-direct-multiplier"])
+def test_a_sum_of_column_integrals_that_overflows_is_named(text, level, reader, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as raised:
+            reader(parse_symbol(text, 1), TruncationSpec(1, level))
+    assert str(raised.value) == f"{message} overflows"

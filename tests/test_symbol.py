@@ -331,6 +331,17 @@ def test_table_symbol_2d():
     assert eval_symbol(s, (0.5, -0.5), MultiIndex((0, 0))) == pytest.approx(0.52, abs=1e-12)
 
 
+@pytest.mark.parametrize("grids, message", [
+    ([np.linspace(-1, 1, 5)], "need 2 coordinate grids, got 1"),
+    ([np.linspace(-1, 1, 5), np.array([0.0, 1.0, 1.0])], "strictly increasing"),
+    ([np.linspace(-1, 1, 5), np.array([0.0])], "length >= 2"),
+    ([np.linspace(-1, 1, 5), np.zeros((2, 2))], "1-D array"),
+], ids=["one-grid-for-two-coordinates", "repeated-node", "one-node", "two-dimensional-grid"])
+def test_table_symbol_checks_its_grids(grids, message):
+    with pytest.raises(ValueError, match=message):
+        table_symbol(2, grids, {})
+
+
 def test_json_round_trip(tmp_path):
     for spec in (
         builtin_symbol("heat", 1, t=2.0),
