@@ -45,6 +45,7 @@ from .operator import (
 from .schatten import (
     SchattenReport,
     build_report,
+    compare_traces,
     hilbert_schmidt_direct,
     schatten_norm,
     schatten_sum,

@@ -22,7 +22,7 @@ from .criteria import CriterionPreconditionError, criteria
 from .hermite import gauss_hermite_rule, quadrature_order
 from .multiindex import TruncationSpec
 from .operator import assemble_matrix
-from .schatten import build_report, hilbert_schmidt_direct, spectral_trace, trace_formula
+from .schatten import build_report, compare_traces, hilbert_schmidt_direct, trace_formula
 from .symbol import SymbolError, SymbolSpec, builtin_symbol, load_symbol, symbol_to_dict
 
 SCHEMA_VERSION = 1
@@ -168,9 +168,7 @@ def cmd_trace(args) -> int:
         _warn_worst_column(m.worst_column)
     _emit(_report(
         args, sym,
-        formula_trace=math.fsum(m.column_integrals(squared=False)),
-        spectral_trace=spectral_trace(m),
-        matrix_trace=m.trace(),
+        **compare_traces(m),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
     ), args)

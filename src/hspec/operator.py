@@ -18,7 +18,10 @@ with G the matrix of b: b is sampled once on the grid for all columns, and
 the factor of column nu is a(nu).  From 2-D up, the partial sum over
 x_{j+1}, ..., x_n, which depends on nu only through (nu_{j+1}, ..., nu_n),
 is then formed once per such tail and shared by all columns below it.  Any
-other symbol is sampled per chunk of columns, with factor 1.
+other symbol is sampled per chunk of columns, with factor 1.  G is
+symmetric, so when every a(nu) is positive M is similar to the symmetric
+diag(sqrt(a)) G diag(sqrt(a)), and the operator keeps sqrt(a) for the
+spectral stage.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class OperatorMatrix:
     the blocks values[b, b].
     worst_column is the nu whose column moved most between the order-q and
     order-2q matrices, with its relative change (None without the check).
+    symmetrizer is d = sqrt(a(nu)) when the symbol splits as a(nu) b(x)
+    (symbol.separate) with every a(nu) a positive normal float, else None:
+    then values = G diag(a) with G symmetric, and diag(d) values diag(d)^-1
+    = diag(d) G diag(d) is symmetric with the same eigenvalues.
     """
 
     spec: TruncationSpec
@@ -61,6 +68,7 @@ class OperatorMatrix:
     columns: tuple[np.ndarray, np.ndarray]
     blocks: tuple[np.ndarray, ...]
     worst_column: tuple[MultiIndex, float] | None = None
+    symmetrizer: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -87,7 +95,11 @@ class OperatorMatrix:
         return self.columns[squared]
 
     def trace(self) -> float:
-        return float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
+        with np.errstate(over="ignore", invalid="ignore"):  # finite values; checked below
+            total = float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
+        if not math.isfinite(total):
+            raise FloatingPointError("the matrix trace overflows")
+        return total
 
 
 @dataclass(frozen=True)
@@ -192,13 +204,14 @@ def _grid(spec: TruncationSpec, q: int):
 
 
 def _sampler(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
-    """(sample, shared): sample(cols) gives the values of the columns cols at
-    the points and one factor per column that scales their sums.
+    """(sample, a): sample(cols) gives the values of the columns cols at the
+    points and one factor per column that scales their sums.
 
     When m splits (symbol.separate) and every a(nu) b(x) is finite, which
     holds iff max|a| max|b| is finite, the sample is shared: b's single row
-    and the factors a[cols].  Else the values are m's own, sampled per column
-    by symbol_sampler, with factor 1, and the first non-finite value is named.
+    and the factors a[cols], and a is every column's a(nu).  Else the values
+    are m's own, sampled per column by symbol_sampler, with factor 1, a is
+    None, and the first non-finite value is named.
 
     Finiteness is judged on the products a(nu) b(x), not on the steps of m's
     own order of evaluation, which the split regroups: 1e307*x1^2*1e-307 is
@@ -214,9 +227,9 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
             split = None
     with np.errstate(over="ignore"):
         if split is not None and np.isfinite(np.abs(a).max() * np.abs(b).max()):
-            return (lambda cols: (b, a[cols])), True
+            return (lambda cols: (b, a[cols])), a
     sample = symbol_sampler(sym, points)
-    return (lambda cols: (sample(spec.array[cols]), 1.0)), False
+    return (lambda cols: (sample(spec.array[cols]), 1.0)), None
 
 
 def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
@@ -229,10 +242,12 @@ def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
 
 
 def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bool = True,
-                columns: bool = True) -> tuple[int, np.ndarray | None, tuple | None]:
+                columns: bool = True) -> tuple[int, np.ndarray | None, tuple | None,
+                                               np.ndarray | None]:
     """The resolved order q, then the order-q matrix and/or the column
     integrals (of m phi_nu^2, of m^2 phi_nu^2), from one sampling of the
-    symbol.
+    symbol, then the column factors a(nu) when the sample is shared, else
+    None.
 
     A multiplier's matrix is its exact diagonal m(nu) and its columns are
     (m, m^2), since phi_nu has unit norm: no quadrature.  Otherwise
@@ -254,14 +269,15 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     if sym.is_multiplier:
         diag = multiplier_value(sym, spec.array)
         with np.errstate(over="ignore"):  # an m^2 that overflows is named where it is summed
-            return q, diag, (diag, diag**2)
+            return q, diag, (diag, diag**2), None
     rule, points, box = _grid(spec, q)
     row = rule.basis[:spec.level + 1]
     diag = row * row
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    sample, shared = _sampler(sym, spec, points)
+    sample, a = _sampler(sym, spec, points)
+    shared = a is not None
     order = np.lexsort(spec.array.T) if shared else np.arange(size)
     step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else q)**spec.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -279,7 +295,7 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     if columns:
         _check_finite(f"the order-{q} quadrature sum of m phi_nu^2", linear, spec)
         _check_finite(f"the order-{q} quadrature sum of m^2 phi_nu^2", squared, spec)
-    return q, entries, (linear, squared) if columns else None
+    return q, entries, (linear, squared) if columns else None, a
 
 
 def _parity_blocks(sym: SymbolSpec, spec: TruncationSpec) -> tuple[np.ndarray, ...]:
@@ -315,12 +331,13 @@ def assemble_matrix(
     order-q pass gives the matrix and the column integrals; the matrix is
     repeated at order 2q and the relative Frobenius change recorded, overall
     and per column; an overall change above 1e-6 sets the residual warning
-    flag (the result is still returned).
+    flag (the result is still returned).  The symmetrizer sqrt(a) is read
+    from the pass whose matrix is kept.
     """
-    q, entries, columns = _discretize(sym, spec, q)
+    q, entries, columns, a = _discretize(sym, spec, q)
     residual, worst = 0.0, None
     if doubling_check and not sym.is_multiplier:
-        _, refined, _ = _discretize(sym, spec, 2 * q, columns=False)
+        _, refined, _, a = _discretize(sym, spec, 2 * q, columns=False)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             scale = np.linalg.norm(refined)
             change = refined - entries
@@ -336,8 +353,11 @@ def assemble_matrix(
         k = int(np.argmax(per_column >= (1 - 1e-9) * per_column.max()))
         worst = (spec.unrank(k), float(per_column[k]))
         entries = refined
+    # a zero, negative or subnormal a(nu) gets no symmetrizer
+    normal = a is not None and bool((a >= np.finfo(float).tiny).all())
     return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
-                          columns, _parity_blocks(sym, spec), worst)
+                          columns, _parity_blocks(sym, spec), worst,
+                          np.sqrt(a) if normal else None)
 
 
 def _basis_at(spec: TruncationSpec, x) -> np.ndarray:

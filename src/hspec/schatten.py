@@ -15,6 +15,13 @@ so the matrix is block diagonal over OperatorMatrix.blocks.  The singular
 values are the union of the blocks' and the eigenvalue sum the sum of the
 blocks' sums; one SVD and one eigensolve run per block.
 
+The eigensolve is symmetric when the operator has a symmetrizer: a symbol
+a(nu) b(x) with every a(nu) > 0 has M = G diag(a) with G symmetric, so M is
+similar to diag(d) M diag(d)^-1 = diag(d) G diag(d), d = sqrt(a), and
+eigvalsh of that block gives M's eigenvalues, all real.  It is still an
+eigen-factorization of the assembled matrix, not trace(M), so the
+comparison with the trace formula keeps its meaning.
+
 All criterion-style sums are accumulated with math.fsum in a fixed order
 (graded enumeration order of the truncation), so reports are reproducible
 bit for bit.
@@ -36,6 +43,7 @@ IMAG_RESIDUAL_TOL = 1e-8
 # what _fsum names when the sum of the column integrals overflows
 _TRACE_SUM = "the trace formula sum of the integrals of m phi_nu^2"
 _HS_SUM = "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"
+_EIGEN_SUM = "the eigenvalue sum"
 
 
 def _finite(m) -> np.ndarray:
@@ -76,11 +84,20 @@ def singular_values(m) -> np.ndarray:
     return np.sort(sv)[::-1]
 
 
+def _power(v: float, r: float) -> float:
+    # a power past the double range is inf, so the sum that reads it names itself
+    try:
+        return v ** r
+    except OverflowError:
+        return math.inf
+
+
 def abs_powers(values, r: float) -> np.ndarray:
     """|v|^r elementwise, as Python-scalar powers (the vectorized power
-    differs in the last bits), taken once per distinct |v|."""
+    differs in the last bits), taken once per distinct |v|; inf where the
+    power overflows."""
     distinct, inverse = np.unique(np.abs(np.asarray(values, dtype=float)), return_inverse=True)
-    return np.array([float(v) ** r for v in distinct])[inverse]
+    return np.array([_power(float(v), r) for v in distinct])[inverse]
 
 
 def schatten_sum(sv, r: float) -> float:
@@ -90,26 +107,41 @@ def schatten_sum(sv, r: float) -> float:
     return _fsum(f"the Schatten sum of order {r!r}", abs_powers(sv, r))
 
 
+def _root(total: float, r: float) -> float:
+    # total^(1/r), which leaves the double range for a small r
+    try:
+        return total ** (1.0 / r)
+    except OverflowError:
+        raise FloatingPointError(f"the Schatten norm of order {r!r} overflows") from None
+
+
 def schatten_norm(sv, r: float) -> float:
     """(sum sigma_i^r)^(1/r)."""
-    return schatten_sum(sv, r) ** (1.0 / r)
+    return _root(schatten_sum(sv, r), r)
 
 
 def spectral_trace(m) -> float:
     """Sum of the eigenvalues of the matrix, multiplicities included, taken
     block by block over its parity blocks.
 
-    A diagonal operator sums its entries.  A symmetric matrix takes the
-    symmetric eigensolver, any other the dense nonsymmetric one; the
-    imaginary parts must cancel to within 1e-8 * ||M|| or a warning is
-    issued.
+    A diagonal operator sums its entries.  An operator with a symmetrizer d
+    takes the symmetric eigensolver on each block d_b[:, None] * M_b /
+    d_b[None, :], divided first so that no ratio d_mu / d_nu is formed.
+    Otherwise a symmetric matrix takes the symmetric eigensolver, any other
+    the dense nonsymmetric one; the imaginary parts must cancel to within
+    1e-8 * ||M|| or a warning is issued.  A sum that overflows raises
+    FloatingPointError naming it.
     """
     a = _finite(m)
     if a.ndim == 1:
-        return math.fsum(a)
+        return _fsum(_EIGEN_SUM, a)
     blocks = _blocks(m, a)
+    d = m.symmetrizer if isinstance(m, OperatorMatrix) else None
+    if d is not None:
+        return _fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(d[b, None] * (block / d[b]))
+                                                 for b, block in zip(m.blocks, blocks)]))
     if np.allclose(a, a.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max())):
-        return math.fsum(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        return _fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     try:
         eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
@@ -122,7 +154,7 @@ def spectral_trace(m) -> float:
             f"against tolerance {IMAG_RESIDUAL_TOL * scale:.3e}",
             RuntimeWarning,
         )
-    return math.fsum(eigs.real)
+    return _fsum(_EIGEN_SUM, eigs.real)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +174,18 @@ def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None 
     |m(x,nu)|^2 phi_nu(x)^2 (the squared HS norm of T_m before truncation
     loss)."""
     return _fsum(_HS_SUM, column_integrals(sym, spec, q, squared=True))
+
+
+def compare_traces(m: OperatorMatrix) -> dict:
+    """The three traces of one assembled operator, in the order they are
+    computed: matrix_trace, formula_trace (the sum of its column integrals
+    of m phi_nu^2) and spectral_trace; a sum that overflows raises
+    FloatingPointError naming it."""
+    return {
+        "matrix_trace": m.trace(),
+        "formula_trace": _fsum(_TRACE_SUM, m.column_integrals(squared=False)),
+        "spectral_trace": spectral_trace(m),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +241,7 @@ def build_report(
         level=spec.level,
         quad_order=m.quad_order,
         singular_values=sv,
-        matrix_trace=m.trace(),
-        formula_trace=_fsum(_TRACE_SUM, m.column_integrals(squared=False)),
-        spectral_trace=spectral_trace(m),
+        **compare_traces(m),
         hs_direct=_fsum(_HS_SUM, m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
@@ -207,5 +249,5 @@ def build_report(
     )
     for r in r_values:
         report.schatten_sums[r] = schatten_sum(sv, r)
-        report.schatten_norms[r] = report.schatten_sums[r] ** (1.0 / r)
+        report.schatten_norms[r] = _root(report.schatten_sums[r], r)
     return report

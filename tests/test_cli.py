@@ -174,6 +174,32 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expr, args, message", [
+    # 496 diagonal entries of 1e307: the matrix trace is the first sum read
+    ("1e307+0*absnu", ("analyze", "--level", "30"), "the matrix trace"),
+    ("1e307+0*absnu", ("trace", "--level", "30"), "the matrix trace"),
+    # sigma = 1e110, sigma^3 leaves the double range
+    ("1e110+0*absnu", ("analyze", "--level", "5", "--r", "3"), "the Schatten sum of order 3.0"),
+    # (sum of 1326 sigma^0.01)^100
+    (None, ("analyze", "--builtin", "power", "--param", "sigma=1", "--level", "50",
+            "--r", "0.01"), "the Schatten norm of order 0.01"),
+], ids=["analyze-matrix-trace", "trace-matrix-trace", "schatten-sum", "schatten-norm"])
+def test_an_overflowing_trace_or_schatten_power_exits_3_naming_it(tmp_path, capsys, expr, args,
+                                                                   message):
+    if expr is None:
+        args = (*args, "--dim", "2")
+    else:
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": "expression", "dim": 2, "expr": expr}))
+        args = (*args, "--symbol", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, *args)
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {message} overflows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("expr, level, message", [
     # m is finite on the grid, m^2 is not; the first splits into a(nu) b(x)
     ("1e200*(1+x1^2)", "3", "the order-35 quadrature sum of m^2 phi_nu^2 overflows at nu=(0,)"),

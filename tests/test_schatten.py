@@ -10,12 +10,16 @@ from hspec import (
     build_report,
     builtin_symbol,
     column_integrals,
+    compare_traces,
     hilbert_schmidt_direct,
+    multiplier_value,
     parse_symbol,
     schatten_norm,
     schatten_sum,
+    separate,
     singular_values,
     spectral_trace,
+    table_symbol,
     trace_formula,
 )
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
@@ -238,12 +242,75 @@ def test_blocked_spectra_match_the_whole_matrix(text, dim, level, blocks):
     assert spectral_trace(m) == pytest.approx(dense, rel=1e-12)
 
 
+def _similarity_sum(m):
+    # the eigenvalue sum through diag(d) M_b diag(d)^-1, one symmetric solve per block
+    d = m.symmetrizer
+    return math.fsum(np.concatenate([
+        np.linalg.eigvalsh(d[b, None] * (m.values[np.ix_(b, b)] / d[b])) for b in m.blocks]))
+
+
+def _nonsymmetric_sum(m):
+    # the eigenvalue sum through one nonsymmetric solve per block
+    return math.fsum(np.concatenate([np.linalg.eigvals(b) for b in m.diagonal_blocks()]).real)
+
+
 def test_a_symbol_without_an_invariant_flip_is_one_block():
     m = assemble_matrix(parse_symbol("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 2),
                         TruncationSpec(2, 12))
     assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], np.arange(m.size))
     assert np.array_equal(singular_values(m), singular_values(m.values))
-    assert spectral_trace(m) == spectral_trace(m.values)
+    # a = exp(-0.3|nu|) > 0, so the eigenvalue sum is read through the similarity
+    assert spectral_trace(m) == _similarity_sum(m)
+    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.values).real),
+                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("text, dim, level", [
+    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2, 20),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, 20),
+    ("exp(-0.3*lam)*(2+0.7*x1/(1+x2^2))", 2, 20),
+    ("exp(-0.3*absnu)*x1^2/(1+0.5*x2^2+x3^2)", 3, 5),
+    ("exp(-0.01*absnu)/(1+x1^2)", 1, 150),
+], ids=["even-2d", "joint-flip-2d", "x2-flip-2d", "3d", "1d"])
+def test_a_split_symbol_with_positive_a_takes_the_similarity_solve(text, dim, level):
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    m = assemble_matrix(sym, spec)
+    assert np.array_equal(m.symmetrizer, np.sqrt(multiplier_value(separate(sym)[0], spec.array)))
+    # M = G diag(a) with G symmetric, so diag(d) M diag(d)^-1 = diag(d) G diag(d)
+    d = m.symmetrizer
+    similar = d[:, None] * (m.values / d)
+    assert np.abs(similar - similar.T).max() <= 1e-14 * np.abs(m.values).max()
+    assert spectral_trace(m) == _similarity_sum(m)
+    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.values).real),
+                                              rel=1e-12)
+
+
+def test_a_nu_free_expression_gets_a_symmetrizer_of_ones():
+    m = assemble_matrix(parse_symbol("1/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3), TruncationSpec(3, 5))
+    assert np.array_equal(m.symmetrizer, np.ones(m.size))
+    # the matrix itself is symmetric: its blocks go to the symmetric solver unchanged
+    assert spectral_trace(m) == math.fsum(
+        np.concatenate([np.linalg.eigvalsh(b) for b in m.diagonal_blocks()]))
+
+
+_GRID = np.linspace(-12.0, 12.0, 49)
+
+
+@pytest.mark.parametrize("sym, level", [
+    (parse_symbol("(nu1-2)*(1+x1^2)/(1+x2^2)", 2), 12),
+    # e^-800 is 0.0: a(nu) = 0 from |nu| = 1 on
+    (parse_symbol("exp(-800*absnu)*(1+x1^2)", 1), 20),
+    # a = (1, e^-720), and e^-720 is subnormal
+    (parse_symbol("exp(-720*absnu)*(1+x1^2)", 1), 1),
+    (parse_symbol("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2), 12),
+    (table_symbol(1, [_GRID], {(k,): (1.0 + k) / (1.0 + _GRID**2) for k in range(7)}), 6),
+], ids=["sign-changing-a", "underflowing-a", "subnormal-a", "non-separable", "table"])
+def test_other_symbols_get_no_symmetrizer_and_keep_the_nonsymmetric_solve(sym, level):
+    m = assemble_matrix(sym, TruncationSpec(sym.dim, level))
+    assert m.symmetrizer is None
+    assert spectral_trace(m) == _nonsymmetric_sum(m)
+    if len(m.blocks) == 1:
+        assert spectral_trace(m) == spectral_trace(m.values)
 
 
 @pytest.mark.parametrize("text, level, reader, message", [
@@ -260,4 +327,33 @@ def test_a_sum_of_column_integrals_that_overflows_is_named(text, level, reader, 
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError) as raised:
             reader(parse_symbol(text, 1), TruncationSpec(1, level))
+    assert str(raised.value) == f"{message} overflows"
+
+
+@pytest.mark.parametrize("reader, message", [
+    (lambda m: m.trace(), "the matrix trace"),
+    (spectral_trace, "the eigenvalue sum"),
+    (compare_traces, "the matrix trace"),
+], ids=["matrix-trace", "spectral-trace", "compare-traces"])
+def test_a_trace_of_a_diagonal_that_overflows_is_named(reader, message):
+    # 496 diagonal entries of 1e307
+    m = assemble_matrix(parse_symbol("1e307+0*absnu", 2), TruncationSpec(2, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as raised:
+            reader(m)
+    assert str(raised.value) == f"{message} overflows"
+
+
+@pytest.mark.parametrize("reader, sv, r, message", [
+    # 1e110^3 leaves the double range
+    (schatten_sum, [1e110, 1.0], 3.0, "the Schatten sum of order 3.0"),
+    # (2000 ones)^100
+    (schatten_norm, np.ones(2000), 0.01, "the Schatten norm of order 0.01"),
+], ids=["sum", "norm"])
+def test_a_schatten_power_that_overflows_is_named(reader, sv, r, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as raised:
+            reader(sv, r)
     assert str(raised.value) == f"{message} overflows"
