@@ -153,6 +153,9 @@ def cmd_analyze(args) -> int:
 def cmd_criteria(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
+    # checked for every --r: the report echoes sigma even when no criterion reads it
+    if args.sigma is not None and not math.isfinite(args.sigma):
+        raise ConfigError(f"sigma must be finite, got {args.sigma}")
     verdicts = criteria(sym, spec, args.quad, tuple(_parse_rs(args.r)), args.sigma)
     doc = _report(args, sym, verdicts=[v.to_dict() for v in verdicts])
     rows = [(v.criterion, s, val) for v in verdicts for s, val in v.shells]

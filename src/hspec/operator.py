@@ -192,20 +192,18 @@ def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -
 
 
 def _grid(spec: TruncationSpec, q: int):
-    """The order-q rule, the (q^n, n) tensor grid points in row-major order
-    (x_1 slowest), each coordinate contiguous, and the row-major index of
-    each nu in the box [0, N]^n."""
+    """The order-q rule and the row-major index of each nu in the box
+    [0, N]^n.  The tensor grid is the rule's nodes on every axis; no array
+    of its q^n points is built."""
     rule = gauss_hermite_rule(q)
-    points = np.empty((spec.dim,) + (q,) * spec.dim)  # x_j along axis j of points[j]
-    for j in range(spec.dim):
-        points[j] = rule.nodes.reshape((q,) + (1,) * (spec.dim - 1 - j))
     box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
-    return rule, points.reshape(spec.dim, -1).T, box
+    return rule, box
 
 
-def _sampler(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
-    """(sample, a): sample(cols) gives the values of the columns cols at the
-    points and one factor per column that scales their sums.
+def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray):
+    """(sample, a): sample(cols) gives the values of the columns cols on the
+    tensor grid of the (q, n) per-axis nodes, in row-major order, and one
+    factor per column that scales their sums.
 
     When m splits (symbol.separate) and every a(nu) b(x) is finite, which
     holds iff max|a| max|b| is finite, the sample is shared: b's single row
@@ -222,13 +220,13 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, points: np.ndarray):
     if split is not None:
         try:
             a = multiplier_value(split[0], spec.array)
-            b = eval_symbol(split[1], points, spec.array[:1])
+            b = eval_symbol(split[1], nodes, spec.array[:1], grid=True)
         except SymbolEvalError:
             split = None
     with np.errstate(over="ignore"):
         if split is not None and np.isfinite(np.abs(a).max() * np.abs(b).max()):
             return (lambda cols: (b, a[cols])), a
-    sample = symbol_sampler(sym, points)
+    sample = symbol_sampler(sym, nodes, grid=True)
     return (lambda cols: (sample(spec.array[cols]), 1.0)), None
 
 
@@ -270,13 +268,13 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
         diag = multiplier_value(sym, spec.array)
         with np.errstate(over="ignore"):  # an m^2 that overflows is named where it is summed
             return q, diag, (diag, diag**2), None
-    rule, points, box = _grid(spec, q)
+    rule, box = _grid(spec, q)
     row = rule.basis[:spec.level + 1]
     diag = row * row
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    sample, a = _sampler(sym, spec, points)
+    sample, a = _sampler(sym, spec, np.tile(rule.nodes[:, None], spec.dim))
     shared = a is not None
     order = np.lexsort(spec.array.T) if shared else np.arange(size)
     step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else q)**spec.dim))
@@ -380,7 +378,9 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
     f is a callable on (M, n) point arrays (or on 1-D arrays when n = 1).
     """
     q = quadrature_order(spec.level, q)
-    rule, points, box = _grid(spec, q)
+    rule, box = _grid(spec, q)
+    # the (q^n, n) points in row-major order (x_1 slowest), each coordinate contiguous
+    points = np.stack(np.meshgrid(*[rule.nodes] * spec.dim, indexing="ij")).reshape(spec.dim, -1).T
     samples = np.asarray(f(points[:, 0] if spec.dim == 1 else points), dtype=float)
     if samples.shape != (len(points),):
         raise ValueError(f"f must return one value per node, got shape {samples.shape}")

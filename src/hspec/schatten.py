@@ -108,11 +108,15 @@ def schatten_sum(sv, r: float) -> float:
 
 
 def _root(total: float, r: float) -> float:
-    # total^(1/r), which leaves the double range for a small r
+    # total^(1/r), which leaves the double range for a small r; for a
+    # subnormal r, 1/r is inf and the power is inf without an OverflowError
     try:
-        return total ** (1.0 / r)
+        root = total ** (1.0 / r)
     except OverflowError:
-        raise FloatingPointError(f"the Schatten norm of order {r!r} overflows") from None
+        root = math.inf
+    if not math.isfinite(root):
+        raise FloatingPointError(f"the Schatten norm of order {r!r} overflows")
+    return root
 
 
 def schatten_norm(sv, r: float) -> float:

@@ -504,19 +504,36 @@ def separate(spec: SymbolSpec) -> tuple[SymbolSpec, SymbolSpec] | None:
             replace(spec, is_multiplier=not _uses_x(b), tree=b, text=pretty_print(b)))
 
 
-def _env(spec: SymbolSpec, nus=None, pts=None) -> dict:
+def _env(spec: SymbolSpec, nus=None, pts=None, grid: bool = False) -> dict:
     """Values of the grammar's variables.  nus is a (c, n) array of indices,
-    given as (c, 1) arrays that broadcast against the points, or None (no
-    nu-variables); pts an (M, n) batch of points or None."""
+    or None (no nu-variables); pts an (M, n) batch of points, the (q, n)
+    per-axis nodes of a tensor grid (grid=True), or None.  The variables
+    broadcast against each other: on a batch nu_j is (c, 1) and x_j (M,); on
+    a grid nu_j is (c, 1, ..., 1) and x_j the nodes along axis j of the
+    (q,) * n grid, so a subtree costs one value per node of the coordinates
+    it reads."""
     env = {"n": float(spec.dim), "pi": math.pi, "e": math.e}
     if nus is not None:
-        comps = [nus[:, j:j + 1].astype(float) for j in range(spec.dim)]
+        shape = (-1,) + (1,) * (spec.dim if grid else 1)
+        comps = [nus[:, j].astype(float).reshape(shape) for j in range(spec.dim)]
         order = sum(comps)
         env.update(absnu=order, lam=2.0 * order + spec.dim)
         env.update((f"nu{j}", k) for j, k in enumerate(comps, start=1))
     if pts is not None:
-        env.update((f"x{j + 1}", pts[:, j]) for j in range(spec.dim))
+        for j in range(spec.dim):
+            x = pts[:, j]
+            if grid:  # the nodes along axis j, contiguous as the columns of a grid's batch are
+                x = np.ascontiguousarray(x).reshape((-1,) + (1,) * (spec.dim - 1 - j))
+            env[f"x{j + 1}"] = x
     return env
+
+
+def _grid_nodes(spec: SymbolSpec, x) -> np.ndarray:
+    """x as the (q, n) per-axis nodes of a tensor grid."""
+    nodes = np.asarray(x, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] != spec.dim:
+        raise ValueError(f"grid nodes have shape {nodes.shape}, expected (q, {spec.dim})")
+    return nodes
 
 
 def _index_rows(spec: SymbolSpec, nu) -> np.ndarray:
@@ -565,7 +582,7 @@ def multiplier_value(spec: SymbolSpec, nu):
     return float(vals[0]) if isinstance(nu, MultiIndex) else vals
 
 
-def eval_symbol(spec: SymbolSpec, x, nu):
+def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
     """m(x, nu); x is a point in R^n or an (M, n) batch of points, nu a
     MultiIndex or a (c, n) integer array of indices.
 
@@ -574,52 +591,67 @@ def eval_symbol(spec: SymbolSpec, x, nu):
     m does not depend on nu: an expression is evaluated once, each subtree on
     the indices and points it depends on, so an x-only symbol costs M
     evaluations, not c M.
+
+    With grid=True, x is the (q, n) array of the per-axis nodes of a tensor
+    grid, column j those of x_j, and the batch is its M = q^n points in
+    row-major order (x_1 slowest); the values are the same, bit for bit.  An
+    expression is then evaluated on the nodes broadcast along their axes, so
+    a subtree that reads one coordinate costs q evaluations, not q^n; a
+    table is evaluated on the points.
     """
     single = isinstance(nu, MultiIndex)
     rows = _index_rows(spec, nu)
-    pts = np.asarray(x, dtype=float)
-    scalar_input = pts.ndim <= 1
-    pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
-    if pts.shape[1] != spec.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
-    size = pts.shape[0]
+    scalar_input = False
+    if grid:
+        pts = _grid_nodes(spec, x)
+        if spec.kind == "table":  # interpolated at the q^n points
+            pts, grid = np.stack(np.meshgrid(*pts.T, indexing="ij")).reshape(spec.dim, -1).T, False
+    else:
+        pts = np.asarray(x, dtype=float)
+        scalar_input = pts.ndim <= 1
+        pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
+        if pts.shape[1] != spec.dim:
+            raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
+    shape = (len(pts),) * spec.dim if grid else (len(pts),)
 
     if spec.is_multiplier:
-        out = np.repeat(multiplier_value(spec, rows)[:, None], size, axis=1)
+        out = np.repeat(multiplier_value(spec, rows)[:, None], math.prod(shape), axis=1)
     elif spec.kind == "table":
         out = np.stack([_eval_table(spec, pts, tuple(k)) for k in rows.tolist()])
     else:
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval_node(spec.tree, _env(spec, rows, pts)),
-                             dtype=float)
-        shape = (out.shape[0] if out.ndim == 2 else 1, size)
+            out = np.asarray(_eval_node(spec.tree, _env(spec, rows, pts, grid)), dtype=float)
+        full = (out.shape[0] if out.ndim == len(shape) + 1 else 1,) + shape
         # copy a broadcast result, or one shared with x or a folded subtree
-        if out.shape != shape or not out.flags.owndata:
-            out = np.broadcast_to(out, shape).copy()
+        if out.shape != full or not out.flags.owndata:
+            out = np.broadcast_to(out, full).copy()
+        out = out.reshape(full[0], -1)
     bad = ~np.isfinite(out)
     if bad.any():
         k, i = np.unravel_index(np.argmax(bad), out.shape)
+        at = pts[list(np.unravel_index(i, shape)), range(spec.dim)] if grid else pts[i]
         raise SymbolEvalError(
-            f"symbol evaluation not finite at x={tuple(float(v) for v in pts[i])}, "
+            f"symbol evaluation not finite at x={tuple(float(v) for v in at)}, "
             f"nu={tuple(int(v) for v in rows[k])}")
     if not single:
         return out
-    if scalar_input and size == 1:
+    if scalar_input and len(pts) == 1:
         return float(out[0, 0])
     return out[0]
 
 
-def symbol_sampler(spec: SymbolSpec, x):
-    """The function nus -> eval_symbol(spec, x, nus) for a fixed (M, n) batch
-    of points x, such as a quadrature grid sampled one block of indices at a
-    time.  The subtrees of an expression that do not depend on nu are
-    evaluated on the points once, here, not on every call.
+def symbol_sampler(spec: SymbolSpec, x, *, grid: bool = False):
+    """The function nus -> eval_symbol(spec, x, nus, grid=grid) for a fixed
+    (M, n) batch of points x, or with grid=True the (q, n) per-axis nodes of
+    a tensor grid, sampled one block of indices at a time.  The subtrees of
+    an expression that do not depend on nu are evaluated on the points (or
+    the broadcast nodes) once, here, not on every call.
     """
-    pts = np.asarray(x, dtype=float).reshape(-1, spec.dim)
+    pts = _grid_nodes(spec, x) if grid else np.asarray(x, dtype=float).reshape(-1, spec.dim)
     if spec.kind == "expression" and not spec.is_multiplier:
         with np.errstate(all="ignore"):
-            spec = replace(spec, tree=_fold(spec.tree, _env(spec, pts=pts)))
-    return lambda nus: eval_symbol(spec, pts, nus)
+            spec = replace(spec, tree=_fold(spec.tree, _env(spec, pts=pts, grid=grid)))
+    return lambda nus: eval_symbol(spec, pts, nus, grid=grid)
 
 
 def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: tuple[int, ...]) -> np.ndarray:

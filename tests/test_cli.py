@@ -183,7 +183,11 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
     # (sum of 1326 sigma^0.01)^100
     (None, ("analyze", "--builtin", "power", "--param", "sigma=1", "--level", "50",
             "--r", "0.01"), "the Schatten norm of order 0.01"),
-], ids=["analyze-matrix-trace", "trace-matrix-trace", "schatten-sum", "schatten-norm"])
+    # 1/r is inf, and a Python power to inf is inf without an OverflowError
+    (None, ("analyze", "--builtin", "power", "--param", "sigma=1", "--level", "3",
+            "--r", "1e-320"), "the Schatten norm of order 1e-320"),
+], ids=["analyze-matrix-trace", "trace-matrix-trace", "schatten-sum", "schatten-norm",
+        "schatten-norm-subnormal-r"])
 def test_an_overflowing_trace_or_schatten_power_exits_3_naming_it(tmp_path, capsys, expr, args,
                                                                    message):
     if expr is None:
@@ -456,6 +460,8 @@ TABLE_GRID = [[-1.0, 1.0]]
     (("analyze", *HEAT, "--level", "4", "--r", "nan"), None),
     (("criteria", *HEAT, "--r", "1.5", "--sigma", "nan"), None),
     (("criteria", *HEAT, "--r", "1.5", "--sigma", "inf"), None),
+    # echoed in the report, though no criterion at r = 1 or 2 reads it
+    (("criteria", *HEAT, "--r", "1,2", "--sigma", "nan"), None),
     (("analyze", "--builtin", "heat", "--param", "t=inf"), None),
     (("analyze", "--builtin", "heat", "--param", "t=nan"), None),
     (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": math.inf}}),
@@ -477,7 +483,7 @@ TABLE_GRID = [[-1.0, 1.0]]
         "grids": TABLE_GRID, "values": {"0": [1.0, 2.0, 3.0]}}}),
     (("trace",), {"kind": "table", "dim": 1, "table": {
         "grids": TABLE_GRID, "values": {"0": "abc"}}}),
-], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "param-inf", "param-nan",
+], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "sigma-nan-unread", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
         "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull",
         "table-key-not-an-index", "table-values-wrong-length", "table-values-not-numbers"])

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from hspec import (
     synthesize,
     table_symbol,
 )
-from oracles import dense_coefficients, dense_sums, mehler_heat_kernel
+from oracles import dense_basis, dense_coefficients, dense_sums, mehler_heat_kernel
 
 # frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
 INNER_GAUSS_PHI0 = 1.0870307726111884785  # = pi^(-1/4) sqrt(2 pi / 3)
@@ -246,10 +247,70 @@ def test_sum_factorization_matches_dense_sums(monkeypatch, case, columns):
 def test_only_symbols_that_do_not_split_are_sampled_per_column(monkeypatch, case):
     sym, level, q = EQUIVALENCE_CASES[case]
     sampled = []
-    monkeypatch.setattr(operator, "symbol_sampler",
-                        lambda *args: sampled.append(args) or symbol_sampler(*args))
+    monkeypatch.setattr(operator, "symbol_sampler", lambda *args, **kwargs:
+                        sampled.append(args) or symbol_sampler(*args, **kwargs))
     assemble_matrix(sym, TruncationSpec(sym.dim, min(level, 4)), q=q, doubling_check=False)
     assert bool(sampled) == (case in PER_COLUMN_CASES)
+
+
+@pytest.mark.parametrize("factor", [1, 2], ids=["q", "2q"])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_grid_samples_equal_point_batch_samples_bit_for_bit(case, factor):
+    # the per-axis nodes broadcast along their axes give what the (q^n, n)
+    # points give, on the path the assembly takes: b of a split symbol, else
+    # m per column through the sampler; and m itself, evaluated directly
+    sym, level, q = EQUIVALENCE_CASES[case]
+    spec, rule = TruncationSpec(sym.dim, level), gauss_hermite_rule(factor * q)
+    _, points, _ = dense_basis(spec, rule)
+    nodes = np.tile(rule.nodes[:, None], sym.dim)
+    if case in PER_COLUMN_CASES:
+        got = symbol_sampler(sym, nodes, grid=True)(spec.array)
+        expected = symbol_sampler(sym, points)(spec.array)
+    else:
+        b = separate(sym)[1]
+        got = eval_symbol(b, nodes, spec.array[:1], grid=True)
+        expected = eval_symbol(b, points, spec.array[:1])
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert np.array_equal(eval_symbol(sym, nodes, spec.array, grid=True),
+                          eval_symbol(sym, points, spec.array))
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("1/x1", 1),
+    ("1/x1", 3),                   # splits; b fails at the node 0
+    ("exp(-absnu)*log(x1^2)", 2),  # splits; log(0) is -inf
+    ("1/(x1+nu2)", 2),             # sampled per column
+])
+def test_grid_sampling_names_the_first_bad_point_as_the_point_batch_does(text, dim):
+    sym, spec, q = parse_symbol(text, dim), TruncationSpec(dim, 3), 11  # odd q: a node at 0
+    rule = gauss_hermite_rule(q)
+    _, points, _ = dense_basis(spec, rule)
+    with pytest.raises(SymbolEvalError) as expected:
+        eval_symbol(sym, points, spec.array)
+    assert "x=(0.0, " in str(expected.value) or "x=(0.0,)" in str(expected.value)
+    readers = (lambda: eval_symbol(sym, np.tile(rule.nodes[:, None], dim), spec.array, grid=True),
+               lambda: assemble_matrix(sym, spec, q),
+               lambda: column_integrals(sym, spec, q))
+    for reader in readers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymbolEvalError) as raised:
+                reader()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_four_dimensional_column_integrals_take_no_point_array():
+    # b is sampled on the broadcast per-axis nodes, so the peak is about b
+    # and its square, 2 x 19.5 MiB at q = 40, not the (q^4, 4) points plus a
+    # q^4 array for every subtree (136.8 MiB with the points)
+    sym = parse_symbol("exp(-0.2*absnu)/(1+0.3*x1^2+0.5*x2^2+0.4*x3^2+0.6*x4^2)", 4)
+    tracemalloc.start()
+    try:
+        column_integrals(sym, TruncationSpec(4, 8), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))

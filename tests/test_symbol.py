@@ -299,6 +299,25 @@ def test_sampler_of_a_table_and_a_multiplier():
                               eval_symbol(s, pts, [[0, 0], [1, 0]]))
 
 
+def test_grid_nodes_give_the_tensor_grid_batch():
+    # the (q, n) per-axis nodes stand for their q^n points, x_1 slowest
+    g = np.linspace(-2, 2, 21)
+    table = table_symbol(2, [g, g], {(0, 0): np.add.outer(g**2, g), (1, 0): np.ones((21, 21))})
+    nodes = np.array([[-0.4, 1.0], [0.3, 0.2], [1.5, -1.1]])
+    pts = np.array([(a, b) for a in nodes[:, 0] for b in nodes[:, 1]])
+    for s in (table, builtin_symbol("heat", 2, t=0.5), parse_symbol("x1 - 2*x2 + nu1", 2),
+              parse_symbol("exp(-absnu)", 2)):
+        assert np.array_equal(eval_symbol(s, nodes, [[0, 0], [1, 0]], grid=True),
+                              eval_symbol(s, pts, [[0, 0], [1, 0]]))
+        assert np.array_equal(symbol_sampler(s, nodes, grid=True)([[1, 0]]),
+                              eval_symbol(s, pts, [[1, 0]]))
+    assert eval_symbol(parse_symbol("x1 - 2*x2", 2), nodes, MultiIndex((0, 0)),
+                       grid=True).shape == (9,)
+    for bad in (nodes[:, :1], nodes.ravel()):
+        with pytest.raises(ValueError, match="grid nodes have shape"):
+            eval_symbol(parse_symbol("x1", 2), bad, [[0, 0]], grid=True)
+
+
 def test_sampler_reports_a_bad_nu_free_subtree_like_eval_symbol():
     s = parse_symbol("x2 / (absnu - 1) + 1 / x1", 2)
     pts = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
