@@ -38,7 +38,7 @@ spec = TruncationSpec(1, 2000)
 for sigma in (0.3, 1.0, 2.0):
     sym = builtin_symbol("power", 1, sigma=sigma)
     print(f"sigma = {sigma}:")
-    show(check_hilbert_schmidt(sym, spec, cross_check=False))
+    show(check_hilbert_schmidt(sym, spec))
     show(check_trace_class_positive(sym, spec))
 
 print("\n== Multiplier fast path: S_p membership of the inverse oscillator ==")

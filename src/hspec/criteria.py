@@ -25,7 +25,7 @@ import numpy as np
 
 from .multiindex import TruncationSpec
 from .operator import OperatorMatrix, assemble_matrix, column_integrals
-from .schatten import abs_powers
+from .schatten import abs_powers, named_fsum
 from .symbol import SymbolSpec
 
 DIVERGE_SLOPE = -1.0
@@ -62,18 +62,6 @@ class CriterionVerdict:
         }
 
 
-def _fsum(what: str, values) -> float:
-    """math.fsum of values; a total that overflows, where fsum itself would
-    raise a bare OverflowError, raises FloatingPointError naming what."""
-    try:
-        total = math.fsum(values)
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise FloatingPointError(f"{what} overflows")
-    return total
-
-
 def shell_partition(spec: TruncationSpec, terms: np.ndarray,
                     what: str = "the sum") -> list[tuple[int, float]]:
     """Group per-index terms (enumeration order) into per-shell fsum totals;
@@ -82,7 +70,7 @@ def shell_partition(spec: TruncationSpec, terms: np.ndarray,
     if terms.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} terms, got {terms.shape}")
     o = spec.offsets
-    return [(s, _fsum(f"{what} over shell {s}", terms[o[s]:o[s + 1]]))
+    return [(s, named_fsum(f"{what} over shell {s}", terms[o[s]:o[s + 1]]))
             for s in range(spec.level + 1)]
 
 
@@ -117,7 +105,7 @@ def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
         merged.update(extras)
     return CriterionVerdict(
         criterion=name,
-        partial_sum=_fsum(f"the {name} sum", (v for _, v in shells)),
+        partial_sum=named_fsum(f"the {name} sum", (v for _, v in shells)),
         shells=shells,
         tail_flag=flag,
         parameters=parameters,
@@ -139,8 +127,11 @@ def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
                      m: OperatorMatrix | None) -> CriterionVerdict:
     extras = {}
     if m is not None:
-        fro2 = float(np.sum(m.entries**2))
-        direct = _fsum("the HS-iff sum", terms)
+        direct = named_fsum("the HS-iff sum", terms)
+        with np.errstate(over="ignore"):  # checked below
+            fro2 = float(np.sum(m.entries**2))
+        if not math.isfinite(fro2):
+            raise FloatingPointError("the squared Frobenius norm of the matrix overflows")
         extras["frobenius_squared"] = fro2
         extras["relative_gap"] = abs(fro2 - direct) / direct if direct > 0 else 0.0
     return _verdict("HS-iff", spec, terms, {}, extras)
@@ -163,7 +154,7 @@ def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
                 f"symmetry check failed: max|M - M^T| = {asym:.3e} "
                 f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
             )
-        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in m.diagonal_blocks())
+        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in m.diagonal_blocks)
         norm = float(np.linalg.norm(a))
         if lo < -POSITIVITY_TOL * norm:
             raise CriterionPreconditionError(
@@ -240,19 +231,15 @@ def criteria(
 
 
 def check_hilbert_schmidt(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
-    cross_check: bool | None = None,
+    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
 ) -> CriterionVerdict:
     """Hilbert-Schmidt criterion: sum of the integrals of |m(x,nu)|^2 phi_nu^2.
 
-    When cross_check is enabled (default for truncations up to 512 basis
-    functions) the squared Frobenius norm of the assembled matrix and its
-    relative gap against the direct sum are recorded in the extras.
+    For truncations up to 512 basis functions the squared Frobenius norm of
+    the assembled matrix and its relative gap against the direct sum are
+    recorded in the extras.
     """
-    if cross_check is None:
-        cross_check = spec.size <= CROSS_CHECK_MAX_SIZE
-    m, terms = _operator_and_squares(sym, spec, q, cross_check)
-    return _hilbert_schmidt(spec, terms, m if cross_check else None)
+    return criteria(sym, spec, q, (2.0,))[0]
 
 
 def check_trace_class_positive(

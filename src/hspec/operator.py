@@ -30,6 +30,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,14 @@ RESIDUAL_WARN = 1e-6
 class OperatorMatrix:
     """The truncated operator, the one discretization every report reads.
 
-    values is the diagonal m(nu) of a multiplier, else the dense matrix.
+    values is the diagonal m(nu) of a multiplier, else the dense matrix;
+    either is finite, as assembly refuses a non-finite value or sum.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
     blocks are the index sets of the parity blocks: M[mu, nu] = 0 unless mu
     and nu lie in the same one, so the spectrum is the union of the spectra of
-    the blocks values[b, b].
+    the blocks values[b, b], which diagonal_blocks cuts once for every
+    reader.
     worst_column is the nu whose column moved most between the order-q and
     order-2q matrices, with its relative change (None without the check).
     symmetrizer is d = sqrt(a(nu)) when the symbol splits as a(nu) b(x)
@@ -83,9 +86,10 @@ class OperatorMatrix:
         """Dense D x D matrix; a diagonal operator builds it on each access."""
         return np.diag(self.values) if self.is_diagonal else self.values
 
+    @cached_property
     def diagonal_blocks(self) -> list[np.ndarray]:
-        """The dense matrix cut into its parity blocks values[b, b]; the
-        matrix itself when it has one block."""
+        """The dense matrix cut into its parity blocks values[b, b], on first
+        use, once; the matrix itself when it has one block."""
         if len(self.blocks) == 1:
             return [self.values]
         return [self.values[np.ix_(b, b)] for b in self.blocks]
@@ -226,7 +230,7 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray):
     with np.errstate(over="ignore"):
         if split is not None and np.isfinite(np.abs(a).max() * np.abs(b).max()):
             return (lambda cols: (b, a[cols])), a
-    sample = symbol_sampler(sym, nodes, grid=True)
+    sample = symbol_sampler(sym, nodes)
     return (lambda cols: (sample(spec.array[cols]), 1.0)), None
 
 

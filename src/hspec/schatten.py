@@ -13,7 +13,9 @@ the flips x -> hx that leave the symbol invariant are read from its
 expression tree (symbol.invariant_flips), phi_nu(hx) = (-1)^(nu . h) phi_nu(x),
 so the matrix is block diagonal over OperatorMatrix.blocks.  The singular
 values are the union of the blocks' and the eigenvalue sum the sum of the
-blocks' sums; one SVD and one eigensolve run per block.
+blocks' sums; one SVD and one eigensolve run per block.  The spectral
+functions take an assembled OperatorMatrix, whose values are finite, and
+read the blocks it cuts once (OperatorMatrix.diagonal_blocks).
 
 The eigensolve is symmetric when the operator has a symmetrizer: a symbol
 a(nu) b(x) with every a(nu) > 0 has M = G diag(a) with G symmetric, so M is
@@ -40,21 +42,13 @@ from .operator import OperatorMatrix, assemble_matrix, column_integrals
 from .symbol import SymbolSpec
 
 IMAG_RESIDUAL_TOL = 1e-8
-# what _fsum names when the sum of the column integrals overflows
+# what named_fsum names when the sum of the column integrals overflows
 _TRACE_SUM = "the trace formula sum of the integrals of m phi_nu^2"
 _HS_SUM = "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"
 _EIGEN_SUM = "the eigenvalue sum"
 
 
-def _finite(m) -> np.ndarray:
-    # an operator's stored values (1-D when diagonal) or the given matrix
-    a = m.values if isinstance(m, OperatorMatrix) else np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
-def _fsum(what: str, values) -> float:
+def named_fsum(what: str, values) -> float:
     """math.fsum of values; a total that overflows, where fsum itself would
     raise a bare OverflowError, raises FloatingPointError naming what."""
     try:
@@ -66,19 +60,13 @@ def _fsum(what: str, values) -> float:
     return total
 
 
-def _blocks(m, a: np.ndarray) -> list[np.ndarray]:
-    # an operator's parity blocks; a plain matrix is one block
-    return m.diagonal_blocks() if isinstance(m, OperatorMatrix) else [a]
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of the matrix, descending: the union over its parity
-    blocks; the sorted |m(nu)| for a diagonal operator."""
-    a = _finite(m)
-    if a.ndim == 1:
-        return np.sort(np.abs(a))[::-1]
+def singular_values(m: OperatorMatrix) -> np.ndarray:
+    """Singular values of the operator, descending: the union over its
+    parity blocks; the sorted |m(nu)| for a diagonal operator."""
+    if m.is_diagonal:
+        return np.sort(np.abs(m.values))[::-1]
     try:
-        sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in _blocks(m, a)])
+        sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in m.diagonal_blocks])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD did not converge: {exc}") from exc
     return np.sort(sv)[::-1]
@@ -104,7 +92,7 @@ def schatten_sum(sv, r: float) -> float:
     """Raw sum of sigma_i^r over the singular values, exactly rounded."""
     if not 0 < r < math.inf:
         raise ValueError(f"Schatten order must be positive and finite, got {r}")
-    return _fsum(f"the Schatten sum of order {r!r}", abs_powers(sv, r))
+    return named_fsum(f"the Schatten sum of order {r!r}", abs_powers(sv, r))
 
 
 def _root(total: float, r: float) -> float:
@@ -124,8 +112,8 @@ def schatten_norm(sv, r: float) -> float:
     return _root(schatten_sum(sv, r), r)
 
 
-def spectral_trace(m) -> float:
-    """Sum of the eigenvalues of the matrix, multiplicities included, taken
+def spectral_trace(m: OperatorMatrix) -> float:
+    """Sum of the eigenvalues of the operator, multiplicities included, taken
     block by block over its parity blocks.
 
     A diagonal operator sums its entries.  An operator with a symmetrizer d
@@ -136,16 +124,15 @@ def spectral_trace(m) -> float:
     1e-8 * ||M|| or a warning is issued.  A sum that overflows raises
     FloatingPointError naming it.
     """
-    a = _finite(m)
-    if a.ndim == 1:
-        return _fsum(_EIGEN_SUM, a)
-    blocks = _blocks(m, a)
-    d = m.symmetrizer if isinstance(m, OperatorMatrix) else None
+    a = m.values
+    if m.is_diagonal:
+        return named_fsum(_EIGEN_SUM, a)
+    blocks, d = m.diagonal_blocks, m.symmetrizer
     if d is not None:
-        return _fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(d[b, None] * (block / d[b]))
-                                                 for b, block in zip(m.blocks, blocks)]))
+        return named_fsum(_EIGEN_SUM, np.concatenate([
+            np.linalg.eigvalsh(d[b, None] * (block / d[b])) for b, block in zip(m.blocks, blocks)]))
     if np.allclose(a, a.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max())):
-        return _fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        return named_fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     try:
         eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
@@ -158,7 +145,7 @@ def spectral_trace(m) -> float:
             f"against tolerance {IMAG_RESIDUAL_TOL * scale:.3e}",
             RuntimeWarning,
         )
-    return _fsum(_EIGEN_SUM, eigs.real)
+    return named_fsum(_EIGEN_SUM, eigs.real)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +155,19 @@ def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -
     """Truncated nuclear-trace expression: sum over |nu| <= N of the
     integrals of m(x,nu) phi_nu(x)^2.
 
-    These integrals are exactly the diagonal entries of the assembled matrix.
+    These are the order-q column integrals, the diagonal of the order-q
+    matrix (exactly m(nu) for a multiplier).  assemble_matrix keeps the
+    order-2q matrix when its doubling check runs, whose diagonal differs
+    from them by the quadrature error.
     """
-    return _fsum(_TRACE_SUM, column_integrals(sym, spec, q, squared=False))
+    return named_fsum(_TRACE_SUM, column_integrals(sym, spec, q, squared=False))
 
 
 def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
     """Truncated Hilbert-Schmidt criterion sum: sum of the integrals of
     |m(x,nu)|^2 phi_nu(x)^2 (the squared HS norm of T_m before truncation
     loss)."""
-    return _fsum(_HS_SUM, column_integrals(sym, spec, q, squared=True))
+    return named_fsum(_HS_SUM, column_integrals(sym, spec, q, squared=True))
 
 
 def compare_traces(m: OperatorMatrix) -> dict:
@@ -187,7 +177,7 @@ def compare_traces(m: OperatorMatrix) -> dict:
     FloatingPointError naming it."""
     return {
         "matrix_trace": m.trace(),
-        "formula_trace": _fsum(_TRACE_SUM, m.column_integrals(squared=False)),
+        "formula_trace": named_fsum(_TRACE_SUM, m.column_integrals(squared=False)),
         "spectral_trace": spectral_trace(m),
     }
 
@@ -246,7 +236,7 @@ def build_report(
         quad_order=m.quad_order,
         singular_values=sv,
         **compare_traces(m),
-        hs_direct=_fsum(_HS_SUM, m.column_integrals(squared=True)),
+        hs_direct=named_fsum(_HS_SUM, m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
         worst_column=m.worst_column,

@@ -310,7 +310,7 @@ def _flip_signs(node: Node, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Values:
-    """A nu-free subtree replaced by its values at fixed points (symbol_sampler)."""
+    """A nu-free subtree replaced by its values on a grid's nodes (symbol_sampler)."""
     values: np.ndarray
 
 
@@ -640,18 +640,17 @@ def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
     return out[0]
 
 
-def symbol_sampler(spec: SymbolSpec, x, *, grid: bool = False):
-    """The function nus -> eval_symbol(spec, x, nus, grid=grid) for a fixed
-    (M, n) batch of points x, or with grid=True the (q, n) per-axis nodes of
-    a tensor grid, sampled one block of indices at a time.  The subtrees of
-    an expression that do not depend on nu are evaluated on the points (or
-    the broadcast nodes) once, here, not on every call.
+def symbol_sampler(spec: SymbolSpec, x):
+    """The function nus -> eval_symbol(spec, x, nus, grid=True) for the fixed
+    (q, n) per-axis nodes x of a tensor grid, sampled one block of indices at
+    a time.  The subtrees of an expression that do not depend on nu are
+    evaluated on the broadcast nodes once, here, not on every call.
     """
-    pts = _grid_nodes(spec, x) if grid else np.asarray(x, dtype=float).reshape(-1, spec.dim)
+    nodes = _grid_nodes(spec, x)
     if spec.kind == "expression" and not spec.is_multiplier:
         with np.errstate(all="ignore"):
-            spec = replace(spec, tree=_fold(spec.tree, _env(spec, pts=pts, grid=grid)))
-    return lambda nus: eval_symbol(spec, pts, nus, grid=grid)
+            spec = replace(spec, tree=_fold(spec.tree, _env(spec, pts=nodes, grid=True)))
+    return lambda nus: eval_symbol(spec, nodes, nus, grid=True)
 
 
 def _eval_table(spec: SymbolSpec, pts: np.ndarray, nu: tuple[int, ...]) -> np.ndarray:

@@ -254,6 +254,27 @@ def test_overflowing_reported_sums_name_the_quantity(tmp_path, capsys, dim, args
     assert not out.exists()
 
 
+@pytest.mark.parametrize("expr, args", [
+    # (2|nu|+1)^200 is finite, its square is not
+    (None, ("--builtin", "power", "--param", "sigma=-200")),
+    # m = 1e307 is finite, m^2 is not
+    ("1e307+0*absnu", ()),
+], ids=["builtin", "expression"])
+def test_an_overflowing_hilbert_schmidt_cross_check_exits_3_with_one_line(tmp_path, capsys,
+                                                                          expr, args):
+    # at 512 basis functions or fewer HS-iff also squares the matrix entries
+    if expr is not None:
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"kind": "expression", "dim": 2, "expr": expr}))
+        args = ("--symbol", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "criteria", *args, "--level", "3", "--r", "2")
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: the HS-iff sum overflows\n"
+    assert not out.exists()
+
+
 def test_positivity_refusal_of_a_symmetric_matrix_exits_2(tmp_path, capsys):
     # x1^2 - 1 claims positivity; its symmetric matrix has an eigenvalue near -0.9
     path = tmp_path / "sym.json"

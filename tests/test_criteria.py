@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hspec import (
     CriterionPreconditionError,
     TruncationSpec,
+    assemble_matrix,
     builtin_symbol,
     check_hilbert_schmidt,
     check_multiplier_schatten,
@@ -17,7 +19,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
-from hspec.criteria import shell_partition
+from hspec.criteria import _hilbert_schmidt, shell_partition
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
@@ -50,6 +52,16 @@ def test_hs_cross_check_recorded():
     assert v.extras["relative_gap"] < 1e-3
 
 
+def test_hs_cross_check_names_a_frobenius_norm_that_overflows():
+    # the direct terms are finite; the squares of the entries 1e200 are not
+    m = assemble_matrix(parse_symbol("1e200+0*absnu", 1), TruncationSpec(1, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as raised:
+            _hilbert_schmidt(m.spec, np.ones(m.size), m)
+    assert str(raised.value) == "the squared Frobenius norm of the matrix overflows"
+
+
 def test_shells_sum_to_partial_sum():
     v = check_hilbert_schmidt(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 15))
     assert math.fsum(s for _, s in v.shells) == pytest.approx(v.partial_sum, rel=1e-12)
@@ -57,7 +69,7 @@ def test_shells_sum_to_partial_sum():
 
 def test_hs_partial_sums_monotone_in_level():
     sums = [
-        check_hilbert_schmidt(HEAT, TruncationSpec(1, n), cross_check=False).partial_sum
+        check_hilbert_schmidt(HEAT, TruncationSpec(1, n)).partial_sum
         for n in (5, 10, 20, 30)
     ]
     assert all(b >= a for a, b in zip(sums, sums[1:]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hspec import (
+    OperatorMatrix,
     TruncationSpec,
     assemble_matrix,
     build_report,
@@ -25,30 +26,37 @@ from hspec import (
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
 
+# a symbol that does not split into a(nu) b(x) and has no invariant flip:
+# its operator is one nonsymmetric block
+NONSYMMETRIC = parse_symbol("sin(nu1+2*x1)/(1+x1^2)", 1)
+
+
+def _lapack_singular_values(a):
+    return np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
+
+
 def test_singular_values_diagonal():
-    # multiplier singular values are the |m(nu)|
-    sv = singular_values(np.diag([1.0, 1 / 3, 1 / 5]))
+    # multiplier singular values are the |m(nu)|: here 1/(2k+1)
+    sv = singular_values(assemble_matrix(builtin_symbol("power", 1, sigma=1.0),
+                                         TruncationSpec(1, 2)))
     assert sv == pytest.approx([1.0, 1 / 3, 1 / 5], rel=1e-15)
 
 
 def test_singular_values_identity():
-    assert singular_values(np.eye(5)).tolist() == [1.0] * 5
+    assert singular_values(assemble_matrix(parse_symbol("1", 1),
+                                           TruncationSpec(1, 4))).tolist() == [1.0] * 5
 
 
 def test_singular_values_nilpotent_shift():
-    sv = singular_values(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert sv == pytest.approx([1.0, 0.0], abs=1e-15)
+    # sqrt(2) x phi_1 = sqrt(2) phi_2 + phi_0 and nu1 = 0 on phi_0, so P_1 T P_1
+    # is the shift [[0, 1], [0, 0]]; x1^nu1 keeps m from splitting
+    m = assemble_matrix(parse_symbol("sqrt(2)*nu1*x1^nu1", 1), TruncationSpec(1, 1))
+    assert singular_values(m) == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_singular_values_sorted_nonnegative():
-    rng = np.random.default_rng(3)
-    sv = singular_values(rng.normal(size=(12, 12)))
-    assert np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
-
-
-def test_singular_values_reject_nonfinite():
-    with pytest.raises(ValueError):
-        singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    sv = singular_values(assemble_matrix(NONSYMMETRIC, TruncationSpec(1, 11)))
+    assert len(sv) == 12 and np.all(sv >= 0) and np.all(np.diff(sv) <= 0)
 
 
 def test_schatten_norm_identity():
@@ -153,10 +161,10 @@ def test_spectral_trace_zero_diagonal():
     assert abs(spectral_trace(m)) < 1e-12
 
 
-def test_spectral_trace_random_matrix():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(6, 6))
-    assert spectral_trace(a) == pytest.approx(float(np.trace(a)), abs=1e-10)
+def test_spectral_trace_nonsymmetric_matrix():
+    m = assemble_matrix(NONSYMMETRIC, TruncationSpec(1, 5))
+    assert m.symmetrizer is None and not np.allclose(m.values, m.values.T)
+    assert spectral_trace(m) == pytest.approx(float(np.trace(m.values)), abs=1e-10)
 
 
 def test_hilbert_schmidt_identity_symbol():
@@ -195,6 +203,20 @@ def test_build_report_fields():
     assert doc["level"] == 20 and len(doc["singular_values"]) == 21
 
 
+@pytest.mark.parametrize("text", [
+    "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)",  # symmetrizer, 4 blocks
+    "(nu1-2)*(1+x1^2)/(1+x2^2)",  # nonsymmetric solve, 4 blocks
+    "exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)",  # one block
+], ids=["symmetrizer", "nonsymmetric", "one-block"])
+def test_build_report_cuts_the_blocks_once(monkeypatch, text):
+    # the SVD and the eigensolve read the same cut of the parity blocks
+    cut = OperatorMatrix.diagonal_blocks.func
+    cuts = []
+    monkeypatch.setattr(OperatorMatrix.diagonal_blocks, "func", lambda m: cuts.append(m) or cut(m))
+    build_report(parse_symbol(text, 2), TruncationSpec(2, 10))
+    assert len(cuts) == 1
+
+
 @pytest.mark.parametrize("sym", [
     builtin_symbol("power", 2, sigma=1.3),
     builtin_symbol("heat", 2, t=0.4),
@@ -208,8 +230,8 @@ def test_diagonal_operator_matches_dense_lapack(sym):
     assert m.is_diagonal and m.values.shape == (m.size,)
     dense = np.diag(m.values)
     assert np.array_equal(m.entries, dense)
-    assert np.array_equal(singular_values(m), singular_values(dense))
-    assert spectral_trace(m) == spectral_trace(dense)
+    assert np.array_equal(singular_values(m), _lapack_singular_values(dense))
+    assert spectral_trace(m) == math.fsum(np.linalg.eigvalsh(dense))
     assert m.trace() == float(np.trace(dense))
 
 
@@ -251,14 +273,15 @@ def _similarity_sum(m):
 
 def _nonsymmetric_sum(m):
     # the eigenvalue sum through one nonsymmetric solve per block
-    return math.fsum(np.concatenate([np.linalg.eigvals(b) for b in m.diagonal_blocks()]).real)
+    return math.fsum(np.concatenate([np.linalg.eigvals(m.values[np.ix_(b, b)])
+                                     for b in m.blocks]).real)
 
 
 def test_a_symbol_without_an_invariant_flip_is_one_block():
     m = assemble_matrix(parse_symbol("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 2),
                         TruncationSpec(2, 12))
     assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], np.arange(m.size))
-    assert np.array_equal(singular_values(m), singular_values(m.values))
+    assert np.array_equal(singular_values(m), _lapack_singular_values(m.values))
     # a = exp(-0.3|nu|) > 0, so the eigenvalue sum is read through the similarity
     assert spectral_trace(m) == _similarity_sum(m)
     assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.values).real),
@@ -290,7 +313,7 @@ def test_a_nu_free_expression_gets_a_symmetrizer_of_ones():
     assert np.array_equal(m.symmetrizer, np.ones(m.size))
     # the matrix itself is symmetric: its blocks go to the symmetric solver unchanged
     assert spectral_trace(m) == math.fsum(
-        np.concatenate([np.linalg.eigvalsh(b) for b in m.diagonal_blocks()]))
+        np.concatenate([np.linalg.eigvalsh(m.values[np.ix_(b, b)]) for b in m.blocks]))
 
 
 _GRID = np.linspace(-12.0, 12.0, 49)
@@ -310,7 +333,7 @@ def test_other_symbols_get_no_symmetrizer_and_keep_the_nonsymmetric_solve(sym, l
     assert m.symmetrizer is None
     assert spectral_trace(m) == _nonsymmetric_sum(m)
     if len(m.blocks) == 1:
-        assert spectral_trace(m) == spectral_trace(m.values)
+        assert spectral_trace(m) == math.fsum(np.linalg.eigvals(m.values).real)
 
 
 @pytest.mark.parametrize("text, level, reader, message", [

@@ -282,9 +282,12 @@ def test_index_array_evaluation_names_the_first_bad_point_like_eval_symbol():
     "max(x1, absnu - 2) * (1 + nu1)",
 ])
 def test_sampler_equals_eval_symbol_bit_for_bit(text):
+    # the sampler folds the nu-free subtrees on the nodes; eval_symbol on the
+    # grid's points folds nothing
     s = parse_symbol(text, 2)
-    pts = np.array([(a, b) for a in (-1.5, -0.2, 0.7) for b in (-0.9, 0.4)])
-    sample = symbol_sampler(s, pts)
+    nodes = np.array([[-1.5, -0.9], [-0.2, 0.4], [0.7, 1.1]])
+    pts = np.array([(a, b) for a in nodes[:, 0] for b in nodes[:, 1]])
+    sample = symbol_sampler(s, nodes)
     for block in ([[0, 0], [2, 1], [0, 3]], [[1, 1]], [[4, 0], [0, 4]]):
         assert np.array_equal(sample(block), eval_symbol(s, pts, block))
 
@@ -293,9 +296,10 @@ def test_sampler_of_a_table_and_a_multiplier():
     g = np.linspace(-2, 2, 21)
     table = table_symbol(2, [g, g], {(0, 0): np.add.outer(g**2, g), (1, 0): np.ones((21, 21))})
     heat = builtin_symbol("heat", 2, t=0.5)
-    pts = np.array([[-0.4, 1.0], [0.3, 0.2]])
+    nodes = np.array([[-0.4, 1.0], [0.3, 0.2]])
+    pts = np.array([(a, b) for a in nodes[:, 0] for b in nodes[:, 1]])
     for s in (table, heat):
-        assert np.array_equal(symbol_sampler(s, pts)([[0, 0], [1, 0]]),
+        assert np.array_equal(symbol_sampler(s, nodes)([[0, 0], [1, 0]]),
                               eval_symbol(s, pts, [[0, 0], [1, 0]]))
 
 
@@ -309,7 +313,7 @@ def test_grid_nodes_give_the_tensor_grid_batch():
               parse_symbol("exp(-absnu)", 2)):
         assert np.array_equal(eval_symbol(s, nodes, [[0, 0], [1, 0]], grid=True),
                               eval_symbol(s, pts, [[0, 0], [1, 0]]))
-        assert np.array_equal(symbol_sampler(s, nodes, grid=True)([[1, 0]]),
+        assert np.array_equal(symbol_sampler(s, nodes)([[1, 0]]),
                               eval_symbol(s, pts, [[1, 0]]))
     assert eval_symbol(parse_symbol("x1 - 2*x2", 2), nodes, MultiIndex((0, 0)),
                        grid=True).shape == (9,)
@@ -320,8 +324,9 @@ def test_grid_nodes_give_the_tensor_grid_batch():
 
 def test_sampler_reports_a_bad_nu_free_subtree_like_eval_symbol():
     s = parse_symbol("x2 / (absnu - 1) + 1 / x1", 2)
-    pts = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
-    sample = symbol_sampler(s, pts)  # 1 / x1 is evaluated here, without raising
+    nodes = np.tile(np.array([[-1.0], [0.0], [1.0]]), 2)
+    pts = np.array([(a, b) for a in nodes[:, 0] for b in nodes[:, 1]])
+    sample = symbol_sampler(s, nodes)  # 1 / x1 is evaluated here, without raising
     for block in ([[0, 0], [1, 0]], [[1, 0]]):
         with pytest.raises(SymbolEvalError) as sampled:
             sample(block)
