@@ -18,6 +18,7 @@ from .symbol import (
     SymbolEvalError,
     SymbolParseError,
     SymbolSpec,
+    axis_signs,
     builtin_symbol,
     eval_symbol,
     invariant_flips,

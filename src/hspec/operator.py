@@ -22,6 +22,19 @@ other symbol is sampled per chunk of columns, with factor 1.  G is
 symmetric, so when every a(nu) is positive M is similar to the symmetric
 diag(sqrt(a)) G diag(sqrt(a)), and the operator keeps sqrt(a) for the
 spectral stage.
+
+The rule is mirror symmetric, bit for bit: the nodes are -x and x in pairs
+(and 0 for an odd q), and B[k, mirror of i] = (-1)^k B[k, i].  When the
+expression tree proves a sign s_j = +1 or -1 for the flip of every single
+axis x_j (symbol.axis_signs; the nu-variables are not coordinates), the
+grid is folded onto its non-negative nodes: a node and its mirror add
+(1 + s_j (-1)^(mu_j + nu_j)) times the node's term, so every axis keeps its
+q - q//2 non-negative nodes with twice the weight (once for the node 0),
+and each contraction step keeps only the basis rows mu_j with
+(-1)^(mu_j + nu_j) = s_j.  The samples and the sums shrink by 2^n, and the
+entries that vanish in exact arithmetic are exact zeros, as are the
+integrals of m phi_nu^2 of a symbol odd in some axis.  Any other symbol runs
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -36,8 +49,8 @@ import numpy as np
 
 from .hermite import gauss_hermite_rule, hermite_table, quadrature_order
 from .multiindex import MultiIndex, TruncationSpec
-from .symbol import (SymbolEvalError, SymbolSpec, eval_symbol, invariant_flips, multiplier_value,
-                     separate, symbol_sampler)
+from .symbol import (SymbolEvalError, SymbolSpec, axis_signs, eval_symbol, invariant_flips,
+                     multiplier_value, separate, symbol_sampler)
 
 RESIDUAL_WARN = 1e-6
 
@@ -119,7 +132,7 @@ _CHUNK_BYTES = 8 * 2**20
 
 
 def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
-              block: np.ndarray) -> np.ndarray:
+              block: np.ndarray, signs: tuple[int, ...] | None = None) -> np.ndarray:
     """Sum factorization: sum over the grid of values[c|0, x] times
     prod_j weights[block[c, j], x_j] row[a_j, x_j], one axis at a time, as a
     (c, (N+1)^n) block over the box a in [0, N]^n in row-major order.
@@ -130,27 +143,40 @@ def _contract(values: np.ndarray, row: np.ndarray, weights: np.ndarray,
     contracted depth first over the tails (block[c, j], ..., block[c, n-1]):
     the partial sum over x_{j+1..n} is formed once per distinct tail and
     shared by the columns below it.  c rows, or one row in 1-D, where it
-    broadcasts, are contracted column by column."""
+    broadcasts, are contracted column by column.
+
+    signs, on a folded grid, are the symbol's signs +1/-1 under the flip of
+    each axis: the step over axis j then keeps only the rows a with
+    (-1)^(block[c, j] + a) = signs[j], the sums the mirror nodes do not
+    cancel, and the others come out as exact zeros."""
     c, n = block.shape
     q, rows = row.shape[1], row.shape[0]
+    keep = None
+    if signs is not None:
+        odd = np.add.outer(np.arange(len(weights)), np.arange(rows)) % 2
+        keep = [(odd == (s < 0)).astype(float) for s in signs]
     if len(values) == c or n == 1:
         t = values
         for j in reversed(range(n)):
             # t holds [a_{j+2}..a_n, x_1..x_{j+1}]; contract x_{j+1}, move a_{j+1} first
             t = t.reshape(len(t), -1, q) * weights[block[:, j], None, :]
-            t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows).transpose(0, 2, 1)
+            t = (t.reshape(-1, q) @ row.T).reshape(c, -1, rows)
+            if keep is not None:
+                t *= keep[j][block[:, j], None, :]
+            t = t.transpose(0, 2, 1)
         return t.reshape(c, -1)
     out = np.empty((c, rows**n))
-    _descend(values.reshape(-1, q), row, weights, block, out, 0, c, n - 1)
+    _descend(values.reshape(-1, q), row, weights, block, out, 0, c, n - 1, keep)
     return out
 
 
 def _descend(t: np.ndarray, row: np.ndarray, weights: np.ndarray, block: np.ndarray,
-             out: np.ndarray, lo: int, hi: int, j: int) -> None:
+             out: np.ndarray, lo: int, hi: int, j: int, keep: list | None) -> None:
     """One step of _contract's walk over the tails: t, (P, q), holds
     [a_{j+2}..a_n, x_1..x_{j+1}] for the columns lo:hi, which share
     block[:, j+1:]; contract x_{j+1} once per distinct block[c, j] and recurse,
-    or write the rows of out at j = 0.
+    or write the rows of out at j = 0.  keep[j][k, a], on a folded grid, is 0
+    for the basis rows a that kid k drops, else 1.
 
     Not nested in _contract: a nested function that calls itself is a
     reference cycle, and would keep out alive until the cyclic garbage
@@ -167,13 +193,16 @@ def _descend(t: np.ndarray, row: np.ndarray, weights: np.ndarray, block: np.ndar
         span = slice(k[0], k[-1] + 1)
         # kids[k, a, p] = sum_x weights[k, x] row[a, x] t[p, x] as one GEMM,
         # scaling the basis rows, no more than t's from 2-D up (1-D never gets here)
-        kids = (weights[span, None, :] * row).reshape(-1, q) @ t.T
-        kids = kids.reshape(-1, rows, len(t))
+        scaled = weights[span, None, :] * row
+        if keep is not None:
+            scaled *= keep[j][span, :, None]
+        kids = (scaled.reshape(-1, q) @ t.T).reshape(-1, rows, len(t))
+        del scaled  # not held through the recursion below
         if j == 0:
             out[starts[s:s + group] + lo] = kids.reshape(len(kids), -1)[k - k[0]]
             continue
         for i, start, end in zip(k - k[0], starts[s:s + group] + lo, ends[s:s + group]):
-            _descend(kids[i].reshape(-1, q), row, weights, block, out, start, end, j - 1)
+            _descend(kids[i].reshape(-1, q), row, weights, block, out, start, end, j - 1, keep)
 
 
 def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -204,7 +233,8 @@ def _grid(spec: TruncationSpec, q: int):
     return rule, box
 
 
-def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray):
+def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray,
+             full: np.ndarray | None = None):
     """(sample, a): sample(cols) gives the values of the columns cols on the
     tensor grid of the (q, n) per-axis nodes, in row-major order, and one
     factor per column that scales their sums.
@@ -213,7 +243,10 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray):
     holds iff max|a| max|b| is finite, the sample is shared: b's single row
     and the factors a[cols], and a is every column's a(nu).  Else the values
     are m's own, sampled per column by symbol_sampler, with factor 1, a is
-    None, and the first non-finite value is named.
+    None, and the first non-finite value is named.  On a folded grid, whose
+    nodes are the non-negative half of the nodes full, a chunk that is not
+    finite is sampled again on full, so the point named is the first of the
+    whole grid.
 
     Finiteness is judged on the products a(nu) b(x), not on the steps of m's
     own order of evaluation, which the split regroups: 1e307*x1^2*1e-307 is
@@ -231,7 +264,16 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray):
         if split is not None and np.isfinite(np.abs(a).max() * np.abs(b).max()):
             return (lambda cols: (b, a[cols])), a
     sample = symbol_sampler(sym, nodes)
-    return (lambda cols: (sample(spec.array[cols]), 1.0)), None
+
+    def per_column(cols):
+        try:
+            return sample(spec.array[cols]), 1.0
+        except SymbolEvalError:
+            if full is not None:  # raises, naming the whole grid's first bad point
+                symbol_sampler(sym, full)(spec.array[cols])
+            raise
+
+    return per_column, None
 
 
 def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
@@ -258,8 +300,10 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     factored form: B[nu_j] scales the samples and B contracts them; the
     column integrals reduce the samples against B[nu_j]^2.
 
-    Each chunk of columns is sampled (_sampler), contracted, and column nu
-    scaled by its factor f(nu); the column integrals are f sum v B^2 and
+    On a folded grid (see the module docstring) B is the basis on the
+    non-negative nodes and the scaling rows are B times 2, or 1 at the node
+    0.  Each chunk of columns is sampled (_sampler), contracted, and column
+    nu scaled by its factor f(nu); the column integrals are f sum v B^2 and
     f^2 sum v^2 B^2 of the values v.  A shared sample takes the columns in
     tail order (nu_n, ..., nu_1), so each tail is a run; any other in
     enumeration order, so the first non-finite value named is the first
@@ -273,24 +317,33 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
         with np.errstate(over="ignore"):  # an m^2 that overflows is named where it is summed
             return q, diag, (diag, diag**2), None
     rule, box = _grid(spec, q)
-    row = rule.basis[:spec.level + 1]
-    diag = row * row
+    # the axis signs when every axis has one and the grid folds, else None
+    signs = axis_signs(sym)
+    fold = None if 0 in signs else signs
+    half = q // 2 if fold else 0  # the non-negative nodes start at q // 2
+    full = np.tile(rule.nodes[:, None], spec.dim)
+    nodes, row = full[half:], rule.basis[:spec.level + 1, half:]
+    # a folded node stands for itself and its mirror, the node 0 for itself
+    weights = row * np.where(nodes[:, 0] > 0, 2.0, 1.0) if fold else row
+    diag = row * weights
     size = spec.size
     entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
-    sample, a = _sampler(sym, spec, np.tile(rule.nodes[:, None], spec.dim))
+    sample, a = _sampler(sym, spec, nodes, full if fold else None)
     shared = a is not None
     order = np.lexsort(spec.array.T) if shared else np.arange(size)
-    step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else q)**spec.dim))
+    step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else len(nodes))**spec.dim))
+    # m phi_nu^2 is odd in an axis where m is, so it sums to exactly 0
+    odd = fold is not None and -1 in fold
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for start in range(0, size, step):
             cols = order[start:start + step]
             block = spec.array[cols]
             values, factor = sample(cols)
             if matrix:
-                entries[:, cols] = _contract(values, row, row, block)[:, box].T * factor
+                entries[:, cols] = _contract(values, row, weights, block, fold)[:, box].T * factor
             if columns:
-                linear[cols] = _diagonal_sums(values, diag, block) * factor
+                linear[cols] = 0.0 if odd else _diagonal_sums(values, diag, block) * factor
                 squared[cols] = _diagonal_sums(np.square(values), diag, block) * (factor * factor)
     if matrix:
         _check_finite(f"the order-{q} matrix", entries, spec)

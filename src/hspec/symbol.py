@@ -453,17 +453,32 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     )
 
 
+def _spec_flip_signs(spec: SymbolSpec) -> np.ndarray:
+    """_flip_signs of the symbol: of its expression tree; none proved (0) for
+    a table; +1 for a builtin, which is free of x."""
+    if spec.kind == "table":
+        return np.zeros(2**spec.dim, dtype=int)
+    if spec.kind == "builtin":
+        return np.ones(2**spec.dim, dtype=int)
+    return _flip_signs(spec.tree, spec.dim)
+
+
 def invariant_flips(spec: SymbolSpec) -> list[int]:
     """The bit masks h of the coordinate sign flips x -> hx (bit j flips
     x_{j+1}) that leave m(x, nu) unchanged for every nu, read from the
     expression tree.  The check is sufficient, not necessary: a flip the
     rules cannot prove is left out.  A table symbol has none proved; a
     builtin, free of x, is invariant under every flip."""
-    if spec.kind == "table":
-        return []
-    if spec.kind == "builtin":
-        return list(range(1, 2**spec.dim))
-    return [h for h, s in enumerate(_flip_signs(spec.tree, spec.dim)) if h and s == 1]
+    return [h for h, s in enumerate(_spec_flip_signs(spec)) if h and s == 1]
+
+
+def axis_signs(spec: SymbolSpec) -> tuple[int, ...]:
+    """The sign of m(x, nu) under the flip of each single coordinate x_j,
+    read from the expression tree as invariant_flips reads the flips: +1 if
+    the flip leaves m unchanged, -1 if it changes its sign, 0 if unknown
+    (every axis of a table; a builtin is +1 in every axis)."""
+    signs = _spec_flip_signs(spec)
+    return tuple(int(signs[1 << j]) for j in range(spec.dim))
 
 
 def _factors(node: Node, divides: bool = False) -> list[tuple[Node, bool]]:

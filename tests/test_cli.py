@@ -549,6 +549,27 @@ def test_residual_warning_names_the_worst_column(tmp_path, capsys, command):
     assert captured.err.splitlines() == lines
 
 
+@pytest.mark.parametrize("expr, dim, level, column", [
+    # no mu with |mu| <= 1 has mu_1 and mu_2 odd, so column (0, 1) is zero
+    ("x1*exp(-absnu)/(1+x2^2)", 2, 1, "nu=(0, 0) moved most between q and 2q "
+                                      "(relative change 2.477e-02)"),
+    # column (0, 1, 1) is zero too, up to roundoff of 4.9e-18 |M|_F on the whole grid
+    ("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3, 2, "nu=(0, 0, 2) moved most between q and 2q "
+                                                   "(relative change 2.853e-01)"),
+])
+def test_the_warning_names_no_column_that_is_zero_in_exact_arithmetic(tmp_path, capsys, expr,
+                                                                     dim, level, column):
+    # m is odd in x1 and even in the other axes, so M[mu, nu] = 0 unless mu_1 + nu_1 is
+    # odd and mu_j + nu_j even for j > 1; such entries are exact zeros, not roundoff
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": dim, "expr": expr}))
+    code, _ = run(tmp_path, "analyze", "--symbol", str(path), "--level", str(level),
+                  "--quad", "4")
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: quadrature residual above threshold; column {column}"]
+
+
 def test_no_residual_warning_line_when_resolved(tmp_path, capsys):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1,

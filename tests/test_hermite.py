@@ -187,6 +187,19 @@ def test_rule_keeps_its_column_norms(q):
     assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 36, 37, 732, 1001, 2032])
+def test_rule_is_mirror_symmetric_bit_for_bit(q):
+    # the folded assembly reads only the non-negative nodes: their mirrors
+    # must carry the same basis values up to the sign (-1)^k, exactly
+    r = gauss_hermite_rule(q)
+    assert np.array_equal(r.nodes[::-1], -r.nodes)
+    signs = np.where(np.arange(q) % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(r.basis[:, ::-1], signs * r.basis)
+    if q % 2:
+        assert r.nodes[q // 2] == 0.0
+    assert np.all(r.nodes[q // 2 + q % 2:] > 0)
+
+
 def test_basis_table_bounded_and_orthonormal_at_high_order():
     q, n_level = 2000, 1000
     with warnings.catch_warnings():

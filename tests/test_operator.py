@@ -18,6 +18,7 @@ from hspec import (
     analyze,
     apply_matrix,
     assemble_matrix,
+    axis_signs,
     builtin_symbol,
     column_integrals,
     eval_hermite_1d,
@@ -301,9 +302,10 @@ def test_grid_sampling_names_the_first_bad_point_as_the_point_batch_does(text, d
 
 
 def test_four_dimensional_column_integrals_take_no_point_array():
-    # b is sampled on the broadcast per-axis nodes, so the peak is about b
-    # and its square, 2 x 19.5 MiB at q = 40, not the (q^4, 4) points plus a
-    # q^4 array for every subtree (136.8 MiB with the points)
+    # b is sampled on the broadcast per-axis nodes, so the peak is at most b
+    # and its square, 2 x 19.5 MiB at q = 40 on the whole grid (2.8 MiB
+    # folded), not the (q^4, 4) points plus a q^4 array for every subtree
+    # (136.8 MiB with the points)
     sym = parse_symbol("exp(-0.2*absnu)/(1+0.3*x1^2+0.5*x2^2+0.4*x3^2+0.6*x4^2)", 4)
     tracemalloc.start()
     try:
@@ -396,6 +398,94 @@ def test_a_product_of_finite_factors_that_overflows_names_the_first_bad_point():
             with pytest.raises(SymbolEvalError) as raised:
                 reader()
         assert str(raised.value) == str(expected.value)
+
+
+# symbols whose sign under the flip of every axis the tree proves, so they are
+# assembled on the non-negative nodes only
+FOLD_CASES = {
+    "1d": ("exp(-absnu/2)/(1+x1^2)", 1, 12),
+    "1d-odd": ("x1*exp(-absnu/2)/(1+x1^2)", 1, 12),
+    "2d": ("exp(-0.5*absnu)/(1+0.4*x1^2+0.6*x2^2)", 2, 7),
+    "3d": ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, 4),
+    "3d-per-column": ("1/(1+x1^2+(1+0.1*nu3)*x2^2+x3^2)", 3, 4),
+    "3d-odd": ("exp(-0.3*absnu)*x1/(1+x2^2+0.5*x3^2)", 3, 4),
+    "3d-odd-per-column": ("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3, 4),
+}
+
+
+@pytest.mark.parametrize("columns", [None, 0], ids=["one-chunk", "column-by-column"])
+@pytest.mark.parametrize("odd_q", [False, True], ids=["even-q", "odd-q"])
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_the_folded_grid_matches_the_whole_grid_sums(monkeypatch, case, odd_q, columns):
+    text, dim, level = FOLD_CASES[case]
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    q = (30, 16, 10)[dim - 1] + odd_q  # an odd q has the node 0, which has no mirror
+    signs = np.array(axis_signs(sym))
+    assert 0 not in signs and (separate(sym) is None) == case.endswith("per-column")
+    if columns is not None:
+        monkeypatch.setattr(operator, "_CHUNK_BYTES", columns * 8 * q**dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = assemble_matrix(sym, spec, q=q, doubling_check=False)
+        matrix, linear, squared = dense_sums(sym, spec, q)
+    scale = np.abs(matrix).max()
+    assert np.abs(m.entries - matrix).max() <= 1e-13 * scale
+    # M[mu, nu] = 0 unless (-1)^(mu_j + nu_j) = signs[j] on every axis: exactly, not
+    # the roundoff the whole grid leaves there
+    parity = np.where((spec.array[:, None, :] + spec.array[None, :, :]) % 2, -1, 1)
+    off = (parity != signs).any(axis=2)
+    assert off.any() and np.array_equal(m.entries[off], np.zeros(off.sum()))
+    if (signs < 0).any():  # m phi_nu^2 is odd
+        assert np.array_equal(m.column_integrals(squared=False), np.zeros(spec.size))
+    else:
+        assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
+    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_the_grid_is_folded_iff_every_axis_is_signed(monkeypatch, case):
+    sym, level, q = EQUIVALENCE_CASES[case]
+    seen = []
+    for name in ("eval_symbol", "symbol_sampler"):
+        original = getattr(operator, name)
+        monkeypatch.setattr(operator, name, lambda spec, x, *args, original=original, **kwargs:
+                            seen.append(len(x)) or original(spec, x, *args, **kwargs))
+    assemble_matrix(sym, TruncationSpec(sym.dim, min(level, 4)), q=q)
+    # the nodes of the order-q and order-2q passes
+    if 0 in axis_signs(sym):
+        assert sorted(set(seen)) == [q, 2 * q]
+    else:
+        assert sorted(set(seen)) == [q - q // 2, q]
+
+
+def test_a_folded_sample_names_the_first_bad_point_of_the_whole_grid():
+    # log(x1^2 - nu1) is even in both axes and first fails at x1 = -0.96 on the
+    # whole grid, which the non-negative nodes do not hold
+    sym, spec, q = parse_symbol("log(x1^2 - nu1)", 2), TruncationSpec(2, 3), 10
+    assert separate(sym) is None and axis_signs(sym) == (1, 1)
+    _, points, _ = dense_basis(spec, gauss_hermite_rule(q))
+    with pytest.raises(SymbolEvalError) as expected:
+        eval_symbol(sym, points, spec.array)
+    assert "x=(-" in str(expected.value)
+    for reader in (lambda: assemble_matrix(sym, spec, q), lambda: column_integrals(sym, spec, q)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymbolEvalError) as raised:
+                reader()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_four_dimensional_assembly_samples_the_folded_grid():
+    # with the doubling check: b on the order-2q grid is 40^4 doubles (20 MiB)
+    # on the non-negative nodes, 80^4 (312 MiB) on the whole grid
+    sym = parse_symbol("exp(-0.2*absnu)/(1+0.3*x1^2+0.5*x2^2+0.4*x3^2+0.6*x4^2)", 4)
+    tracemalloc.start()
+    try:
+        assemble_matrix(sym, TruncationSpec(4, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20, peak / 2**20
 
 
 def test_worst_column_is_recorded_with_the_doubling_check():

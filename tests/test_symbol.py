@@ -13,6 +13,7 @@ from hspec import (
     SymbolParseError,
     TruncationSpec,
     assemble_matrix,
+    axis_signs,
     builtin_symbol,
     eval_symbol,
     invariant_flips,
@@ -429,6 +430,29 @@ def test_invariant_flips_of_a_table_and_a_builtin():
     g = np.linspace(-1, 1, 5)
     assert invariant_flips(table_symbol(1, [g], {(0,): g**2})) == []
     assert invariant_flips(builtin_symbol("heat", 2, t=1.0)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("text, dim, signs", [
+    ("exp(-0.3*absnu)/(1+0.4*x1^2+0.5*x2^2)", 2, (1, 1)),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, (0, 0)),
+    ("exp(-0.3*lam)*(2+0.4*x1/(1+x2^2))", 2, (0, 1)),
+    ("exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)", 3, (-1, 1, 1)),
+    ("x1^3*x2", 2, (-1, -1)),
+    ("x1/(1+nu1*x1^2)", 1, (-1,)),  # a nu-variable never blocks a sign
+    ("exp(-absnu)", 2, (1, 1)),
+])
+def test_axis_signs(text, dim, signs):
+    sym = parse_symbol(text, dim)
+    assert axis_signs(sym) == signs
+    # an axis that keeps m is an invariant single-axis flip
+    assert [1 << j for j, s in enumerate(signs) if s == 1] == [
+        h for h in invariant_flips(sym) if h & (h - 1) == 0]
+
+
+def test_axis_signs_of_a_table_and_a_builtin():
+    g = np.linspace(-1, 1, 5)
+    assert axis_signs(table_symbol(1, [g], {(0,): g**2})) == (0,)
+    assert axis_signs(builtin_symbol("heat", 2, t=1.0)) == (1, 1)
 
 
 def _expressions(dim: int):
