@@ -3,7 +3,8 @@
 Subcommands: analyze, criteria, trace, converge, basis-check.  Reports are
 JSON (sorted keys, shortest round-trip floats) so identical runs produce
 identical bytes; --format csv emits the flat (shell, sum) or (index,
-singular value) tables instead.
+singular value) tables instead, and is refused (exit 2) by trace and
+basis-check, which have no table.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -121,7 +123,7 @@ def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise FloatingPointError("the report has non-finite values") from None
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv":
         lines = [",".join(csv_header)] + [",".join(repr(v) for v in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     if args.output:
@@ -218,7 +220,14 @@ def cmd_basis_check(args) -> int:
     return 0
 
 
+# the commands whose report has a table for --format csv
+_CSV_COMMANDS = ("analyze", "criteria", "converge")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Every parse shares
+    --param's default list, so nothing may mutate args.param."""
     parser = argparse.ArgumentParser(
         prog="hspec",
         description="Pseudo-multipliers of the quantum harmonic oscillator: "
@@ -269,14 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.dim is not None and args.dim < 1:
             raise ConfigError("--dim must be at least 1")
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            raise ConfigError(f"--format csv: {args.command} has no table; the commands "
+                              f"with one are {', '.join(_CSV_COMMANDS)}")
         return args.func(args)
     except (ConfigError, SymbolError, CriterionPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,15 @@ A Gauss-Hermite rule is the one place where weights meet Hermite values: it
 normalizes the columns of this table at its nodes into the bounded basis
 sqrt(w_i) h_k(x_i), entries in [-1, 1], and keeps the reciprocal column norms
 as its half weights sqrt(w_i) e^(x_i^2/2).  Quadrature code reads these two.
+
+The nodes are the eigenvalues of the Jacobi matrix.  Up to order
+DENSE_JACOBI_MAX_ORDER NumPy's dense symmetric solver finds them: its LAPACK
+driver dsyevd first reduces the matrix with dsytrd, whose reflectors are the
+identity on a matrix that is already tridiagonal, and then runs dsterf, which
+is what SciPy's tridiagonal solver (default driver dstevd) runs too.  So the
+nodes are the same bits, and SciPy stays out of the import.  Above the cut the
+dense O(q^3) solve costs more than the import, and SciPy's tridiagonal solver
+is imported on first use.
 """
 
 from __future__ import annotations
@@ -20,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .multiindex import MultiIndex
 
 _PI_QUARTER = np.pi ** (-0.25)
+# the largest quadrature order whose nodes come from NumPy's dense solver
+DENSE_JACOBI_MAX_ORDER = 256
 
 
 def hermite_table(max_degree: int, x) -> np.ndarray:
@@ -103,17 +113,26 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     """Golub-Welsch rule of order q: exact for x^k e^(-x^2), k <= 2q-1.
 
     Nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    Hermite recurrence (off-diagonals sqrt(k/2)).  The basis is hermite_table
-    at the nodes with each column normalized: by the Christoffel identity
-    w_i = e^(-x_i^2) / sum_{k<q} phi_k(x_i)^2 it becomes sqrt(w_i) h_k(x_i),
-    its reciprocal norm is the half weight sqrt(w_i) e^(x_i^2/2), and
-    sqrt(pi) basis[0]^2 gives the weights to full relative accuracy.
+    Hermite recurrence (off-diagonals sqrt(k/2)): numpy.linalg.eigvalsh on its
+    lower band for q <= DENSE_JACOBI_MAX_ORDER, scipy.linalg.eigh_tridiagonal
+    above, the same bits where both run (see the module docstring).  The
+    basis is hermite_table at the nodes with each column normalized: by the
+    Christoffel identity w_i = e^(-x_i^2) / sum_{k<q} phi_k(x_i)^2 it becomes
+    sqrt(w_i) h_k(x_i), its reciprocal norm is the half weight
+    sqrt(w_i) e^(x_i^2/2), and sqrt(pi) basis[0]^2 gives the weights to full
+    relative accuracy.
     """
     if q < 1:
         raise ValueError(f"quadrature order must be >= 1, got {q}")
     beta = np.sqrt(np.arange(1, q) / 2.0)
     try:
-        nodes = eigh_tridiagonal(np.zeros(q), beta, eigvals_only=True)
+        if q <= DENSE_JACOBI_MAX_ORDER:
+            # eigvalsh reads only the lower triangle
+            nodes = np.linalg.eigvalsh(np.diag(beta, -1))
+        else:
+            from scipy.linalg import eigh_tridiagonal
+
+            nodes = eigh_tridiagonal(np.zeros(q), beta, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Jacobi eigenproblem failed for order {q}: {exc}") from exc
     # symmetrize: nodes come in +/- pairs, enforce it exactly

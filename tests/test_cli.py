@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hspec import (
     check_trace_class_positive,
     symbol_from_dict,
 )
+import hspec.cli
 from hspec.cli import main
 from oracles import heat_trace_limit
 
@@ -330,6 +335,71 @@ def test_csv_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "index,singular_value"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("command", ["trace", "basis-check"])
+def test_csv_on_a_command_without_a_table_exits_2(tmp_path, capsys, command):
+    symbol = () if command == "basis-check" else ("--builtin", "heat", "--param", "t=1")
+    code, out = run(tmp_path, command, *symbol, "--level", "3", "--format", "csv")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --format csv: {command} has no table; "
+        "the commands with one are analyze, criteria, converge\n")
+    assert not out.exists()
+
+
+def test_repeated_calls_in_one_process_write_the_bytes_of_fresh_calls(tmp_path):
+    # the parser is built once per process: no call may leave state in it,
+    # such as an entry in --param's shared default list
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"kind": "expression", "dim": 1,
+                               "expr": "exp(-absnu)/(1+x1^2)"}))
+    argvs = [
+        ("analyze", "--symbol", str(sym), "--level", "6"),
+        ("analyze", "--builtin", "heat", "--param", "t=0.5", "--level", "6"),
+        ("criteria", "--builtin", "power", "--param", "sigma=1.5", "--param", "sigma=2",
+         "--dim", "2", "--level", "8", "--r", "1,2"),
+        ("criteria", "--symbol", str(sym), "--level", "6", "--r", "2"),
+    ]
+    sequence = [0, 1, 0, 2, 3, 1, 3]
+    repeated = [run(tmp_path, *argvs[i], name=f"seq{k}.json") for k, i in enumerate(sequence)]
+    fresh = []
+    for i, argv in enumerate(argvs):
+        hspec.cli.build_parser.cache_clear()
+        fresh.append(run(tmp_path, *argv, name=f"fresh{i}.json"))
+    for (code, out), i in zip(repeated, sequence):
+        assert code == 0 and fresh[i][0] == 0
+        assert out.read_bytes() == fresh[i][1].read_bytes()
+
+
+# blocks SciPy, checks that the import left it out, then runs main on argv
+NO_SCIPY = """
+import sys
+import hspec.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "hspec.cli imported scipy"
+sys.modules["scipy"] = None
+sys.exit(hspec.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--symbol", "sym2d.json", "--level", "34"),
+    ("criteria", "--symbol", "sym3d.json", "--level", "5", "--r", "1,1.5,2"),
+    ("analyze", "--builtin", "heat", "--param", "t=1", "--dim", "2", "--level", "50"),
+    ("basis-check", "--level", "100"),
+], ids=["xdep-2d", "xdep-3d", "multiplier", "basis-check"])
+def test_default_paths_run_without_scipy(tmp_path, args):
+    (tmp_path / "sym2d.json").write_text(json.dumps(
+        {"kind": "expression", "dim": 2, "expr": "lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))"}))
+    (tmp_path / "sym3d.json").write_text(json.dumps(
+        {"kind": "expression", "dim": 3,
+         "expr": "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2+0.4*x3^2)"}))
+    env = dict(os.environ, PYTHONPATH=str(Path(hspec.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", NO_SCIPY, *args,
+                           "--output", "out.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out.json").read_text())["command"] == args[0]
 
 
 def test_expression_symbol_file(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_hermite
 
 from hspec import (
@@ -15,7 +16,7 @@ from hspec import (
     hermite_table,
     oscillator_eigenvalue,
 )
-from hspec.hermite import quadrature_order
+from hspec.hermite import DENSE_JACOBI_MAX_ORDER, quadrature_order
 
 # frozen from tests/oracles.py phi_mp at 50 digits
 PHI_4_AT_0P7 = -0.23036447379803544656
@@ -163,6 +164,21 @@ def test_rule_matches_scipy_at_high_order(q):
     # below 1e-290 the reference weights lose relative accuracy to underflow
     kept = weights > 1e-290
     assert np.abs(r.weights[kept] / weights[kept] - 1).max() <= 1e-10
+
+
+def test_dense_nodes_equal_the_tridiagonal_solver_bit_for_bit():
+    # below the cut NumPy's dense solver finds the nodes, above it SciPy's
+    # tridiagonal one: across the cut the rule is the one SciPy's nodes give
+    for q in range(1, DENSE_JACOBI_MAX_ORDER + 3):
+        beta = np.sqrt(np.arange(1, q) / 2.0)
+        nodes = eigh_tridiagonal(np.zeros(q), beta, eigvals_only=True)
+        nodes = 0.5 * (nodes - nodes[::-1])
+        table = hermite_table(q - 1, nodes)
+        norm = np.sqrt(np.sum(table**2, axis=0))
+        r = gauss_hermite_rule(q)
+        assert np.array_equal(r.nodes, nodes), q
+        assert np.array_equal(r.basis, table / norm), q
+        assert np.array_equal(r.half_weights, 1.0 / norm), q
 
 
 def test_basis_table_is_the_weighted_hermite_table():
