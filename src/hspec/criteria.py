@@ -128,8 +128,7 @@ def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
     extras = {}
     if m is not None:
         direct = named_fsum("the HS-iff sum", terms)
-        with np.errstate(over="ignore"):  # checked below
-            fro2 = float(np.sum(m.entries**2))
+        fro2 = m.frobenius_squared()
         if not math.isfinite(fro2):
             raise FloatingPointError("the squared Frobenius norm of the matrix overflows")
         extras["frobenius_squared"] = fro2
@@ -146,16 +145,18 @@ def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
                 f"positivity check failed: multiplier value {diag.min():.3e} < 0"
             )
     else:
-        a = m.entries
-        scale = max(np.abs(a).max(), 1e-300)
-        asym = np.abs(a - a.T).max()
-        if asym > SYMMETRY_TOL * scale:
-            raise CriterionPreconditionError(
-                f"symmetry check failed: max|M - M^T| = {asym:.3e} "
-                f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
-            )
-        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in m.diagonal_blocks)
-        norm = float(np.linalg.norm(a))
+        blocks, d = m.diagonal_blocks, m.symmetrizer
+        # a constant symmetrizer makes M a multiple of the symmetric G
+        if d is None or (d != d[0]).any():
+            scale = max(max(np.abs(b).max() for b in blocks), 1e-300)
+            asym = max(np.abs(b - b.T).max() for b in blocks)
+            if asym > SYMMETRY_TOL * scale:
+                raise CriterionPreconditionError(
+                    f"symmetry check failed: max|M - M^T| = {asym:.3e} "
+                    f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
+                )
+        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in blocks)
+        norm = math.sqrt(m.frobenius_squared())
         if lo < -POSITIVITY_TOL * norm:
             raise CriterionPreconditionError(
                 f"positivity check failed: smallest eigenvalue {lo:.3e} "

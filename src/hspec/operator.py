@@ -35,6 +35,14 @@ and each contraction step keeps only the basis rows mu_j with
 entries that vanish in exact arithmetic are exact zeros, as are the
 integrals of m phi_nu^2 of a symbol odd in some axis.  Any other symbol runs
 on the whole grid.
+
+The matrix is stored as its parity blocks only.  phi_nu(hx) = (-1)^(nu . h)
+phi_nu(x), so for every coordinate flip h that leaves the symbol unchanged
+(symbol.invariant_flips) M[mu, nu] = 0 unless nu . h and mu . h have the same
+parity.  Each chunk's sums are written straight into a stack of the blocks,
+the doubling check compares the stacks of the two orders, and the operator
+keeps one array per block: about D^2/k entries for k blocks, with no dense
+D x D matrix unless OperatorMatrix.entries is read.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,24 +66,24 @@ RESIDUAL_WARN = 1e-6
 class OperatorMatrix:
     """The truncated operator, the one discretization every report reads.
 
-    values is the diagonal m(nu) of a multiplier, else the dense matrix;
-    either is finite, as assembly refuses a non-finite value or sum.
+    values is the diagonal m(nu) of a multiplier, else the tuple of the
+    parity blocks M[b, b], one array per index set b of blocks, its rows and
+    columns in ascending rank order; either is finite, as assembly refuses a
+    non-finite value or sum.  M[mu, nu] = 0 unless mu and nu lie in the same
+    block, so no other entry is stored, and the spectrum is the union of the
+    spectra of the blocks.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
-    blocks are the index sets of the parity blocks: M[mu, nu] = 0 unless mu
-    and nu lie in the same one, so the spectrum is the union of the spectra of
-    the blocks values[b, b], which diagonal_blocks cuts once for every
-    reader.
     worst_column is the nu whose column moved most between the order-q and
     order-2q matrices, with its relative change (None without the check).
     symmetrizer is d = sqrt(a(nu)) when the symbol splits as a(nu) b(x)
     (symbol.separate) with every a(nu) a positive normal float, else None:
-    then values = G diag(a) with G symmetric, and diag(d) values diag(d)^-1
+    then M = G diag(a) with G symmetric, and diag(d) M diag(d)^-1
     = diag(d) G diag(d) is symmetric with the same eigenvalues.
     """
 
     spec: TruncationSpec
-    values: np.ndarray
+    values: np.ndarray | tuple[np.ndarray, ...]
     quad_order: int
     assembly_residual: float
     residual_warning: bool
@@ -92,28 +99,44 @@ class OperatorMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        return self.values.ndim == 1
+        return not isinstance(self.values, tuple)
+
+    @property
+    def diagonal_blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks M[b, b] in the order of blocks: the stored arrays
+        themselves, no copy; a diagonal operator's one dense block, built on
+        each access."""
+        return (np.diag(self.values),) if self.is_diagonal else self.values
 
     @property
     def entries(self) -> np.ndarray:
-        """Dense D x D matrix; a diagonal operator builds it on each access."""
-        return np.diag(self.values) if self.is_diagonal else self.values
-
-    @cached_property
-    def diagonal_blocks(self) -> list[np.ndarray]:
-        """The dense matrix cut into its parity blocks values[b, b], on first
-        use, once; the matrix itself when it has one block."""
-        if len(self.blocks) == 1:
-            return [self.values]
-        return [self.values[np.ix_(b, b)] for b in self.blocks]
+        """Dense D x D matrix, built on each access: the blocks in place and
+        exact zeros elsewhere."""
+        if self.is_diagonal:
+            return np.diag(self.values)
+        dense = np.zeros((self.size, self.size))
+        for b, block in zip(self.blocks, self.values):
+            dense[np.ix_(b, b)] = block
+        return dense
 
     def column_integrals(self, squared: bool = True) -> np.ndarray:
         """Per-nu integrals of m^2 phi_nu^2 (squared=True) or of m phi_nu^2."""
         return self.columns[squared]
 
+    def frobenius_squared(self) -> float:
+        """The sum of the squared entries, block by block; inf when it overflows."""
+        with np.errstate(over="ignore"):
+            return float(sum(np.square(block).sum() for block in self.diagonal_blocks))
+
     def trace(self) -> float:
+        """The sum of the diagonal, taken in enumeration order."""
+        diagonal = self.values
+        if not self.is_diagonal:
+            diagonal = np.empty(self.size)
+            for b, block in zip(self.blocks, self.values):
+                diagonal[b] = block.diagonal()
         with np.errstate(over="ignore", invalid="ignore"):  # finite values; checked below
-            total = float(np.sum(self.values) if self.is_diagonal else np.trace(self.values))
+            total = float(np.sum(diagonal))
         if not math.isfinite(total):
             raise FloatingPointError("the matrix trace overflows")
         return total
@@ -224,13 +247,9 @@ def _diagonal_sums(values: np.ndarray, weights: np.ndarray, block: np.ndarray) -
                            for i, (lo, hi) in enumerate(zip(starts, ends))])
 
 
-def _grid(spec: TruncationSpec, q: int):
-    """The order-q rule and the row-major index of each nu in the box
-    [0, N]^n.  The tensor grid is the rule's nodes on every axis; no array
-    of its q^n points is built."""
-    rule = gauss_hermite_rule(q)
-    box = spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
-    return rule, box
+def _box(spec: TruncationSpec) -> np.ndarray:
+    """The row-major index of each nu in the box [0, N]^n."""
+    return spec.array @ (spec.level + 1) ** np.arange(spec.dim - 1, -1, -1)
 
 
 def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray,
@@ -242,7 +261,7 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray,
     When m splits (symbol.separate) and every a(nu) b(x) is finite, which
     holds iff max|a| max|b| is finite, the sample is shared: b's single row
     and the factors a[cols], and a is every column's a(nu).  Else the values
-    are m's own, sampled per column by symbol_sampler, with factor 1, a is
+    are m's own, sampled per column by symbol_sampler, with factors 1, a is
     None, and the first non-finite value is named.  On a folded grid, whose
     nodes are the non-negative half of the nodes full, a chunk that is not
     finite is sampled again on full, so the point named is the first of the
@@ -267,7 +286,7 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray,
 
     def per_column(cols):
         try:
-            return sample(spec.array[cols]), 1.0
+            return sample(spec.array[cols]), np.ones(len(cols))
         except SymbolEvalError:
             if full is not None:  # raises, naming the whole grid's first bad point
                 symbol_sampler(sym, full)(spec.array[cols])
@@ -276,22 +295,22 @@ def _sampler(sym: SymbolSpec, spec: TruncationSpec, nodes: np.ndarray,
     return per_column, None
 
 
-def _check_finite(what: str, sums: np.ndarray, spec: TruncationSpec) -> None:
-    """Raise FloatingPointError naming the first column nu where sums, of
-    finite samples, overflowed."""
-    bad = ~np.isfinite(sums.reshape(-1, spec.size)).all(axis=0)
+def _check_finite(what: str, bad: np.ndarray, spec: TruncationSpec) -> None:
+    """Raise FloatingPointError naming the first column nu, in enumeration
+    order, whose sums, of finite samples, overflowed (bad[nu])."""
     if bad.any():
         nu = spec.unrank(int(np.argmax(bad)))
         raise FloatingPointError(f"{what} overflows at nu={nu.entries}")
 
 
-def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bool = True,
-                columns: bool = True) -> tuple[int, np.ndarray | None, tuple | None,
-                                               np.ndarray | None]:
-    """The resolved order q, then the order-q matrix and/or the column
-    integrals (of m phi_nu^2, of m^2 phi_nu^2), from one sampling of the
-    symbol, then the column factors a(nu) when the sample is shared, else
-    None.
+def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
+                layout: tuple | None = None, columns: bool = True
+                ) -> tuple[int, np.ndarray | None, tuple | None, np.ndarray | None]:
+    """The resolved order q, then the order-q matrix as the stack of its
+    parity blocks laid out by layout (_stack_layout; no matrix without one)
+    and/or the column integrals (of m phi_nu^2, of m^2 phi_nu^2), from one
+    sampling of the symbol, then the column factors a(nu) when the sample is
+    shared, else None.
 
     A multiplier's matrix is its exact diagonal m(nu) and its columns are
     (m, m^2), since phi_nu has unit norm: no quadrature.  Otherwise
@@ -307,8 +326,11 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     f^2 sum v^2 B^2 of the values v.  A shared sample takes the columns in
     tail order (nu_n, ..., nu_1), so each tail is a run; any other in
     enumeration order, so the first non-finite value named is the first
-    column's.  Sums that overflow raise FloatingPointError naming the first
-    such column."""
+    column's.  A chunk's contracted sums are written straight into the
+    stack, one row per column nu holding its block's rows mu; they are
+    checked before, over the whole truncation, so sums that overflow raise
+    FloatingPointError naming the first such column in enumeration order, in
+    its block or not."""
     q = quadrature_order(spec.level, q)
     if sym.dim != spec.dim:
         raise ValueError(f"symbol dimension {sym.dim} != truncation dimension {spec.dim}")
@@ -316,7 +338,9 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
         diag = multiplier_value(sym, spec.array)
         with np.errstate(over="ignore"):  # an m^2 that overflows is named where it is summed
             return q, diag, (diag, diag**2), None
-    rule, box = _grid(spec, q)
+    # the tensor grid is the rule's nodes on every axis; no array of its q^n
+    # points is built
+    rule, box = gauss_hermite_rule(q), _box(spec)
     # the axis signs when every axis has one and the grid folds, else None
     signs = axis_signs(sym)
     fold = None if 0 in signs else signs
@@ -327,11 +351,14 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
     weights = row * np.where(nodes[:, 0] > 0, 2.0, 1.0) if fold else row
     diag = row * weights
     size = spec.size
-    entries = np.empty((size, size)) if matrix else None
     linear, squared = (np.empty(size), np.empty(size)) if columns else (None, None)
     sample, a = _sampler(sym, spec, nodes, full if fold else None)
     shared = a is not None
     order = np.lexsort(spec.array.T) if shared else np.arange(size)
+    if layout is not None:
+        block_of, place, rows, pad = layout
+        stack = np.zeros((len(rows), rows.shape[1], rows.shape[1]))
+        bad = np.zeros(size, dtype=bool)
     step = max(1, _CHUNK_BYTES // (8 * (spec.level + 1 if shared else len(nodes))**spec.dim))
     # m phi_nu^2 is odd in an axis where m is, so it sums to exactly 0
     odd = fold is not None and -1 in fold
@@ -340,17 +367,29 @@ def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None, matrix: bo
             cols = order[start:start + step]
             block = spec.array[cols]
             values, factor = sample(cols)
-            if matrix:
-                entries[:, cols] = _contract(values, row, weights, block, fold)[:, box].T * factor
+            if layout is not None:
+                sums = _contract(values, row, weights, block, fold)
+                # products below max|sums| max|factor| are finite; else find
+                # the columns with a non-finite entry in the truncation
+                top = np.maximum(sums.max(), -sums.min()) * np.abs(factor).max()
+                if not np.isfinite(top):
+                    bad[cols] = ~np.isfinite(sums[:, box] * factor[:, None]).all(axis=1)
+                # column nu is row place[nu] of its block's slice of the stack
+                k = block_of[cols]
+                part = sums.take(np.arange(0, sums.size, sums.shape[1])[:, None] + rows[k])
+                part *= factor[:, None]
+                stack[k, place[cols]] = part
             if columns:
                 linear[cols] = 0.0 if odd else _diagonal_sums(values, diag, block) * factor
                 squared[cols] = _diagonal_sums(np.square(values), diag, block) * (factor * factor)
-    if matrix:
-        _check_finite(f"the order-{q} matrix", entries, spec)
+    if layout is not None:
+        _check_finite(f"the order-{q} matrix", bad, spec)
+        np.copyto(stack, 0.0, where=pad[:, None, :])
     if columns:
-        _check_finite(f"the order-{q} quadrature sum of m phi_nu^2", linear, spec)
-        _check_finite(f"the order-{q} quadrature sum of m^2 phi_nu^2", squared, spec)
-    return q, entries, (linear, squared) if columns else None, a
+        _check_finite(f"the order-{q} quadrature sum of m phi_nu^2", ~np.isfinite(linear), spec)
+        _check_finite(f"the order-{q} quadrature sum of m^2 phi_nu^2", ~np.isfinite(squared),
+                      spec)
+    return q, stack if layout is not None else None, (linear, squared) if columns else None, a
 
 
 def _parity_blocks(sym: SymbolSpec, spec: TruncationSpec) -> tuple[np.ndarray, ...]:
@@ -360,9 +399,29 @@ def _parity_blocks(sym: SymbolSpec, spec: TruncationSpec) -> tuple[np.ndarray, .
     flips = [] if sym.is_multiplier else invariant_flips(sym)
     if not flips:
         return (np.arange(spec.size),)
-    bits = (np.array(flips)[:, None] >> np.arange(spec.dim)) & 1
-    group = np.unique(spec.array @ bits.T % 2, axis=0, return_inverse=True)[1].ravel()
+    # the parities depend on nu mod 2 only: group its few distinct patterns
+    patterns, inverse = np.unique(spec.array % 2 @ (1 << np.arange(spec.dim)),
+                                  return_inverse=True)
+    bits = (patterns[:, None] >> np.arange(spec.dim)) & 1
+    flip_bits = (np.array(flips)[:, None] >> np.arange(spec.dim)) & 1
+    group = np.unique(bits @ flip_bits.T % 2, axis=0, return_inverse=True)[1].ravel()[inverse]
     return tuple(np.flatnonzero(group == g) for g in range(group.max() + 1))
+
+
+def _stack_layout(blocks: tuple[np.ndarray, ...], spec: TruncationSpec):
+    """How the parity blocks lie in a stack (k, w, w) of k arrays padded to
+    the largest block, w: block b = blocks[k] holds M[b[i], b[p]] at
+    stack[k, p, i], i.e. is stack[k, :len(b), :len(b)].T.  Returns per nu
+    its block k and its place p in it, and per block the box index of its
+    rows mu, padded with that of mu = 0, and where it is padding."""
+    sizes = np.array([len(b) for b in blocks])
+    ranks = np.concatenate(blocks)
+    block_of, place = np.empty(spec.size, dtype=np.intp), np.empty(spec.size, dtype=np.intp)
+    block_of[ranks] = np.repeat(np.arange(len(blocks)), sizes)
+    place[ranks] = np.arange(spec.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rows = np.zeros((len(blocks), sizes.max()), dtype=np.intp)
+    rows[block_of, place] = _box(spec)
+    return block_of, place, rows, np.arange(sizes.max()) >= sizes[:, None]
 
 
 def column_integrals(
@@ -371,7 +430,7 @@ def column_integrals(
     """Per-nu integrals of m(x,nu)^2 phi_nu(x)^2 (squared=True) or of
     m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order; a multiplier's
     are exactly m(nu)^2 resp. m(nu)."""
-    return _discretize(sym, spec, q, matrix=False)[2][squared]
+    return _discretize(sym, spec, q)[2][squared]
 
 
 def assemble_matrix(
@@ -383,23 +442,33 @@ def assemble_matrix(
     """Assemble P_N T_m P_N.
 
     A multiplier is its exact diagonal of m(nu) values.  Otherwise the
-    order-q pass gives the matrix and the column integrals; the matrix is
-    repeated at order 2q and the relative Frobenius change recorded, overall
-    and per column; an overall change above 1e-6 sets the residual warning
-    flag (the result is still returned).  The symmetrizer sqrt(a) is read
-    from the pass whose matrix is kept.
+    order-q pass gives the matrix, as its parity blocks, and the column
+    integrals; the matrix is repeated at order 2q and the relative Frobenius
+    change recorded, overall and per column, block by block; an overall
+    change above 1e-6 sets the residual warning flag (the result is still
+    returned).  The symmetrizer sqrt(a) is read from the pass whose matrix
+    is kept.
     """
-    q, entries, columns, a = _discretize(sym, spec, q)
+    if sym.is_multiplier:
+        q, diag, columns, _ = _discretize(sym, spec, q)
+        return OperatorMatrix(spec, diag, q, 0.0, False, sym, columns, _parity_blocks(sym, spec))
+    blocks = _parity_blocks(sym, spec)
+    layout = _stack_layout(blocks, spec)
+    q, values, columns, a = _discretize(sym, spec, q, layout)
     residual, worst = 0.0, None
-    if doubling_check and not sym.is_multiplier:
-        _, refined, _, a = _discretize(sym, spec, 2 * q, columns=False)
+    if doubling_check:
+        _, refined, _, a = _discretize(sym, spec, 2 * q, layout, columns=False)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            scale = np.linalg.norm(refined)
-            change = refined - entries
-            residual = float(np.linalg.norm(change) / scale) if scale > 0 else 0.0
-            col_scale = np.linalg.norm(refined, axis=0)
-            per_column = np.divide(np.linalg.norm(change, axis=0), col_scale,
-                                   out=np.zeros(spec.size), where=col_scale > 0)
+            # the squared norms of the columns of the refined matrix and of
+            # its change, read at each nu's (block, place); the padding is zeros
+            at = layout[:2]
+            fine2 = np.einsum("kpi,kpi->kp", refined, refined)[at]
+            values -= refined
+            change2 = np.einsum("kpi,kpi->kp", values, values)[at]
+            scale = math.sqrt(fine2.sum())
+            residual = math.sqrt(change2.sum()) / scale if scale > 0 else 0.0
+            per_column = np.divide(np.sqrt(change2), np.sqrt(fine2),
+                                   out=np.zeros(spec.size), where=fine2 > 0)
         if not np.isfinite([scale, residual]).all():
             raise FloatingPointError(f"the Frobenius norm in the order-{2 * q} doubling check "
                                      "overflows")
@@ -407,12 +476,12 @@ def assemble_matrix(
         # so mirrored columns of a symmetric symbol do not swap on a last bit
         k = int(np.argmax(per_column >= (1 - 1e-9) * per_column.max()))
         worst = (spec.unrank(k), float(per_column[k]))
-        entries = refined
+        values = refined
+    values = tuple(values[k, :len(b), :len(b)].T for k, b in enumerate(blocks))
     # a zero, negative or subnormal a(nu) gets no symmetrizer
     normal = a is not None and bool((a >= np.finfo(float).tiny).all())
-    return OperatorMatrix(spec, entries, q, residual, residual > RESIDUAL_WARN, sym,
-                          columns, _parity_blocks(sym, spec), worst,
-                          np.sqrt(a) if normal else None)
+    return OperatorMatrix(spec, values, q, residual, residual > RESIDUAL_WARN, sym,
+                          columns, blocks, worst, np.sqrt(a) if normal else None)
 
 
 def _basis_at(spec: TruncationSpec, x) -> np.ndarray:
@@ -435,7 +504,7 @@ def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
     f is a callable on (M, n) point arrays (or on 1-D arrays when n = 1).
     """
     q = quadrature_order(spec.level, q)
-    rule, box = _grid(spec, q)
+    rule, box = gauss_hermite_rule(q), _box(spec)
     # the (q^n, n) points in row-major order (x_1 slowest), each coordinate contiguous
     points = np.stack(np.meshgrid(*[rule.nodes] * spec.dim, indexing="ij")).reshape(spec.dim, -1).T
     samples = np.asarray(f(points[:, 0] if spec.dim == 1 else points), dtype=float)

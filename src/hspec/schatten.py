@@ -11,11 +11,13 @@ sorted |m(nu)| and its eigenvalue sum is the fsum of m(nu): no dense
 factorization is needed.  Any other matrix is factored per parity block:
 the flips x -> hx that leave the symbol invariant are read from its
 expression tree (symbol.invariant_flips), phi_nu(hx) = (-1)^(nu . h) phi_nu(x),
-so the matrix is block diagonal over OperatorMatrix.blocks.  The singular
-values are the union of the blocks' and the eigenvalue sum the sum of the
-blocks' sums; one SVD and one eigensolve run per block.  The spectral
-functions take an assembled OperatorMatrix, whose values are finite, and
-read the blocks it cuts once (OperatorMatrix.diagonal_blocks).
+so the matrix is block diagonal over OperatorMatrix.blocks, and the operator
+stores only those blocks.  The singular values are the union of the blocks'
+and the eigenvalue sum the sum of the blocks' sums; one SVD and one
+eigensolve run per block.  The spectral functions take an assembled
+OperatorMatrix, whose values are finite, and read its stored blocks
+(OperatorMatrix.diagonal_blocks) without copying them; no dense D x D
+matrix is formed.
 
 The eigensolve is symmetric when the operator has a symmetrizer: a symbol
 a(nu) b(x) with every a(nu) > 0 has M = G diag(a) with G symmetric, so M is
@@ -124,20 +126,20 @@ def spectral_trace(m: OperatorMatrix) -> float:
     1e-8 * ||M|| or a warning is issued.  A sum that overflows raises
     FloatingPointError naming it.
     """
-    a = m.values
     if m.is_diagonal:
-        return named_fsum(_EIGEN_SUM, a)
+        return named_fsum(_EIGEN_SUM, m.values)
     blocks, d = m.diagonal_blocks, m.symmetrizer
     if d is not None:
         return named_fsum(_EIGEN_SUM, np.concatenate([
             np.linalg.eigvalsh(d[b, None] * (block / d[b])) for b, block in zip(m.blocks, blocks)]))
-    if np.allclose(a, a.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(a).max())):
+    atol = 1e-14 * max(1.0, max(np.abs(b).max() for b in blocks))
+    if all(np.allclose(b, b.T, rtol=0.0, atol=atol) for b in blocks):
         return named_fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     try:
         eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = np.linalg.norm(a)
+    scale = math.sqrt(m.frobenius_squared())
     imag = abs(math.fsum(eigs.imag))
     if imag > IMAG_RESIDUAL_TOL * max(scale, 1e-300):
         warnings.warn(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from hspec import (
     CriterionPreconditionError,
+    OperatorMatrix,
     TruncationSpec,
     assemble_matrix,
     builtin_symbol,
@@ -19,7 +21,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
-from hspec.criteria import _hilbert_schmidt, shell_partition
+from hspec.criteria import _hilbert_schmidt, _trace_class, criteria, shell_partition
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
@@ -120,6 +122,32 @@ def test_trace_class_accepts_verified_quadrature_symbol():
     v = check_trace_class_positive(sym, TruncationSpec(1, 15))
     assert v.tail_flag == "converging"
     assert v.partial_sum == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("text, dim, level", [
+    ("1/(1+0.5*x1^2+0.4*x2^2+0.3*x3^2)", 3, 5),  # a symmetrizer of ones, 8 blocks
+    ("1/(1+x1^2+0.5*x2^2)+0*nu1", 2, 12),  # no symmetrizer, 4 blocks
+], ids=["constant-symmetrizer", "no-symmetrizer"])
+def test_the_criteria_read_the_stored_blocks_and_build_no_dense_matrix(monkeypatch, text, dim,
+                                                                       level):
+    sym, spec = parse_symbol(text, dim, positive_selfadjoint=True), TruncationSpec(dim, level)
+    dense = assemble_matrix(sym, spec).entries
+    monkeypatch.setattr(OperatorMatrix, "entries", property(lambda m: pytest.fail("dense")))
+    hs, _, trace_class, _ = criteria(sym, spec, None, (2.0, 1.0, 1.5))
+    assert trace_class.criterion == "TraceClass-iff"
+    assert hs.extras["frobenius_squared"] == pytest.approx(float(np.sum(dense**2)), rel=1e-14)
+
+
+def test_a_constant_symmetrizer_skips_the_symmetry_check():
+    # M = c G with G symmetric, so only the positivity check runs; without
+    # the symmetrizer the same blocks fail the symmetry check
+    sym = parse_symbol("1/(1+0.5*x1^2+0.4*x2^2+0.3*x3^2)", 3, positive_selfadjoint=True)
+    m = assemble_matrix(sym, TruncationSpec(3, 4))
+    assert np.array_equal(m.symmetrizer, np.ones(m.size))
+    skewed = tuple(b + 1e-6 * np.triu(np.ones_like(b), 1) for b in m.values)
+    assert _trace_class(dataclasses.replace(m, values=skewed)).criterion == "TraceClass-iff"
+    with pytest.raises(CriterionPreconditionError, match="symmetry check failed"):
+        _trace_class(dataclasses.replace(m, values=skewed, symmetrizer=None))
 
 
 def test_sr_small_heat_r1():

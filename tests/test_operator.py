@@ -25,6 +25,7 @@ from hspec import (
     eval_symbol,
     export_matrix_csv,
     gauss_hermite_rule,
+    invariant_flips,
     kernel_eval,
     parse_symbol,
     separate,
@@ -508,6 +509,123 @@ def test_worst_column_of_a_mirrored_tie_is_the_first_in_graded_order():
     nu, _ = assemble_matrix(sym, spec, q=16).worst_column
     assert nu == MultiIndex((10, 0))
     assert spec.rank(MultiIndex((10, 0))) < spec.rank(MultiIndex((0, 10)))
+
+
+# symbols with invariant flips, so their operators are stored as parity blocks
+BLOCK_CASES = {
+    "even-2d": ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2, 12, 4),
+    "joint-flip-2d": ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2, 12, 2),
+    "x2-flip-2d": ("exp(-0.3*lam)*(2+0.7*x1/(1+x2^2))", 2, 12, 2),
+    "per-column-2d": ("1/(1+x1^2+(1+0.1*nu2)*x2^2)", 2, 8, 4),
+    "3d": ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3, 5, 8),
+    "1d": ("x1*sin(x1)/(1+x1^2)", 1, 30, 2),
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 5])
+@pytest.mark.parametrize("text, dim", [
+    ("x1*sin(x1)/(1+x1^2)", 1),
+    ("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2),
+    ("exp(-0.3*lam)*(2+0.7*x1/(1+x2^2))", 2),
+    ("exp(-0.2*absnu)/(1+0.3*x1^2+0.4*x2^2+0.5*x3^2)", 3),
+    ("x1*x2*x3/(1+x1^2+x2^2+x3^2)", 3),
+    ("(1+x1*x2)*(1+x3*x4)/(1+x1^2+x2^2+x3^2+x4^2)", 4),
+])
+def test_parity_blocks_group_nu_by_its_parities_over_the_invariant_flips(text, dim, level):
+    # in order: the classes of the rows nu . h mod 2 over the flips h, sorted
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    flips = (np.array(invariant_flips(sym))[:, None] >> np.arange(dim)) & 1
+    group = np.unique(spec.array @ flips.T % 2, axis=0, return_inverse=True)[1].ravel()
+    expected = [np.flatnonzero(group == g) for g in range(group.max() + 1)]
+    blocks = operator._parity_blocks(sym, spec)
+    assert len(blocks) == len(expected)
+    assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("columns", [None, 0], ids=["one-chunk", "column-by-column"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_the_blocks_are_the_one_block_matrix_cut_with_exact_zeros_elsewhere(monkeypatch, case,
+                                                                            columns):
+    text, dim, level, count = BLOCK_CASES[case]
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    if columns is not None:
+        monkeypatch.setattr(operator, "_CHUNK_BYTES", columns)
+    m = assemble_matrix(sym, spec)
+    assert len(m.blocks) == len(m.values) == count
+    # the same assembly stored as one dense block
+    monkeypatch.setattr(operator, "_parity_blocks", lambda sym, spec: (np.arange(spec.size),))
+    (whole,) = assemble_matrix(sym, spec).values
+    inside = np.zeros(whole.shape, dtype=bool)
+    for b, block in zip(m.blocks, m.values):
+        assert np.array_equal(_bits(block), _bits(whole[np.ix_(b, b)]))
+        inside[np.ix_(b, b)] = True
+    entries = m.entries
+    assert np.array_equal(_bits(entries[inside]), _bits(whole[inside]))
+    assert not entries[~inside].any()
+    # where the whole matrix has at most roundoff
+    assert np.abs(whole[~inside]).max() <= 1e-15 * np.abs(whole).max()
+    assert m.trace() == float(np.trace(whole))
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_the_blockwise_residual_matches_one_from_the_dense_entries(case):
+    text, dim, level, _ = BLOCK_CASES[case]
+    sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
+    m = assemble_matrix(sym, spec)
+    q = m.quad_order
+    coarse = assemble_matrix(sym, spec, q, doubling_check=False).entries
+    fine = assemble_matrix(sym, spec, 2 * q, doubling_check=False).entries
+    assert np.array_equal(fine, m.entries)
+    residual = np.linalg.norm(fine - coarse) / np.linalg.norm(fine)
+    assert m.assembly_residual == pytest.approx(residual, rel=1e-14)
+    per_column = np.linalg.norm(fine - coarse, axis=0) / np.linalg.norm(fine, axis=0)
+    nu, change = m.worst_column
+    assert change == pytest.approx(per_column.max(), rel=1e-14)
+    assert per_column[spec.rank(nu)] >= (1 - 1e-9) * per_column.max()
+
+
+@pytest.mark.parametrize("columns", [None, 0], ids=["one-chunk", "column-by-column"])
+def test_an_overflowing_chunk_names_the_first_column_in_enumeration_order(monkeypatch, columns):
+    # the shared sample takes the columns in tail order, (3, 0) before (0, 1);
+    # the sum at mu = (0, 0) of column (0, 1) lies outside its parity block
+    # and is still checked, while one at mu = (6, 6), outside the truncation,
+    # is not
+    sym, spec = parse_symbol("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2), TruncationSpec(2, 6)
+    poison = {(3, 0): (1, 0), (0, 1): (0, 0), (0, 0): (6, 6)}
+    real = operator._contract
+
+    def poisoned(values, row, weights, block, signs=None):
+        sums = real(values, row, weights, block, signs)
+        for nu, mu in poison.items():
+            sums[(block == nu).all(axis=1), mu[0] * 7 + mu[1]] = np.inf
+        return sums
+
+    monkeypatch.setattr(operator, "_contract", poisoned)
+    if columns is not None:
+        monkeypatch.setattr(operator, "_CHUNK_BYTES", columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as raised:
+            assemble_matrix(sym, spec, q=38, doubling_check=False)
+    assert str(raised.value) == "the order-38 matrix overflows at nu=(0, 1)"
+
+
+def test_a_blocked_assembly_holds_far_less_than_three_dense_matrices():
+    # four parity blocks: each pass stores about D^2/4 entries, where the
+    # dense assembly held the order-q and order-2q matrices and their change
+    sym, spec = parse_symbol("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2), TruncationSpec(2, 60)
+    dense = 8 * spec.size**2
+    tracemalloc.start()
+    try:
+        assemble_matrix(sym, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * dense, peak / dense
 
 
 @pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9), (1, 700, 732)])

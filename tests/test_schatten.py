@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hspec import (
-    OperatorMatrix,
     TruncationSpec,
     assemble_matrix,
     build_report,
@@ -163,8 +162,8 @@ def test_spectral_trace_zero_diagonal():
 
 def test_spectral_trace_nonsymmetric_matrix():
     m = assemble_matrix(NONSYMMETRIC, TruncationSpec(1, 5))
-    assert m.symmetrizer is None and not np.allclose(m.values, m.values.T)
-    assert spectral_trace(m) == pytest.approx(float(np.trace(m.values)), abs=1e-10)
+    assert m.symmetrizer is None and not np.allclose(m.entries, m.entries.T)
+    assert spectral_trace(m) == pytest.approx(float(np.trace(m.entries)), abs=1e-10)
 
 
 def test_hilbert_schmidt_identity_symbol():
@@ -206,15 +205,24 @@ def test_build_report_fields():
 @pytest.mark.parametrize("text", [
     "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)",  # symmetrizer, 4 blocks
     "(nu1-2)*(1+x1^2)/(1+x2^2)",  # nonsymmetric solve, 4 blocks
+    "1/(1+x1^2+0.5*x2^2)+0*nu1",  # symmetric solve without a symmetrizer, 4 blocks
     "exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)",  # one block
-], ids=["symmetrizer", "nonsymmetric", "one-block"])
-def test_build_report_cuts_the_blocks_once(monkeypatch, text):
-    # the SVD and the eigensolve read the same cut of the parity blocks
-    cut = OperatorMatrix.diagonal_blocks.func
-    cuts = []
-    monkeypatch.setattr(OperatorMatrix.diagonal_blocks, "func", lambda m: cuts.append(m) or cut(m))
-    build_report(parse_symbol(text, 2), TruncationSpec(2, 10))
-    assert len(cuts) == 1
+], ids=["symmetrizer", "nonsymmetric", "symmetric", "one-block"])
+def test_the_spectral_stage_reads_the_stored_blocks(monkeypatch, text):
+    # the SVD and the eigensolve receive the stored block arrays themselves
+    m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, 10))
+    assert m.diagonal_blocks is m.values and len(m.values) == len(m.blocks)
+    seen = {"svd": [], "eigvals": [], "eigvalsh": []}
+    for name, calls in seen.items():
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, calls=calls,
+                            original=getattr(np.linalg, name), **kwargs:
+                            calls.append(a) or original(a, *args, **kwargs))
+    singular_values(m)
+    spectral_trace(m)
+    assert [id(a) for a in seen["svd"]] == [id(b) for b in m.values]
+    if m.symmetrizer is None:  # else the eigensolve reads diag(d) M_b diag(d)^-1
+        solved = seen["eigvalsh"] if "+0*nu1" in text else seen["eigvals"]
+        assert [id(a) for a in solved] == [id(b) for b in m.values]
 
 
 @pytest.mark.parametrize("sym", [
@@ -258,9 +266,9 @@ def test_blocked_spectra_match_the_whole_matrix(text, dim, level, blocks):
     m = assemble_matrix(parse_symbol(text, dim), TruncationSpec(dim, level))
     assert len(m.blocks) == blocks
     sv = singular_values(m)
-    whole = np.linalg.svd(m.values, compute_uv=False)
+    whole = np.linalg.svd(m.entries, compute_uv=False)
     assert np.all(np.abs(sv - whole) <= 1e-14 * whole[0])
-    dense = math.fsum(np.linalg.eigvals(m.values).real)
+    dense = math.fsum(np.linalg.eigvals(m.entries).real)
     assert spectral_trace(m) == pytest.approx(dense, rel=1e-12)
 
 
@@ -268,12 +276,12 @@ def _similarity_sum(m):
     # the eigenvalue sum through diag(d) M_b diag(d)^-1, one symmetric solve per block
     d = m.symmetrizer
     return math.fsum(np.concatenate([
-        np.linalg.eigvalsh(d[b, None] * (m.values[np.ix_(b, b)] / d[b])) for b in m.blocks]))
+        np.linalg.eigvalsh(d[b, None] * (m.entries[np.ix_(b, b)] / d[b])) for b in m.blocks]))
 
 
 def _nonsymmetric_sum(m):
     # the eigenvalue sum through one nonsymmetric solve per block
-    return math.fsum(np.concatenate([np.linalg.eigvals(m.values[np.ix_(b, b)])
+    return math.fsum(np.concatenate([np.linalg.eigvals(m.entries[np.ix_(b, b)])
                                      for b in m.blocks]).real)
 
 
@@ -281,10 +289,10 @@ def test_a_symbol_without_an_invariant_flip_is_one_block():
     m = assemble_matrix(parse_symbol("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 2),
                         TruncationSpec(2, 12))
     assert len(m.blocks) == 1 and np.array_equal(m.blocks[0], np.arange(m.size))
-    assert np.array_equal(singular_values(m), _lapack_singular_values(m.values))
+    assert np.array_equal(singular_values(m), _lapack_singular_values(m.entries))
     # a = exp(-0.3|nu|) > 0, so the eigenvalue sum is read through the similarity
     assert spectral_trace(m) == _similarity_sum(m)
-    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.values).real),
+    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.entries).real),
                                               rel=1e-12)
 
 
@@ -301,10 +309,10 @@ def test_a_split_symbol_with_positive_a_takes_the_similarity_solve(text, dim, le
     assert np.array_equal(m.symmetrizer, np.sqrt(multiplier_value(separate(sym)[0], spec.array)))
     # M = G diag(a) with G symmetric, so diag(d) M diag(d)^-1 = diag(d) G diag(d)
     d = m.symmetrizer
-    similar = d[:, None] * (m.values / d)
-    assert np.abs(similar - similar.T).max() <= 1e-14 * np.abs(m.values).max()
+    similar = d[:, None] * (m.entries / d)
+    assert np.abs(similar - similar.T).max() <= 1e-14 * np.abs(m.entries).max()
     assert spectral_trace(m) == _similarity_sum(m)
-    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.values).real),
+    assert spectral_trace(m) == pytest.approx(math.fsum(np.linalg.eigvals(m.entries).real),
                                               rel=1e-12)
 
 
@@ -313,7 +321,7 @@ def test_a_nu_free_expression_gets_a_symmetrizer_of_ones():
     assert np.array_equal(m.symmetrizer, np.ones(m.size))
     # the matrix itself is symmetric: its blocks go to the symmetric solver unchanged
     assert spectral_trace(m) == math.fsum(
-        np.concatenate([np.linalg.eigvalsh(m.values[np.ix_(b, b)]) for b in m.blocks]))
+        np.concatenate([np.linalg.eigvalsh(m.entries[np.ix_(b, b)]) for b in m.blocks]))
 
 
 _GRID = np.linspace(-12.0, 12.0, 49)
@@ -333,7 +341,7 @@ def test_other_symbols_get_no_symmetrizer_and_keep_the_nonsymmetric_solve(sym, l
     assert m.symmetrizer is None
     assert spectral_trace(m) == _nonsymmetric_sum(m)
     if len(m.blocks) == 1:
-        assert spectral_trace(m) == math.fsum(np.linalg.eigvals(m.values).real)
+        assert spectral_trace(m) == math.fsum(np.linalg.eigvals(m.entries).real)
 
 
 @pytest.mark.parametrize("text, level, reader, message", [
