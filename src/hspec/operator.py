@@ -396,7 +396,7 @@ def _parity_blocks(sym: SymbolSpec, spec: TruncationSpec) -> tuple[np.ndarray, .
     """The nu grouped by the parities of nu . h over the flips h that leave
     the symbol invariant.  phi_nu(hx) = (-1)^(nu . h) phi_nu(x) and the rule's
     nodes are symmetric, so M[mu, nu] = 0 unless mu and nu share them all."""
-    flips = [] if sym.is_multiplier else invariant_flips(sym)
+    flips = invariant_flips(sym)
     if not flips:
         return (np.arange(spec.size),)
     # the parities depend on nu mod 2 only: group its few distinct patterns
@@ -451,7 +451,7 @@ def assemble_matrix(
     """
     if sym.is_multiplier:
         q, diag, columns, _ = _discretize(sym, spec, q)
-        return OperatorMatrix(spec, diag, q, 0.0, False, sym, columns, _parity_blocks(sym, spec))
+        return OperatorMatrix(spec, diag, q, 0.0, False, sym, columns, (np.arange(spec.size),))
     blocks = _parity_blocks(sym, spec)
     layout = _stack_layout(blocks, spec)
     q, values, columns, a = _discretize(sym, spec, q, layout)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -49,21 +50,39 @@ class SymbolEvalError(SymbolError):
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# expression trees: each node records, as it is built, the variables its
+# subtree reads (names) and its depth, from its children's records
+
+# the deepest tree parse_symbol accepts: the walkers over a tree recurse
+MAX_DEPTH = 500
+
+
+def _record(node, names, *children) -> None:
+    object.__setattr__(node, "names", frozenset(names).union(*(c.names for c in children)))
+    object.__setattr__(node, "depth", 1 + max((c.depth for c in children), default=0))
+
 
 @dataclass(frozen=True)
 class Num:
     value: float
+    names = frozenset()
+    depth = 1
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
 
+    def __post_init__(self):
+        _record(self, (self.name,))
+
 
 @dataclass(frozen=True)
 class Neg:
     arg: "Node"
+
+    def __post_init__(self):
+        _record(self, (), self.arg)
 
 
 @dataclass(frozen=True)
@@ -72,11 +91,17 @@ class BinOp:
     left: "Node"
     right: "Node"
 
+    def __post_init__(self):
+        _record(self, (), self.left, self.right)
+
 
 @dataclass(frozen=True)
 class Call:
     func: str
     args: tuple["Node", ...]
+
+    def __post_init__(self):
+        _record(self, (), *self.args)
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]
@@ -177,37 +202,48 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:  # nesting that runs out of stack is refused, not crashed on
+            tok = self.tokens[min(self.i, len(self.tokens) - 1)]
+            raise SymbolParseError("expression nested too deeply to parse", tok[2], tok[3]) from None
         tok = self.peek()
         if tok[0] != "eof":
             raise SymbolParseError(f"trailing input starting at {tok[1]!r}", tok[2], tok[3])
         return node
 
+    def build(self, node: Node, tok) -> Node:
+        """node, refused at the token tok when its tree is deeper than MAX_DEPTH."""
+        if node.depth > MAX_DEPTH:
+            raise SymbolParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                   tok[2], tok[3])
+        return node
+
     def expr(self) -> Node:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
+            tok = self.advance()
+            node = self.build(BinOp(tok[0], node, self.term()), tok)
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
+            tok = self.advance()
+            node = self.build(BinOp(tok[0], node, self.factor()), tok)
         return node
 
     def factor(self) -> Node:
         node = self.unary()
         if self.peek()[0] == "^":
-            self.advance()
-            node = BinOp("^", node, self.unary())
+            tok = self.advance()
+            node = self.build(BinOp("^", node, self.unary()), tok)
         return node
 
     def unary(self) -> Node:
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
+            tok = self.advance()
+            return self.build(Neg(self.unary()), tok)
         return self.atom()
 
     def atom(self) -> Node:
@@ -234,7 +270,7 @@ class _Parser:
                     raise SymbolParseError(
                         f"function {value!r} takes {arity} argument(s), got {len(args)}", line, col
                     )
-                return Call(value, tuple(args))
+                return self.build(Call(value, tuple(args)), tok)
             if value not in self.vars:
                 raise SymbolParseError(f"unknown identifier {value!r}", line, col)
             return Var(value)
@@ -256,25 +292,12 @@ def pretty_print(node: Node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _names(node: Node) -> set[str]:
-    """The variables a tree reads."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return _names(node.arg)
-    if isinstance(node, BinOp):
-        return _names(node.left) | _names(node.right)
-    if isinstance(node, Call):
-        return set().union(*map(_names, node.args))
-    return set()
-
-
 def _uses_x(node: Node) -> bool:
-    return any(v.startswith("x") for v in _names(node))
+    return any(v.startswith("x") for v in node.names)
 
 
 def _uses_nu(node: Node) -> bool:
-    return any(v in ("absnu", "lam") or v.startswith("nu") for v in _names(node))
+    return any(v in ("absnu", "lam") or v.startswith("nu") for v in node.names)
 
 
 def _flip_signs(node: Node, dim: int) -> np.ndarray:
@@ -310,14 +333,16 @@ def _flip_signs(node: Node, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Values:
-    """A nu-free subtree replaced by its values on a grid's nodes (symbol_sampler)."""
+    """A nu-free subtree, with its names, replaced by its values on a grid's nodes."""
     values: np.ndarray
+    names: frozenset
+    depth = 1
 
 
 def _fold(node: Node, env: dict) -> Node:
     """node with each maximal nu-free subtree evaluated under env."""
     if not _uses_nu(node):
-        return _Values(np.asarray(_eval_node(node, env), dtype=float))
+        return _Values(np.asarray(_eval_node(node, env), dtype=float), node.names)
     if isinstance(node, Neg):
         return Neg(_fold(node.arg, env))
     if isinstance(node, BinOp):
@@ -364,11 +389,11 @@ class SymbolSpec:
     kind "builtin": family in BUILTIN_FAMILIES with params;
     kind "expression": parsed tree over the grammar above;
     kind "table": per-coordinate x grids with values tabulated per nu.
+    Its flip signs and its split are found once per instance.
     """
 
     kind: str
     dim: int
-    is_multiplier: bool
     claims_positive_selfadjoint: bool = False
     family: Optional[str] = None
     params: dict = field(default_factory=dict)
@@ -384,16 +409,39 @@ class SymbolSpec:
             return f"expression {self.text!r}"
         return "tabulated grid"
 
+    @property
+    def is_multiplier(self) -> bool:
+        """m reads no x: a builtin, or an expression free of x."""
+        return self.kind == "builtin" or (self.kind == "expression" and not _uses_x(self.tree))
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        """_flip_signs of the tree; none proved (0) for a table, +1 for a builtin."""
+        if self.kind == "expression":
+            return _flip_signs(self.tree, self.dim)
+        return np.full(2**self.dim, int(self.kind == "builtin"))
+
+    @cached_property
+    def _split(self) -> tuple[SymbolSpec, SymbolSpec] | None:
+        if self.kind != "expression":
+            return None
+        factors = _factors(self.tree)
+        if any(_uses_x(f) and _uses_nu(f) for f, _ in factors):
+            return None
+        a = _product([(f, d) for f, d in factors if not _uses_x(f)])
+        b = _product([(f, d) for f, d in factors if _uses_x(f)])
+        return (replace(self, tree=a, text=pretty_print(a)),
+                replace(self, tree=b, text=pretty_print(b)))
+
 
 def parse_symbol(text: str, dim: int, positive_selfadjoint: bool = False) -> SymbolSpec:
-    """Parse an expression-kind symbol; multiplier flag inferred from the tree."""
+    """Parse an expression-kind symbol."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     tree = _Parser(text, dim).parse()
     return SymbolSpec(
         kind="expression",
         dim=dim,
-        is_multiplier=not _uses_x(tree),
         claims_positive_selfadjoint=positive_selfadjoint,
         tree=tree,
         text=text,
@@ -419,7 +467,6 @@ def builtin_symbol(family: str, dim: int, **params) -> SymbolSpec:
     return SymbolSpec(
         kind="builtin",
         dim=dim,
-        is_multiplier=True,
         claims_positive_selfadjoint=True,
         family=family,
         params=params,
@@ -447,20 +494,9 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     return SymbolSpec(
         kind="table",
         dim=dim,
-        is_multiplier=False,
         claims_positive_selfadjoint=positive_selfadjoint,
         table={"grids": grids, "values": vals},
     )
-
-
-def _spec_flip_signs(spec: SymbolSpec) -> np.ndarray:
-    """_flip_signs of the symbol: of its expression tree; none proved (0) for
-    a table; +1 for a builtin, which is free of x."""
-    if spec.kind == "table":
-        return np.zeros(2**spec.dim, dtype=int)
-    if spec.kind == "builtin":
-        return np.ones(2**spec.dim, dtype=int)
-    return _flip_signs(spec.tree, spec.dim)
 
 
 def invariant_flips(spec: SymbolSpec) -> list[int]:
@@ -469,7 +505,7 @@ def invariant_flips(spec: SymbolSpec) -> list[int]:
     expression tree.  The check is sufficient, not necessary: a flip the
     rules cannot prove is left out.  A table symbol has none proved; a
     builtin, free of x, is invariant under every flip."""
-    return [h for h, s in enumerate(_spec_flip_signs(spec)) if h and s == 1]
+    return [h for h, s in enumerate(spec._signs) if h and s == 1]
 
 
 def axis_signs(spec: SymbolSpec) -> tuple[int, ...]:
@@ -477,8 +513,7 @@ def axis_signs(spec: SymbolSpec) -> tuple[int, ...]:
     read from the expression tree as invariant_flips reads the flips: +1 if
     the flip leaves m unchanged, -1 if it changes its sign, 0 if unknown
     (every axis of a table; a builtin is +1 in every axis)."""
-    signs = _spec_flip_signs(spec)
-    return tuple(int(signs[1 << j]) for j in range(spec.dim))
+    return tuple(int(spec._signs[1 << j]) for j in range(spec.dim))
 
 
 def _factors(node: Node, divides: bool = False) -> list[tuple[Node, bool]]:
@@ -508,15 +543,7 @@ def separate(spec: SymbolSpec) -> tuple[SymbolSpec, SymbolSpec] | None:
     factor reads x), b a nu-free one.  Constant factors and the signs of Neg
     go to a.  None when a factor reads both x and nu, and for a table or a
     builtin."""
-    if spec.kind != "expression":
-        return None
-    factors = _factors(spec.tree)
-    if any(_uses_x(f) and _uses_nu(f) for f, _ in factors):
-        return None
-    a = _product([(f, d) for f, d in factors if not _uses_x(f)])
-    b = _product([(f, d) for f, d in factors if _uses_x(f)])
-    return (replace(spec, is_multiplier=True, tree=a, text=pretty_print(a)),
-            replace(spec, is_multiplier=not _uses_x(b), tree=b, text=pretty_print(b)))
+    return spec._split
 
 
 def _env(spec: SymbolSpec, nus=None, pts=None, grid: bool = False) -> dict:
@@ -739,7 +766,7 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
             raise SymbolError(f"symbol field 'params' must map names to numbers, got {params!r}")
         spec = builtin_symbol(_field(doc, "family"), dim, **params)
         if not psd:
-            spec = SymbolSpec(**{**spec.__dict__, "claims_positive_selfadjoint": False})
+            spec = replace(spec, claims_positive_selfadjoint=False)
         return spec
     if kind == "expression":
         expr = _field(doc, "expr")

@@ -20,6 +20,7 @@ from hspec import (
 )
 import hspec.cli
 from hspec.cli import main
+from hspec.symbol import MAX_DEPTH
 from oracles import heat_trace_limit
 
 
@@ -177,6 +178,33 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _sum(terms: int) -> str:
+    """x1 + ... + x1 + nu1, a tree of depth terms."""
+    return "+".join(["x1"] * (terms - 1) + ["nu1"])
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("criteria", "--r", "1")])
+def test_a_sum_at_the_depth_limit_runs(tmp_path, capsys, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": _sum(MAX_DEPTH)}))
+    code, out = run(tmp_path, *command, "--symbol", str(path), "--level", "3")
+    assert code == 0 and out.exists()
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", [_sum(MAX_DEPTH + 1), "(" * 300 + "x1" + ")" * 300,
+                                  "-" * 1200 + "x1"],
+                         ids=["sum-one-level-deeper", "parentheses", "unary-minus"])
+@pytest.mark.parametrize("command", ["analyze", "criteria"])
+def test_a_deeper_expression_exits_2_with_one_named_line(tmp_path, capsys, expr, command):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr}))
+    code, out = run(tmp_path, command, "--symbol", str(path), "--level", "3")
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "nested" in err, err
 
 
 @pytest.mark.parametrize("expr, args, message", [

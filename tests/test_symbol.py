@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from hspec import (
     symbol_to_dict,
     table_symbol,
 )
-from hspec.symbol import _env, _eval_node, _Parser
+import hspec.symbol
+from hspec.cli import main
+from hspec.symbol import MAX_DEPTH, BinOp, Call, Neg, Var, _env, _eval_node, _fold, _Parser
 
 # corpus for the round-trip property; dim 2 unless marked
 CORPUS = [
@@ -499,7 +503,7 @@ def test_parity_blocks_hold_the_whole_assembled_matrix(sym):
     spec = TruncationSpec(sym.dim, (6, 3, 2)[sym.dim - 1])
     try:
         m = assemble_matrix(sym, spec, doubling_check=False)
-    except SymbolError:  # not finite on the grid
+    except (SymbolError, FloatingPointError):  # not finite on the grid, or its sums overflow
         return
     block = np.empty(spec.size, dtype=int)
     for k, b in enumerate(m.blocks):
@@ -583,3 +587,118 @@ def test_tables_and_builtins_do_not_split():
     g = np.linspace(-1, 1, 5)
     assert separate(table_symbol(1, [g], {(0,): g**2})) is None
     assert separate(builtin_symbol("heat", 2, t=1.0)) is None
+
+
+# ---------------------------------------------------------------------------
+# annotated trees: names and depth recorded as each node is built
+
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _read(node) -> set:
+    """The variables a tree reads, by recursion."""
+    return {node.name} if isinstance(node, Var) else set().union(*map(_read, _children(node)))
+
+
+def _depth(node) -> int:
+    return 1 + max(map(_depth, _children(node)), default=0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(symbols)
+def test_each_node_records_what_its_subtree_reads_and_its_depth(sym):
+    stack = [sym.tree]
+    while stack:
+        node = stack.pop()
+        assert node.names == _read(node) and node.depth == _depth(node), pretty_print(node)
+        stack.extend(_children(node))
+    assert sym.is_multiplier == (not any(re.fullmatch(r"x\d+", v) for v in _read(sym.tree)))
+
+
+@pytest.mark.parametrize("text", [
+    "exp(-0.3*absnu)*x1/(1+x2^2+nu3*x3^2)",  # per column: a factor reads x and nu
+    "1/(1+x1^2+x2^2+x3^2)",  # no nu at all: the folded root is the values
+])
+def test_a_folded_tree_keeps_what_it_reads(text):
+    sym = parse_symbol(text, 3)
+    nodes = np.tile(np.linspace(-1.5, 1.5, 4)[:, None], 3)
+    with np.errstate(all="ignore"):
+        folded = replace(sym, tree=_fold(sym.tree, _env(sym, pts=nodes, grid=True)))
+    assert folded.tree.names == sym.tree.names
+    assert not folded.is_multiplier
+    nus = TruncationSpec(3, 2).array
+    assert np.array_equal(symbol_sampler(sym, nodes)(nus), eval_symbol(sym, nodes, nus, grid=True))
+
+
+def _count_outermost(monkeypatch, name):
+    """Count the calls of hspec.symbol's function name that no other call of
+    it encloses: the walks that start at a root."""
+    inner, calls, depth = getattr(hspec.symbol, name), [0], [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hspec.symbol, name, counted)
+    return calls
+
+
+def test_a_criteria_op_finds_the_flip_signs_and_the_split_once(tmp_path, monkeypatch):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 3, "positive_selfadjoint": True,
+                                "expr": "1/(1+0.3*x1^2+0.6*x2^2+0.4*x3^2)"}))
+    walks, splits, prints = (_count_outermost(monkeypatch, name)
+                             for name in ("_flip_signs", "_factors", "pretty_print"))
+    assert main(["criteria", "--symbol", str(path), "--level", "5", "--r", "1,1.5,2",
+                 "--output", str(tmp_path / "out.json")]) == 0
+    # one walk for the folds of both passes and the parity blocks; one
+    # factoring for both passes, which prints a and b
+    assert (walks[0], splits[0], prints[0]) == (1, 1, 2)
+
+
+def test_a_builtin_whose_facts_were_read_loads_without_its_claim(monkeypatch):
+    def read_facts(*args, **kwargs):
+        spec = builtin_symbol(*args, **kwargs)
+        assert axis_signs(spec) == (1, 1) and separate(spec) is None and spec.is_multiplier
+        return spec
+
+    monkeypatch.setattr(hspec.symbol, "builtin_symbol", read_facts)
+    spec = symbol_from_dict({"kind": "builtin", "dim": 2, "family": "heat", "params": {"t": 1.0},
+                             "positive_selfadjoint": False})
+    assert (spec.family, spec.params, spec.claims_positive_selfadjoint) == ("heat", {"t": 1.0}, False)
+    assert spec.is_multiplier and invariant_flips(spec) == [1, 2, 3]
+
+
+def _sum(terms: int) -> str:
+    """x1 + ... + x1 + nu1, a tree of depth terms."""
+    return "+".join(["x1"] * (terms - 1) + ["nu1"])
+
+
+def test_a_tree_at_the_depth_limit_parses_and_one_level_deeper_is_refused():
+    assert parse_symbol(_sum(MAX_DEPTH), 1).tree.depth == MAX_DEPTH
+    with pytest.raises(SymbolParseError, match=f"deeper than {MAX_DEPTH} levels") as err:
+        parse_symbol(_sum(MAX_DEPTH + 1), 1)
+    assert (err.value.line, err.value.col) == (1, 3 * MAX_DEPTH)  # the last "+"
+    with pytest.raises(SymbolParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_symbol("-" * (MAX_DEPTH + 1) + "x1", 1)
+    with pytest.raises(SymbolParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_symbol("exp(" * 50 + _sum(MAX_DEPTH - 49) + ")" * 50, 1)
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "x1" + ")" * 300, "-" * 1200 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_a_parse_that_runs_out_of_stack_is_refused(text):
+    with pytest.raises(SymbolParseError, match="nested too deeply") as err:
+        parse_symbol(text, 1)
+    assert err.value.line == 1
