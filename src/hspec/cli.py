@@ -6,6 +6,19 @@ identical bytes; --format csv emits the flat (shell, sum) or (index,
 singular value) tables instead, and is refused (exit 2) by trace and
 basis-check, which have no table.
 
+Every report is written by render_json, whose output is byte for byte
+json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) on what a report
+holds: dicts with str keys, lists, tuples, str, int, float, bool and None (a
+subclass of one renders as its base type).  A non-finite float raises
+ValueError and any other type TypeError, as json.dumps does.  The stdlib's C
+encoder does not indent, so json.dumps with indent runs its pure-Python
+encoder, one generator step per value; on a multiplier's singular values
+that cost more than the mathematics.  render_json joins a flat list of
+scalars in one pass over float.__repr__, int.__repr__ and
+encode_basestring_ascii, renders each distinct float of a list with many
+repeats once, and writes the [shell, sum] pairs of criteria and converge
+from one template.
+
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
@@ -13,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -117,10 +130,78 @@ def _report(args, sym: SymbolSpec | None = None, **fields) -> dict:
     }
 
 
+def _finite(text: str) -> str:
+    # text holds rendered floats, and the letter n only if one is inf or nan
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+# how json.dumps renders each scalar type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _finite(float.__repr__(x)),
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _items(items, pad: str) -> str:
+    """The items of a non-empty list, rendered at indent pad and joined."""
+    sep = ",\n" + pad
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _SCALARS:
+        render = float.__repr__ if kind is float else _SCALARS[kind]
+        distinct = set(items)
+        if 2 * len(distinct) > len(items):
+            text = sep.join(map(render, items))
+        else:
+            # each distinct value rendered once, but 0.0 and -0.0 are equal
+            # and print differently, so a zero is rendered where it stands
+            known = {x: render(x) for x in distinct if x or kind is not float}
+            text = sep.join([known.get(x) or render(x) for x in items])
+        return _finite(text) if kind is float else text
+    if kind is list and all(len(p) == 2 and type(p[0]) is int and type(p[1]) is float
+                            for p in items):
+        # the [shell, sum] pairs of criteria and converge
+        inner = pad + "  "
+        return _finite(sep.join([f"[\n{inner}{s!r},\n{inner}{v!r}\n{pad}]" for s, v in items]))
+    return sep.join([_render(x, pad) for x in items])
+
+
+def _render(value, pad: str) -> str:
+    render = _SCALARS.get(type(value))
+    if render is not None:
+        return render(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError here
+        body = (",\n" + inner).join([encode_basestring_ascii(k) + ": " + _render(value[k], inner)
+                                     for k in sorted(value)])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        return "[\n" + inner + _items(value, inner) + "\n" + pad + "]" if value else "[]"
+    for base, render in _SCALARS.items():
+        if isinstance(value, base):
+            return render(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def render_json(doc) -> str:
+    """doc exactly as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    writes it, for dicts with str keys, lists, tuples, str, int, float, bool
+    and None; ValueError on a non-finite float, TypeError on any other type."""
+    return _render(doc, "")
+
+
 def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
     # the CSV rows are values of doc, so this also keeps NaN out of CSV
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = render_json(doc) + "\n"
     except ValueError:
         raise FloatingPointError("the report has non-finite values") from None
     if args.format == "csv":
@@ -147,7 +228,8 @@ def cmd_analyze(args) -> int:
     if report.residual_warning:
         _warn_worst_column(report.worst_column)
     doc = _report(args, sym, report=report.to_dict())
-    rows = list(enumerate(float(s) for s in report.singular_values))
+    # lazy: only --format csv reads the rows
+    rows = enumerate(doc["report"]["singular_values"])
     _emit(doc, args, csv_rows=rows, csv_header=("index", "singular_value"))
     return 0
 
@@ -160,7 +242,8 @@ def cmd_criteria(args) -> int:
         raise ConfigError(f"sigma must be finite, got {args.sigma}")
     verdicts = criteria(sym, spec, args.quad, tuple(_parse_rs(args.r)), args.sigma)
     doc = _report(args, sym, verdicts=[v.to_dict() for v in verdicts])
-    rows = [(v.criterion, s, val) for v in verdicts for s, val in v.shells]
+    # lazy: only --format csv reads the rows
+    rows = ((v.criterion, s, val) for v in verdicts for s, val in v.shells)
     _emit(doc, args, csv_rows=rows, csv_header=("criterion", "shell", "sum"))
     return 0
 

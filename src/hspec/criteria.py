@@ -65,7 +65,9 @@ class CriterionVerdict:
 def shell_partition(spec: TruncationSpec, terms: np.ndarray,
                     what: str = "the sum") -> list[tuple[int, float]]:
     """Group per-index terms (enumeration order) into per-shell fsum totals;
-    a total that overflows raises FloatingPointError naming what and the shell."""
+    a total that overflows raises FloatingPointError naming what and the shell.
+    Each shell's slice is read as Python floats on its own, so no list of all
+    the terms is formed."""
     terms = np.asarray(terms, dtype=float)
     if terms.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} terms, got {terms.shape}")

@@ -42,7 +42,8 @@ phi_nu(x), so for every coordinate flip h that leaves the symbol unchanged
 parity.  Each chunk's sums are written straight into a stack of the blocks,
 the doubling check compares the stacks of the two orders, and the operator
 keeps one array per block: about D^2/k entries for k blocks, with no dense
-D x D matrix unless OperatorMatrix.entries is read.
+D x D matrix unless OperatorMatrix.entries is read; apply_matrix works block
+by block.
 """
 
 from __future__ import annotations
@@ -525,9 +526,16 @@ def synthesize(c: CoefficientVector, x) -> float:
 
 
 def apply_matrix(m: OperatorMatrix, c: CoefficientVector) -> CoefficientVector:
+    """The coefficients of M c, block by block: out[b] = M[b, b] c[b] for
+    each parity block b, or m(nu) c_nu for a multiplier; no dense matrix."""
     if m.spec is not c.spec and (m.spec.dim != c.spec.dim or m.spec.level != c.spec.level):
         raise ValueError("matrix and coefficient vector use different truncations")
-    return CoefficientVector(c.spec, m.entries @ c.values)
+    if m.is_diagonal:
+        return CoefficientVector(c.spec, m.values * c.values)
+    out = np.zeros(m.size)
+    for b, block in zip(m.blocks, m.values):
+        out[b] = block @ c.values[b]
+    return CoefficientVector(c.spec, out)
 
 
 def export_matrix_csv(m: OperatorMatrix, path: str) -> None:

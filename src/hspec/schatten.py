@@ -52,7 +52,13 @@ _EIGEN_SUM = "the eigenvalue sum"
 
 def named_fsum(what: str, values) -> float:
     """math.fsum of values; a total that overflows, where fsum itself would
-    raise a bare OverflowError, raises FloatingPointError naming what."""
+    raise a bare OverflowError, raises FloatingPointError naming what.
+
+    A 1-D array is read through a memoryview, which yields Python floats
+    without a copy; iterating the array itself would make one NumPy scalar
+    per element.  fsum is exactly rounded, so the total is the same."""
+    if isinstance(values, np.ndarray):
+        values = memoryview(values)
     try:
         total = math.fsum(values)
     except OverflowError:
@@ -210,7 +216,7 @@ class SchattenReport:
             "dim": self.dim,
             "level": self.level,
             "quad_order": self.quad_order,
-            "singular_values": [float(s) for s in self.singular_values],
+            "singular_values": self.singular_values.tolist(),
             "schatten_norms": {repr(r): v for r, v in self.schatten_norms.items()},
             "schatten_sums": {repr(r): v for r, v in self.schatten_sums.items()},
             "matrix_trace": self.matrix_trace,

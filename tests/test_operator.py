@@ -695,6 +695,34 @@ def test_apply_matrix_spec_mismatch():
         apply_matrix(m, c)
 
 
+@pytest.mark.parametrize("expr", [
+    "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)",  # four parity blocks
+    "lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))",  # two
+    "exp(-0.3*absnu)*(1+x1+x2)/(1+x2^2+nu2*x2^2)",  # one
+])
+def test_apply_matrix_block_by_block_matches_the_dense_product(expr):
+    spec = TruncationSpec(2, 12)
+    m = assemble_matrix(parse_symbol(expr, 2), spec)
+    c = CoefficientVector(spec, np.random.default_rng(5).normal(size=spec.size))
+    dense = m.entries @ c.values
+    assert np.abs(apply_matrix(m, c).values - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_apply_matrix_allocates_no_dense_matrix():
+    # 2-D N = 60, D = 1891: one dense D x D matrix is 28.6 MB
+    spec = TruncationSpec(2, 60)
+    m = assemble_matrix(parse_symbol("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2), spec,
+                        doubling_check=False)
+    c = CoefficientVector(spec, np.ones(spec.size))
+    tracemalloc.start()
+    try:
+        apply_matrix(m, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.size**2, peak / 2**20
+
+
 def test_matrix_vs_direct_quantization_sum():
     # apply-then-synthesize against the direct pseudo-multiplier sum
     spec = TruncationSpec(1, 20)
