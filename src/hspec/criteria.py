@@ -139,31 +139,24 @@ def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
 
 
 def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
-    if m.is_diagonal:
-        diag = m.values
-        scale = max(np.abs(diag).max(), 1e-300)
-        if diag.min() < -POSITIVITY_TOL * scale:
+    blocks, d = m.values, m.symmetrizer
+    # a constant symmetrizer makes M a multiple of the symmetric G
+    if d is None or (d != d[0]).any():
+        scale = max([1e-300] + [np.abs(b).max() for b in blocks])
+        asym = max([0.0] + [np.abs(b - b.T).max() for b in blocks])
+        if asym > SYMMETRY_TOL * scale:
             raise CriterionPreconditionError(
-                f"positivity check failed: multiplier value {diag.min():.3e} < 0"
+                f"symmetry check failed: max|M - M^T| = {asym:.3e} "
+                f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
             )
-    else:
-        blocks, d = m.diagonal_blocks, m.symmetrizer
-        # a constant symmetrizer makes M a multiple of the symmetric G
-        if d is None or (d != d[0]).any():
-            scale = max(max(np.abs(b).max() for b in blocks), 1e-300)
-            asym = max(np.abs(b - b.T).max() for b in blocks)
-            if asym > SYMMETRY_TOL * scale:
-                raise CriterionPreconditionError(
-                    f"symmetry check failed: max|M - M^T| = {asym:.3e} "
-                    f"exceeds {SYMMETRY_TOL:.0e} * max|M| = {SYMMETRY_TOL * scale:.3e}"
-                )
-        lo = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in blocks)
-        norm = math.sqrt(m.frobenius_squared())
-        if lo < -POSITIVITY_TOL * norm:
-            raise CriterionPreconditionError(
-                f"positivity check failed: smallest eigenvalue {lo:.3e} "
-                f"below -{POSITIVITY_TOL:.0e} * ||M||"
-            )
+    lo = float(np.concatenate([np.linalg.eigvalsh(0.5 * (b + b.T)) for b in blocks]
+                              + [m.scalars]).min())
+    norm = math.sqrt(m.frobenius_squared())
+    if lo < -POSITIVITY_TOL * norm:
+        raise CriterionPreconditionError(
+            f"positivity check failed: smallest eigenvalue {lo:.3e} "
+            f"below -{POSITIVITY_TOL:.0e} * ||M||"
+        )
     return _verdict("TraceClass-iff", m.spec, m.column_integrals(squared=False), {})
 
 
@@ -171,11 +164,14 @@ def _sr_small(spec: TruncationSpec, r: float, m: OperatorMatrix | None,
               squared: np.ndarray) -> CriterionVerdict:
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    if m is not None and m.is_diagonal:
-        # exact: the column integral is m(nu)^2, so the r/2 power is |m(nu)|^r
-        terms = abs_powers(m.values, r)
-    else:
-        terms = squared ** (r / 2.0)
+    if m is None:
+        return _verdict("Sr-sufficient", spec, squared ** (r / 2.0), {"r": r})
+    # exact on a 1 x 1 block nu: the column integral is M[nu, nu]^2, so the
+    # r/2 power is |M[nu, nu]|^r; the others are powers at the dense blocks' ranks
+    ranks = np.concatenate([*m.blocks, m.singles[:0]])
+    terms = np.empty(spec.size)
+    terms[ranks] = squared[ranks] ** (r / 2.0)
+    terms[m.singles] = abs_powers(m.scalars, r)
     return _verdict("Sr-sufficient", spec, terms, {"r": r})
 
 
@@ -298,5 +294,6 @@ def check_multiplier_schatten(
             "the |m(nu)|^r criterion is exact only for multipliers; "
             "this symbol depends on x"
         )
-    terms = abs_powers(assemble_matrix(sym, spec).values, r)
+    # a multiplier's operator is its m(nu), each a 1 x 1 block in rank order
+    terms = abs_powers(assemble_matrix(sym, spec).scalars, r)
     return _verdict("Multiplier-Sr", spec, terms, {"r": r})

@@ -36,22 +36,21 @@ entries that vanish in exact arithmetic are exact zeros, as are the
 integrals of m phi_nu^2 of a symbol odd in some axis.  Any other symbol runs
 on the whole grid.
 
-The matrix is stored as its parity blocks only.  phi_nu(hx) = (-1)^(nu . h)
-phi_nu(x), so for every coordinate flip h that leaves the symbol unchanged
-(symbol.invariant_flips) M[mu, nu] = 0 unless nu . h and mu . h have the same
-parity.  Each chunk's sums are written straight into a stack of the blocks,
-the doubling check compares the stacks of the two orders, and the operator
-keeps one array per block: about D^2/k entries for k blocks, with no dense
-D x D matrix unless OperatorMatrix.entries is read; apply_matrix works block
-by block.
+Every matrix is stored as dense blocks and 1 x 1 blocks: a multiplier as
+its diagonal m(nu), one 1 x 1 block per rank, any other as its dense parity
+blocks.  phi_nu(hx) = (-1)^(nu . h) phi_nu(x), so for every flip h that
+leaves the symbol unchanged (symbol.invariant_flips) M[mu, nu] = 0 unless
+nu . h and mu . h have the same parity.  Each chunk's sums are written into
+a stack of the blocks, the doubling check compares the stacks of the two
+orders, and no dense D x D matrix is built unless OperatorMatrix.entries is
+read; every reader takes one formula over both kinds of block.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,12 +66,11 @@ RESIDUAL_WARN = 1e-6
 class OperatorMatrix:
     """The truncated operator, the one discretization every report reads.
 
-    values is the diagonal m(nu) of a multiplier, else the tuple of the
-    parity blocks M[b, b], one array per index set b of blocks, its rows and
-    columns in ascending rank order; either is finite, as assembly refuses a
-    non-finite value or sum.  M[mu, nu] = 0 unless mu and nu lie in the same
-    block, so no other entry is stored, and the spectrum is the union of the
-    spectra of the blocks.
+    values are the dense blocks M[b, b], one per index set b of blocks, rows
+    and columns in ascending rank order, and scalars the 1 x 1 blocks
+    M[nu, nu] at the ranks singles: a multiplier's are all its m(nu), with
+    no dense block; any other's are empty.  All are finite, and M[mu, nu] = 0
+    unless mu and nu share a block, so the spectrum is the blocks' union.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
     worst_column is the nu whose column moved most between the order-q and
@@ -84,7 +82,7 @@ class OperatorMatrix:
     """
 
     spec: TruncationSpec
-    values: np.ndarray | tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
     quad_order: int
     assembly_residual: float
     residual_warning: bool
@@ -93,31 +91,21 @@ class OperatorMatrix:
     blocks: tuple[np.ndarray, ...]
     worst_column: tuple[MultiIndex, float] | None = None
     symmetrizer: np.ndarray | None = None
+    singles: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    scalars: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def size(self) -> int:
         return self.spec.size
 
     @property
-    def is_diagonal(self) -> bool:
-        return not isinstance(self.values, tuple)
-
-    @property
-    def diagonal_blocks(self) -> tuple[np.ndarray, ...]:
-        """The blocks M[b, b] in the order of blocks: the stored arrays
-        themselves, no copy; a diagonal operator's one dense block, built on
-        each access."""
-        return (np.diag(self.values),) if self.is_diagonal else self.values
-
-    @property
     def entries(self) -> np.ndarray:
         """Dense D x D matrix, built on each access: the blocks in place and
         exact zeros elsewhere."""
-        if self.is_diagonal:
-            return np.diag(self.values)
         dense = np.zeros((self.size, self.size))
         for b, block in zip(self.blocks, self.values):
             dense[np.ix_(b, b)] = block
+        dense[self.singles, self.singles] = self.scalars
         return dense
 
     def column_integrals(self, squared: bool = True) -> np.ndarray:
@@ -127,15 +115,15 @@ class OperatorMatrix:
     def frobenius_squared(self) -> float:
         """The sum of the squared entries, block by block; inf when it overflows."""
         with np.errstate(over="ignore"):
-            return float(sum(np.square(block).sum() for block in self.diagonal_blocks))
+            return float(sum((np.square(block).sum() for block in self.values),
+                             np.square(self.scalars).sum()))
 
     def trace(self) -> float:
         """The sum of the diagonal, taken in enumeration order."""
-        diagonal = self.values
-        if not self.is_diagonal:
-            diagonal = np.empty(self.size)
-            for b, block in zip(self.blocks, self.values):
-                diagonal[b] = block.diagonal()
+        diagonal = np.empty(self.size)
+        for b, block in zip(self.blocks, self.values):
+            diagonal[b] = block.diagonal()
+        diagonal[self.singles] = self.scalars
         with np.errstate(over="ignore", invalid="ignore"):  # finite values; checked below
             total = float(np.sum(diagonal))
         if not math.isfinite(total):
@@ -442,7 +430,7 @@ def assemble_matrix(
 ) -> OperatorMatrix:
     """Assemble P_N T_m P_N.
 
-    A multiplier is its exact diagonal of m(nu) values.  Otherwise the
+    A multiplier is its exact m(nu), as 1 x 1 blocks.  Otherwise the
     order-q pass gives the matrix, as its parity blocks, and the column
     integrals; the matrix is repeated at order 2q and the relative Frobenius
     change recorded, overall and per column, block by block; an overall
@@ -452,7 +440,8 @@ def assemble_matrix(
     """
     if sym.is_multiplier:
         q, diag, columns, _ = _discretize(sym, spec, q)
-        return OperatorMatrix(spec, diag, q, 0.0, False, sym, columns, (np.arange(spec.size),))
+        return OperatorMatrix(spec, (), q, 0.0, False, sym, columns, (),
+                              singles=np.arange(spec.size), scalars=diag)
     blocks = _parity_blocks(sym, spec)
     layout = _stack_layout(blocks, spec)
     q, values, columns, a = _discretize(sym, spec, q, layout)
@@ -527,24 +516,39 @@ def synthesize(c: CoefficientVector, x) -> float:
 
 def apply_matrix(m: OperatorMatrix, c: CoefficientVector) -> CoefficientVector:
     """The coefficients of M c, block by block: out[b] = M[b, b] c[b] for
-    each parity block b, or m(nu) c_nu for a multiplier; no dense matrix."""
+    each block b, dense or 1 x 1; no dense matrix."""
     if m.spec is not c.spec and (m.spec.dim != c.spec.dim or m.spec.level != c.spec.level):
         raise ValueError("matrix and coefficient vector use different truncations")
-    if m.is_diagonal:
-        return CoefficientVector(c.spec, m.values * c.values)
     out = np.zeros(m.size)
     for b, block in zip(m.blocks, m.values):
         out[b] = block @ c.values[b]
+    out[m.singles] = m.scalars * c.values[m.singles]
     return CoefficientVector(c.spec, out)
 
 
 def export_matrix_csv(m: OperatorMatrix, path: str) -> None:
-    """Row-major CSV with an n/N/Q header row, plus a JSON metadata sidecar."""
+    """Row-major CSV with an n/N/Q header row, plus a JSON metadata sidecar;
+    the lines end in CRLF as csv.writer's, and no cell needs quoting.
+
+    Each row is written from the one block that holds it, so no dense matrix
+    is built: a cell outside the block is the exact zero "0.0", and only the
+    block's values are formatted, each as repr(float)."""
+    rows = [None] * m.size  # per rank mu: the columns of its block, its values there
+    for b, block in zip(m.blocks, m.values):
+        cols = b.tolist()
+        for mu, values in zip(cols, block):
+            rows[mu] = cols, values
+    for k, mu in enumerate(m.singles.tolist()):
+        rows[mu] = [mu], m.scalars[k:k + 1]
+    cells = ["0.0"] * m.size
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"n={m.spec.dim}", f"N={m.spec.level}", f"Q={m.quad_order}"])
-        for row in m.entries:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(f"n={m.spec.dim},N={m.spec.level},Q={m.quad_order}\r\n")
+        for cols, values in rows:
+            for i, v in zip(cols, values.tolist()):
+                cells[i] = repr(v)
+            fh.write(",".join(cells) + "\r\n")
+            for i in cols:
+                cells[i] = "0.0"
     meta = {
         "dim": m.spec.dim,
         "level": m.spec.level,

@@ -6,18 +6,18 @@ expression); spectral_trace sums the eigenvalues of the assembled matrix.
 For trace-class operators the two agree, and comparing them is the point of
 this module.
 
-A multiplier's operator is its diagonal, so its singular values are the
-sorted |m(nu)| and its eigenvalue sum is the fsum of m(nu): no dense
-factorization is needed.  Any other matrix is factored per parity block:
-the flips x -> hx that leave the symbol invariant are read from its
-expression tree (symbol.invariant_flips), phi_nu(hx) = (-1)^(nu . h) phi_nu(x),
-so the matrix is block diagonal over OperatorMatrix.blocks, and the operator
-stores only those blocks.  The singular values are the union of the blocks'
-and the eigenvalue sum the sum of the blocks' sums; one SVD and one
-eigensolve run per block.  The spectral functions take an assembled
-OperatorMatrix, whose values are finite, and read its stored blocks
-(OperatorMatrix.diagonal_blocks) without copying them; no dense D x D
-matrix is formed.
+An operator is stored as a direct sum of dense blocks (OperatorMatrix.values
+over the index sets OperatorMatrix.blocks) and 1 x 1 blocks
+(OperatorMatrix.scalars at the ranks OperatorMatrix.singles), and every
+function here reads both parts with one formula.  The singular values are
+the union of the dense blocks' and the |scalars|, and the eigenvalue sum is
+the sum of the dense blocks' eigenvalues and the scalars; one SVD and one
+eigensolve run per dense block, none for a 1 x 1 block.  The dense blocks
+are the parity blocks: the flips x -> hx that leave the symbol invariant
+are read from its expression tree (symbol.invariant_flips), and
+phi_nu(hx) = (-1)^(nu . h) phi_nu(x).  The spectral functions take an
+assembled OperatorMatrix, whose values are finite, and read its stored
+blocks without copying them; no dense D x D matrix is formed.
 
 The eigensolve is symmetric when the operator has a symmetrizer: a symbol
 a(nu) b(x) with every a(nu) > 0 has M = G diag(a) with G symmetric, so M is
@@ -69,15 +69,13 @@ def named_fsum(what: str, values) -> float:
 
 
 def singular_values(m: OperatorMatrix) -> np.ndarray:
-    """Singular values of the operator, descending: the union over its
-    parity blocks; the sorted |m(nu)| for a diagonal operator."""
-    if m.is_diagonal:
-        return np.sort(np.abs(m.values))[::-1]
+    """Singular values of the operator, descending: the union of its dense
+    blocks' and the |values| of its 1 x 1 blocks."""
     try:
-        sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in m.diagonal_blocks])
+        sv = [np.linalg.svd(b, compute_uv=False) for b in m.values]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD did not converge: {exc}") from exc
-    return np.sort(sv)[::-1]
+    return np.sort(np.concatenate(sv + [np.abs(m.scalars)]))[::-1]
 
 
 def _power(v: float, r: float) -> float:
@@ -120,40 +118,43 @@ def schatten_norm(sv, r: float) -> float:
     return _root(schatten_sum(sv, r), r)
 
 
-def spectral_trace(m: OperatorMatrix) -> float:
-    """Sum of the eigenvalues of the operator, multiplicities included, taken
-    block by block over its parity blocks.
+def _symmetric(blocks: tuple[np.ndarray, ...]) -> bool:
+    atol = 1e-14 * max([1.0] + [np.abs(b).max() for b in blocks])
+    return all(np.allclose(b, b.T, rtol=0.0, atol=atol) for b in blocks)
 
-    A diagonal operator sums its entries.  An operator with a symmetrizer d
-    takes the symmetric eigensolver on each block d_b[:, None] * M_b /
-    d_b[None, :], divided first so that no ratio d_mu / d_nu is formed.
-    Otherwise a symmetric matrix takes the symmetric eigensolver, any other
-    the dense nonsymmetric one; the imaginary parts must cancel to within
-    1e-8 * ||M|| or a warning is issued.  A sum that overflows raises
-    FloatingPointError naming it.
+
+def spectral_trace(m: OperatorMatrix) -> float:
+    """Sum of the eigenvalues of the operator, multiplicities included: those
+    of each dense block and the values of the 1 x 1 blocks.
+
+    An operator with a symmetrizer d takes the symmetric eigensolver on each
+    block d_b[:, None] * M_b / d_b[None, :], divided first so that no ratio
+    d_mu / d_nu is formed.  Otherwise symmetric blocks take the symmetric
+    eigensolver, any others the dense nonsymmetric one; the imaginary parts
+    must cancel to within 1e-8 * ||M|| or a warning is issued.  A sum that
+    overflows raises FloatingPointError naming it.
     """
-    if m.is_diagonal:
-        return named_fsum(_EIGEN_SUM, m.values)
-    blocks, d = m.diagonal_blocks, m.symmetrizer
+    blocks, d = m.values, m.symmetrizer
     if d is not None:
-        return named_fsum(_EIGEN_SUM, np.concatenate([
-            np.linalg.eigvalsh(d[b, None] * (block / d[b])) for b, block in zip(m.blocks, blocks)]))
-    atol = 1e-14 * max(1.0, max(np.abs(b).max() for b in blocks))
-    if all(np.allclose(b, b.T, rtol=0.0, atol=atol) for b in blocks):
-        return named_fsum(_EIGEN_SUM, np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-    try:
-        eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = math.sqrt(m.frobenius_squared())
-    imag = abs(math.fsum(eigs.imag))
-    if imag > IMAG_RESIDUAL_TOL * max(scale, 1e-300):
-        warnings.warn(
-            f"imaginary parts of the eigenvalue sum do not cancel: {imag:.3e} "
-            f"against tolerance {IMAG_RESIDUAL_TOL * scale:.3e}",
-            RuntimeWarning,
-        )
-    return named_fsum(_EIGEN_SUM, eigs.real)
+        eigs = [np.linalg.eigvalsh(d[b, None] * (block / d[b]))
+                for b, block in zip(m.blocks, blocks)]
+    elif _symmetric(blocks):
+        eigs = [np.linalg.eigvalsh(b) for b in blocks]
+    else:
+        try:
+            complex_eigs = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
+        scale = math.sqrt(m.frobenius_squared())
+        imag = abs(math.fsum(complex_eigs.imag))
+        if imag > IMAG_RESIDUAL_TOL * max(scale, 1e-300):
+            warnings.warn(
+                f"imaginary parts of the eigenvalue sum do not cancel: {imag:.3e} "
+                f"against tolerance {IMAG_RESIDUAL_TOL * scale:.3e}",
+                RuntimeWarning,
+            )
+        eigs = [complex_eigs.real]
+    return named_fsum(_EIGEN_SUM, np.concatenate(eigs + [m.scalars]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -
     integrals of m(x,nu) phi_nu(x)^2.
 
     These are the order-q column integrals, the diagonal of the order-q
-    matrix (exactly m(nu) for a multiplier).  assemble_matrix keeps the
+    matrix (exactly m(nu) for a symbol without x).  assemble_matrix keeps the
     order-2q matrix when its doubling check runs, whose diagonal differs
     from them by the quadrature error.
     """

@@ -308,15 +308,19 @@ def test_an_overflowing_hilbert_schmidt_cross_check_exits_3_with_one_line(tmp_pa
     assert not out.exists()
 
 
-def test_positivity_refusal_of_a_symmetric_matrix_exits_2(tmp_path, capsys):
-    # x1^2 - 1 claims positivity; its symmetric matrix has an eigenvalue near -0.9
+@pytest.mark.parametrize("expr, smallest", [
+    ("x1^2-1", "-9.013e-01"),  # a symmetric matrix with an eigenvalue near -0.9
+    ("nu1-1", "-1.000e+00"),  # a multiplier, whose 1 x 1 blocks take the same check
+], ids=["x-dependent", "multiplier"])
+def test_positivity_refusal_of_a_symmetric_matrix_exits_2(tmp_path, capsys, expr, smallest):
+    # each symbol claims positivity
     path = tmp_path / "sym.json"
-    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "x1^2-1",
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr,
                                 "positive_selfadjoint": True}))
     code, out = run(tmp_path, "criteria", "--symbol", str(path), "--level", "10", "--r", "1")
     assert code == 2
-    assert capsys.readouterr().err == ("error: positivity check failed: smallest eigenvalue "
-                                       "-9.013e-01 below -1e-08 * ||M||\n")
+    assert capsys.readouterr().err == (f"error: positivity check failed: smallest eigenvalue "
+                                       f"{smallest} below -1e-08 * ||M||\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
-from hspec.criteria import _hilbert_schmidt, _trace_class, criteria, shell_partition
+from hspec.criteria import _hilbert_schmidt, _sr_small, _trace_class, criteria, shell_partition
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
@@ -62,6 +63,45 @@ def test_hs_cross_check_names_a_frobenius_norm_that_overflows():
         with pytest.raises(FloatingPointError) as raised:
             _hilbert_schmidt(m.spec, np.ones(m.size), m)
     assert str(raised.value) == "the squared Frobenius norm of the matrix overflows"
+
+
+def test_a_multipliers_frobenius_norm_sums_its_values_without_a_dense_matrix():
+    # D = 230,230: a dense matrix would take 424 GB
+    m = assemble_matrix(builtin_symbol("power", 6, sigma=1.5), TruncationSpec(6, 20))
+    tracemalloc.start()
+    try:
+        fro2 = m.frobenius_squared()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fro2 == pytest.approx(math.fsum(m.scalars**2), rel=1e-14)
+    assert math.isfinite(fro2) and peak < 4 * 8 * m.size, peak
+
+
+def test_the_hs_cross_check_of_a_multiplier_builds_no_dense_matrix():
+    sym, spec = builtin_symbol("power", 2, sigma=1.1), TruncationSpec(2, 30)
+    dense = 8 * spec.size**2
+    tracemalloc.start()
+    try:
+        (hs,) = criteria(sym, spec, None, (2.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hs.extras["relative_gap"] <= 1e-14
+    assert peak < dense, peak / dense
+
+
+@pytest.mark.parametrize("text, dim, level", [
+    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 2, 12),  # four dense blocks
+    ("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 2, 10),  # one dense block
+], ids=["four-block", "one-block"])
+def test_sr_small_takes_the_same_powers_with_or_without_the_operator(text, dim, level):
+    # with an operator, the r/2 powers are taken at the dense blocks' ranks
+    # only; they must be the bits of the powers of all the column integrals
+    m = assemble_matrix(parse_symbol(text, dim), TruncationSpec(dim, level))
+    squared = m.column_integrals(squared=True)
+    for r in (0.3, 0.5, 1.0):
+        assert _sr_small(m.spec, r, m, squared) == _sr_small(m.spec, r, None, squared)
 
 
 def test_shells_sum_to_partial_sum():

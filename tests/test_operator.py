@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import gc
 import json
 import math
@@ -790,6 +792,54 @@ def test_csv_export(tmp_path):
     loaded = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
     assert np.array_equal(loaded, m.entries)
     assert (tmp_path / "mat.csv.meta.json").exists()
+
+
+def _entries_csv(m, path):
+    # the rows of the dense matrix, each value as repr(float(v)), with the header
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"n={m.spec.dim}", f"N={m.spec.level}", f"Q={m.quad_order}"])
+        for row in m.entries:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("text, blocks", [
+    ("sin(nu1) - 0.5", 0),
+    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 4),
+    ("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 1),
+], ids=["multiplier", "four-block", "one-block"])
+def test_csv_rows_are_the_rows_of_the_entries(tmp_path, text, blocks):
+    # written block by block, the CSV is byte for byte the rows of the dense
+    # matrix, a stored -0.0 included
+    m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, 8))
+    assert len(m.values) == blocks and m.singles.size == (0 if blocks else m.size)
+    values = [b.copy() for b in m.values]
+    for b in values:
+        b[0, -1] = -0.0
+    scalars = m.scalars.copy()
+    scalars[:1] = -0.0
+    for case in (m, dataclasses.replace(m, values=tuple(values), scalars=scalars)):
+        export_matrix_csv(case, str(tmp_path / "blocks.csv"))
+        _entries_csv(case, str(tmp_path / "entries.csv"))
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written == (tmp_path / "entries.csv").read_bytes()
+    assert b"-0.0," in written or b"-0.0\r" in written
+
+
+@pytest.mark.parametrize("text, level", [
+    ("exp(-absnu)", 60),  # a dense matrix takes 28.6 MB
+    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 30),  # 900k values to format at N = 60
+], ids=["multiplier", "four-block"])
+def test_csv_export_builds_no_dense_matrix(tmp_path, text, level):
+    m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, level))
+    dense = 8 * m.size**2
+    tracemalloc.start()
+    try:
+        export_matrix_csv(m, str(tmp_path / "m.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4, peak / dense
 
 
 @pytest.mark.parametrize("sym, described", [

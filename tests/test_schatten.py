@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from hspec import (
+    CoefficientVector,
+    CriterionPreconditionError,
     TruncationSpec,
+    apply_matrix,
     assemble_matrix,
     build_report,
     builtin_symbol,
@@ -22,6 +26,7 @@ from hspec import (
     table_symbol,
     trace_formula,
 )
+from hspec.criteria import _sr_small, _trace_class
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
 
@@ -211,7 +216,7 @@ def test_build_report_fields():
 def test_the_spectral_stage_reads_the_stored_blocks(monkeypatch, text):
     # the SVD and the eigensolve receive the stored block arrays themselves
     m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, 10))
-    assert m.diagonal_blocks is m.values and len(m.values) == len(m.blocks)
+    assert len(m.values) == len(m.blocks) and m.singles.size == m.scalars.size == 0
     seen = {"svd": [], "eigvals": [], "eigvalsh": []}
     for name, calls in seen.items():
         monkeypatch.setattr(np.linalg, name, lambda a, *args, calls=calls,
@@ -225,6 +230,19 @@ def test_the_spectral_stage_reads_the_stored_blocks(monkeypatch, text):
         assert [id(a) for a in solved] == [id(b) for b in m.values]
 
 
+def _as_one_dense_block(m):
+    # the same values stored as one dense diagonal block instead of 1 x 1 blocks
+    return dataclasses.replace(m, values=(np.diag(m.scalars),), blocks=(np.arange(m.size),),
+                               singles=np.empty(0, dtype=np.intp), scalars=np.empty(0))
+
+
+def _verdict_or_refusal(check):
+    try:
+        return check().to_dict()
+    except CriterionPreconditionError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("sym", [
     builtin_symbol("power", 2, sigma=1.3),
     builtin_symbol("heat", 2, t=0.4),
@@ -232,15 +250,32 @@ def test_the_spectral_stage_reads_the_stored_blocks(monkeypatch, text):
     parse_symbol("sin(nu1) - 0.5", 2),
 ], ids=["power", "heat", "bandlimit", "sign-changing"])
 def test_diagonal_operator_matches_dense_lapack(sym):
-    # a multiplier is stored as its diagonal; reading it must give exactly
-    # what the dense SVD and eigensolver give on np.diag of the same values
+    # a multiplier is stored as 1 x 1 blocks; reading them must give exactly
+    # what the dense SVD and eigensolver give on np.diag of the same values,
+    # and what the readers give on the same values stored as one dense block
     m = assemble_matrix(sym, TruncationSpec(2, 20))
-    assert m.is_diagonal and m.values.shape == (m.size,)
-    dense = np.diag(m.values)
+    assert m.values == () and m.blocks == () and np.array_equal(m.singles, np.arange(m.size))
+    dense = np.diag(m.scalars)
     assert np.array_equal(m.entries, dense)
     assert np.array_equal(singular_values(m), _lapack_singular_values(dense))
     assert spectral_trace(m) == math.fsum(np.linalg.eigvalsh(dense))
     assert m.trace() == float(np.trace(dense))
+    one = _as_one_dense_block(m)
+    assert np.array_equal(one.entries, m.entries)
+    assert np.array_equal(singular_values(one), singular_values(m))
+    c = CoefficientVector(m.spec, np.cos(np.arange(m.size)))
+    assert np.array_equal(apply_matrix(one, c).values, apply_matrix(m, c).values)
+    assert spectral_trace(one) == spectral_trace(m) and one.trace() == m.trace()
+    assert one.frobenius_squared() == pytest.approx(m.frobenius_squared(), rel=1e-15, abs=0)
+    squared = m.column_integrals(squared=True)
+    for r in (0.5, 1.0):
+        layout, block = (_sr_small(m.spec, r, x, squared).to_dict() for x in (m, one))
+        assert layout["tail_flag"] == block["tail_flag"]
+        assert layout["partial_sum"] == pytest.approx(block["partial_sum"], rel=1e-14)
+    assert _sr_small(m.spec, 1.0, m, squared).to_dict() == _sr_small(m.spec, 1.0, one,
+                                                                       squared).to_dict()
+    assert _verdict_or_refusal(lambda: _trace_class(m)) == _verdict_or_refusal(
+        lambda: _trace_class(one))
 
 
 @pytest.mark.parametrize("family,params", [("power", {"sigma": 1.3}), ("heat", {"t": 0.2}),

@@ -505,10 +505,12 @@ def test_parity_blocks_hold_the_whole_assembled_matrix(sym):
         m = assemble_matrix(sym, spec, doubling_check=False)
     except (SymbolError, FloatingPointError):  # not finite on the grid, or its sums overflow
         return
+    # the dense blocks and the 1 x 1 blocks partition the ranks
+    parts = m.blocks + tuple(m.singles[:, None])
     block = np.empty(spec.size, dtype=int)
-    for k, b in enumerate(m.blocks):
+    for k, b in enumerate(parts):
         block[b] = k
-    assert np.array_equal(np.sort(np.concatenate(m.blocks)), np.arange(spec.size))
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(spec.size))
     off = block[:, None] != block[None, :]
     a = np.abs(m.entries)
     assert np.all(a[off] <= 1e-13 * a.max()), sym.text
