@@ -36,8 +36,8 @@ from . import __version__
 from .criteria import CriterionPreconditionError, criteria
 from .hermite import gauss_hermite_rule, quadrature_order
 from .multiindex import TruncationSpec
-from .operator import assemble_matrix
-from .schatten import build_report, compare_traces, hilbert_schmidt_direct, trace_formula
+from .operator import assemble_matrix, column_integrals
+from .schatten import HS_SUM, TRACE_SUM, build_report, compare_traces, named_fsum
 from .symbol import SymbolError, SymbolSpec, builtin_symbol, load_symbol, symbol_to_dict
 
 SCHEMA_VERSION = 1
@@ -198,15 +198,28 @@ def render_json(doc) -> str:
     return _render(doc, "")
 
 
+def _all_finite(value) -> bool:
+    """Whether every float in a report value is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, (list, tuple)) or all(map(_all_finite, value))
+
+
 def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
-    # the CSV rows are values of doc, so this also keeps NaN out of CSV
-    try:
-        text = render_json(doc) + "\n"
-    except ValueError:
-        raise FloatingPointError("the report has non-finite values") from None
+    # a CSV table is not the whole report, but a report with a non-finite
+    # value is refused in either format; the CSV rows are values of doc
     if args.format == "csv":
+        if not _all_finite(doc):
+            raise FloatingPointError("the report has non-finite values")
         lines = [",".join(csv_header)] + [",".join(repr(v) for v in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
+    else:
+        try:
+            text = render_json(doc) + "\n"
+        except ValueError:
+            raise FloatingPointError("the report has non-finite values") from None
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -268,14 +281,13 @@ def cmd_converge(args) -> int:
     levels = _parse_levels(args.level)
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("converge expects an ascending comma-separated --level list")
-    rows = []
-    for n in levels:
-        spec = TruncationSpec(args.dim, n)
-        if args.quantity == "trace":
-            val = trace_formula(sym, spec, args.quad)
-        else:
-            val = hilbert_schmidt_direct(sym, spec, args.quad)
-        rows.append((n, val))
+    # one pass at the top level: the truncation is graded, so level n is the
+    # first offsets[n + 1] columns of it
+    spec = TruncationSpec(args.dim, levels[-1])
+    squared = args.quantity == "hs"
+    integrals = column_integrals(sym, spec, args.quad, squared)
+    what = HS_SUM if squared else TRACE_SUM
+    rows = [(n, named_fsum(what, integrals[:spec.offsets[n + 1]])) for n in levels]
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
     doc = _report(
         args, sym,

@@ -45,8 +45,8 @@ from .symbol import SymbolSpec
 
 IMAG_RESIDUAL_TOL = 1e-8
 # what named_fsum names when the sum of the column integrals overflows
-_TRACE_SUM = "the trace formula sum of the integrals of m phi_nu^2"
-_HS_SUM = "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"
+TRACE_SUM = "the trace formula sum of the integrals of m phi_nu^2"
+HS_SUM = "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"
 _EIGEN_SUM = "the eigenvalue sum"
 
 
@@ -169,14 +169,14 @@ def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -
     order-2q matrix when its doubling check runs, whose diagonal differs
     from them by the quadrature error.
     """
-    return named_fsum(_TRACE_SUM, column_integrals(sym, spec, q, squared=False))
+    return named_fsum(TRACE_SUM, column_integrals(sym, spec, q, squared=False))
 
 
 def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
     """Truncated Hilbert-Schmidt criterion sum: sum of the integrals of
     |m(x,nu)|^2 phi_nu(x)^2 (the squared HS norm of T_m before truncation
     loss)."""
-    return named_fsum(_HS_SUM, column_integrals(sym, spec, q, squared=True))
+    return named_fsum(HS_SUM, column_integrals(sym, spec, q, squared=True))
 
 
 def compare_traces(m: OperatorMatrix) -> dict:
@@ -186,7 +186,7 @@ def compare_traces(m: OperatorMatrix) -> dict:
     FloatingPointError naming it."""
     return {
         "matrix_trace": m.trace(),
-        "formula_trace": named_fsum(_TRACE_SUM, m.column_integrals(squared=False)),
+        "formula_trace": named_fsum(TRACE_SUM, m.column_integrals(squared=False)),
         "spectral_trace": spectral_trace(m),
     }
 
@@ -245,7 +245,7 @@ def build_report(
         quad_order=m.quad_order,
         singular_values=sv,
         **compare_traces(m),
-        hs_direct=named_fsum(_HS_SUM, m.column_integrals(squared=True)),
+        hs_direct=named_fsum(HS_SUM, m.column_integrals(squared=True)),
         assembly_residual=m.assembly_residual,
         residual_warning=m.residual_warning,
         worst_column=m.worst_column,

@@ -473,11 +473,30 @@ def builtin_symbol(family: str, dim: int, **params) -> SymbolSpec:
     )
 
 
+def _finite_numbers(value) -> np.ndarray | None:
+    """value as a float array when it nests finite real numbers evenly, else
+    None: a bool, string, null or ragged nesting is refused (np.asarray would
+    read true beside a float as 1.0)."""
+    try:
+        leaves = np.array(value, dtype=object)  # Python scalars, also from an array
+        kinds = set(map(type, leaves.ravel().tolist()))
+        if all(issubclass(k, (int, float, np.integer, np.floating)) and k is not bool
+               for k in kinds):
+            arr = leaves.astype(float)
+            return arr if np.isfinite(arr).all() else None
+    except (ValueError, OverflowError):  # a ragged nesting; an int past the double range
+        pass
+    return None
+
+
 def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool = False) -> SymbolSpec:
     """Tabulated symbol: grids is one ascending node list per coordinate,
-    values maps nu tuples to arrays over the tensor grid (1-D array in dim 1).
+    values maps nu tuples to arrays over the tensor grid (1-D array in dim 1),
+    all of finite numbers.
     """
-    grids = [np.asarray(g, dtype=float) for g in grids]
+    grids = [_finite_numbers(g) for g in grids]
+    if any(g is None for g in grids):
+        raise ValueError("symbol field 'table.grids' must hold finite numbers")
     if len(grids) != dim:
         raise ValueError(f"need {dim} coordinate grids, got {len(grids)}")
     for g in grids:
@@ -486,11 +505,11 @@ def table_symbol(dim: int, grids: list, values: dict, positive_selfadjoint: bool
     shape = tuple(g.size for g in grids)
     vals = {}
     for nu, arr in values.items():
-        try:
-            vals[tuple(int(k) for k in nu)] = np.asarray(arr, dtype=float).reshape(shape)
-        except (TypeError, ValueError) as exc:
-            raise SymbolError(f"symbol field 'table.values' at nu={nu!r} must be numbers "
-                              f"of shape {shape} over the grid ({exc})") from None
+        arr = _finite_numbers(arr)
+        if arr is None or arr.size != math.prod(shape):
+            raise SymbolError(f"symbol field 'table.values' at nu={nu!r} must be finite "
+                              f"numbers of shape {shape} over the grid")
+        vals[tuple(int(k) for k in nu)] = arr.reshape(shape)
     return SymbolSpec(
         kind="table",
         dim=dim,

@@ -19,7 +19,9 @@ from hspec import (
     symbol_from_dict,
 )
 import hspec.cli
+import hspec.operator
 from hspec.cli import main
+from hspec.schatten import HS_SUM, TRACE_SUM, hilbert_schmidt_direct, named_fsum, trace_formula
 from hspec.symbol import MAX_DEPTH
 from oracles import heat_trace_limit
 
@@ -134,6 +136,38 @@ def test_converge_heat_trace_tail_shrinks(tmp_path):
 
 def test_converge_requires_ascending_levels():
     assert main(["converge", "--builtin", "heat", "--param", "t=1", "--level", "20,10"]) == 2
+
+
+@pytest.mark.parametrize("quantity", ["trace", "hs"])
+@pytest.mark.parametrize("symbol", [
+    {"kind": "builtin", "dim": 2, "family": "power", "params": {"sigma": 1.5}},
+    {"kind": "expression", "dim": 2, "expr": "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)"},
+    {"kind": "expression", "dim": 2, "expr": "1/(1+x1^2+(1+0.1*nu2)*x2^2)"},
+], ids=["multiplier", "split", "non-splitting"])
+def test_converge_reads_every_level_from_one_pass(tmp_path, monkeypatch, symbol, quantity):
+    passes = []
+    discretize = hspec.operator._discretize
+
+    def counted(*args, **kwargs):
+        passes.append(discretize(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(hspec.operator, "_discretize", counted)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(symbol))
+    levels = (2, 5, 9, 14)
+    code, out = run(tmp_path, "converge", "--symbol", str(path), "--quantity", quantity,
+                    "--level", ",".join(map(str, levels)))
+    assert code == 0
+    assert len(passes) == 1
+    # the top level's truncation, of which every level is a prefix
+    hs, spec = quantity == "hs", TruncationSpec(2, levels[-1])
+    integrals = passes[0][2][hs]
+    values = json.loads(out.read_text())["values"]
+    assert values == [[n, named_fsum(HS_SUM if hs else TRACE_SUM,
+                                     integrals[:spec.offsets[n + 1]])] for n in levels]
+    top = (hilbert_schmidt_direct if hs else trace_formula)(symbol_from_dict(symbol), spec)
+    assert values[-1][1] == top
 
 
 def test_basis_check(tmp_path):
@@ -434,6 +468,49 @@ def test_default_paths_run_without_scipy(tmp_path, args):
     assert json.loads((tmp_path / "out.json").read_text())["command"] == args[0]
 
 
+def _leaves(value, path=()):
+    """(path, scalar) for every scalar of a report, in sorted key order."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _leaves(value[k], path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("command, expr, level", [
+    ("analyze", "lam^(-0.8)*(1+0.5*x1*x2/(1+x1^2+x2^2))", "34"),
+    ("trace", "1/(1+x1^2+(1+0.1*nu2)*x2^2)", "30"),
+], ids=["two-block-analyze", "non-splitting-trace"])
+def test_reports_agree_across_blas_thread_counts(tmp_path, command, expr, level):
+    # the bytes may differ with the thread count; sigma agree within 1e-14
+    # sigma_1 and every other float within 1e-14 relative
+    (tmp_path / "sym.json").write_text(json.dumps({"kind": "expression", "dim": 2,
+                                                   "expr": expr}))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(hspec.cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "hspec.cli", command, "--symbol", "sym.json",
+                               "--level", level], cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        reports.append(doc.get("report", doc))
+    sv = [np.array(r.pop("singular_values", [1.0])) for r in reports]
+    assert len(sv[0]) == len(sv[1])
+    assert np.abs(sv[0] - sv[1]).max() <= 1e-14 * sv[1][0]
+    one, two = (list(_leaves(r)) for r in reports)
+    assert [path for path, _ in one] == [path for path, _ in two]
+    for (path, a), (_, b) in zip(one, two):
+        if type(b) is float:
+            assert a == pytest.approx(b, rel=1e-14, abs=0), path
+        else:
+            assert a == b, path
+
+
 def test_expression_symbol_file(tmp_path):
     sym = tmp_path / "sym.json"
     sym.write_text(json.dumps({"kind": "expression", "dim": 1,
@@ -481,15 +558,18 @@ def test_malformed_symbol_documents_exit_2(tmp_path, capsys, doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_non_finite_report_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_exits_3(tmp_path, capsys, fmt):
     # the trace formula is 1e308 at level 0 and -1.5e308 at level 2, both
-    # finite; their difference is not, so the report has -inf
+    # finite; their difference is not, so the report has -inf, in
+    # successive_differences, which is not a CSV row
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1,
                                 "expr": "1e308*(1-2.25*min(absnu,1))"}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run(tmp_path, "converge", "--symbol", str(path), "--level", "0,2")
+        code, out = run(tmp_path, "converge", "--symbol", str(path), "--level", "0,2",
+                        "--format", fmt)
     assert code == 3
     assert capsys.readouterr().err == "numerical failure: the report has non-finite values\n"
     assert not out.exists()
@@ -606,10 +686,25 @@ TABLE_GRID = [[-1.0, 1.0]]
         "grids": TABLE_GRID, "values": {"0": [1.0, 2.0, 3.0]}}}),
     (("trace",), {"kind": "table", "dim": 1, "table": {
         "grids": TABLE_GRID, "values": {"0": "abc"}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {"grids": [{}], "values": {}}}),
+    # a node or value of 1e400 is parsed as inf; the report would echo it
+    (("trace",), '{"kind": "table", "dim": 1, "table": {"grids": [[-20, 1e400]], '
+                 '"values": {"0": [1, 1], "1": [1, 1], "2": [1, 1], "3": [1, 1]}}}'),
+    (("trace",), '{"kind": "table", "dim": 1, "table": {"grids": [[-20, 20]], '
+                 '"values": {"0": [1, 1], "1": [1, 1], "2": [1, 1], "3": [1, 1], '
+                 '"9": [1, 1e400]}}}'),
+    (("trace",), '{"kind": "table", "dim": 1, "table": {"grids": [[-20, 20]], '
+                 '"values": {"0": [1, 1], "1": [1, 1e400], "2": [1, 1], "3": [1, 1]}}}'),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": [[-20, "20"]], "values": {"0": [1, 1]}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": [[-20, 20]], "values": {"0": [1, None]}}}),
 ], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "sigma-nan-unread", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
         "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull",
-        "table-key-not-an-index", "table-values-wrong-length", "table-values-not-numbers"])
+        "table-key-not-an-index", "table-values-wrong-length", "table-values-not-numbers",
+        "table-grid-not-a-list", "table-grid-overflow", "table-value-overflow-unread",
+        "table-value-overflow-read", "table-grid-string", "table-value-null"])
 def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
     if doc is not None:
         sym = tmp_path / "sym.json"
@@ -719,7 +814,7 @@ def test_quad_below_level_plus_one_exits_2(tmp_path, capsys, command, symbol):
         path.write_text(json.dumps({"kind": "expression", "dim": 1,
                                     "expr": "exp(-absnu)/(1+x1^2)"}))
         source = ("--symbol", str(path))
-    # converge runs level 3 at order 5 before it reaches level 10
+    # converge checks the order against its top level only
     level = "3,10" if command == "converge" else "10"
     code, out = run(tmp_path, command, *source, "--level", level, "--quad", "5",
                     *QUAD_COMMANDS[command])
@@ -733,11 +828,12 @@ def test_quad_error_comes_before_the_dimension_error(tmp_path, capsys, command):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 2,
                                 "expr": "exp(-absnu)/(1+x1^2+x2^2)"}))
-    level = "4,5" if command == "converge" else "4"
+    # converge's one pass is at its top level, 5
+    level, top = ("4,5", 6) if command == "converge" else ("4", 5)
     code, _ = run(tmp_path, command, "--symbol", str(path), "--dim", "1", "--level", level,
                   "--quad", "2", *QUAD_COMMANDS[command])
     assert code == 2
-    assert capsys.readouterr().err == "error: quadrature order 2 must be at least N+1 = 5\n"
+    assert capsys.readouterr().err == f"error: quadrature order 2 must be at least N+1 = {top}\n"
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,19 +1,23 @@
 """The report writer against its oracle, and the CLI's exit codes under fuzz.
 
 render_json must write exactly what json.dumps(doc, indent=2, sort_keys=True,
-allow_nan=False) writes; every CLI run must exit 0, 2 or 3 without a
-traceback, and an exit-0 report must be the stdlib's re-dump of its parse.
+allow_nan=False) writes; every CLI run, on argv and on expression, builtin
+and table documents with odd fields, must exit 0, 2 or 3 without a
+traceback, a failing run must write one stderr line, and an exit-0 report
+must be the stdlib's re-dump of its parse.
 """
 
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hspec import TruncationSpec
 from hspec.cli import main, render_json
 
 
@@ -94,7 +98,7 @@ def test_an_unknown_type_raises_type_error(doc):
 
 
 # ---------------------------------------------------------------------------
-# exit-code fuzz over small argv
+# exit-code fuzz over small argv and symbol documents
 
 atoms = st.sampled_from(["x1", "x2", "nu1", "nu2", "absnu", "lam", "0", "1", "0.5", "2", "1e300"])
 expressions = st.recursive(
@@ -117,6 +121,56 @@ bad_levels = st.sampled_from(["x", "3,1", "-1", "2,2"])
 orders = st.sampled_from(["0.5", "1", "1.5", "2", "0.5,1,1.5,2", "1,2", "3", "0", "1e-320"])
 
 
+# what a spoiled field of a symbol document holds instead: JSON that is not a
+# finite number (inf is written as 1e400, which parses as inf), or a number
+# that is out of range for the field
+odd_values = st.sampled_from([math.inf, -math.inf, math.nan, None, "1", True, [1.0], {}, -1, 0])
+PARAMS = {"heat": "t", "power": "sigma", "bandlimit": "cutoff"}
+TABLE_NODES = [-10.0, 0.0, 10.0]  # past every quadrature node up to level 4
+
+
+def _spoiled(draw, doc: dict, paths: list[tuple]) -> dict:
+    """doc, or doc with the field at one of paths deleted or made odd."""
+    how = draw(st.sampled_from(["keep", "delete", "replace", "replace"]))
+    if how == "keep":
+        return doc
+    *parents, last = draw(st.sampled_from(paths))
+    field = doc
+    for key in parents:
+        field = field[key]
+    if how == "delete":
+        del field[last]
+    else:
+        field[last] = draw(odd_values)
+    return doc
+
+
+@st.composite
+def builtin_documents(draw):
+    family = draw(st.sampled_from(sorted(PARAMS)))
+    param = PARAMS[family]
+    doc = {"kind": "builtin", "dim": draw(st.integers(1, 2)), "family": family,
+           "params": {param: draw(st.sampled_from([0.05, 0.3, 1.5, 2.0]))}}
+    return _spoiled(draw, doc, [("dim",), ("family",), ("params",), ("params", param)])
+
+
+@st.composite
+def table_documents(draw):
+    dim = draw(st.integers(1, 2))
+    keys = TruncationSpec(dim, 4).array.tolist()
+    row = lambda v: [v] * len(TABLE_NODES)  # noqa: E731
+    values = {",".join(map(str, nu)): row(1 / (1 + sum(nu))) if dim == 1
+              else [row(1 / (1 + sum(nu)))] * len(TABLE_NODES) for nu in keys}
+    doc = {"kind": "table", "dim": dim,
+           "table": {"grids": [list(TABLE_NODES) for _ in range(dim)], "values": values}}
+    # a value at |nu| = 4 is read only at level 4
+    key = ",".join(map(str, draw(st.sampled_from(keys))))
+    return _spoiled(draw, doc, [("dim",), ("table",), ("table", "grids"), ("table", "grids", 0),
+                                ("table", "grids", dim - 1, 1), ("table", "values"),
+                                ("table", "values", key),
+                                ("table", "values", key, *[1] * dim)])
+
+
 @st.composite
 def cli_runs(draw):
     """(argv without --output, symbol document or None)."""
@@ -124,13 +178,16 @@ def cli_runs(draw):
                                     "basis-check"]))
     argv, doc = [command], None
     if command != "basis-check":
-        if draw(st.booleans()):
+        source = draw(st.sampled_from(["argv", "expression", "builtin", "table"]))
+        if source == "argv":
             family, param = draw(builtins)
             argv += ["--builtin", family, "--param", param]
-        else:
+        elif source == "expression":
             doc = {"kind": "expression", "dim": draw(st.integers(1, 2)),
                    "expr": draw(expressions),
                    "positive_selfadjoint": draw(st.booleans())}
+        else:
+            doc = draw(builtin_documents() if source == "builtin" else table_documents())
     dim = draw(st.sampled_from([None, None, 1, 2]))
     if dim is not None:
         argv += ["--dim", str(dim)]
@@ -158,20 +215,36 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+def _table(grid: list, values: dict) -> dict:
+    return {"kind": "table", "dim": 1, "table": {"grids": [grid], "values": values}}
+
+
+FLAT = {str(k): [1.0, 1.0] for k in range(4)}
+TRACE = ["trace", "--level", "3", "--format", "json"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(cli_runs())
+# a grid that is not a list; a node of 1e400; a value of 1e400 at an index
+# the run never reads, and at one it reads
+@example(run=(TRACE, {"kind": "table", "dim": 1, "table": {"grids": [{}], "values": {}}}))
+@example(run=(TRACE, _table([-20.0, math.inf], FLAT)))
+@example(run=(TRACE, _table([-20.0, 20.0], {**FLAT, "9": [1.0, math.inf]})))
+@example(run=(TRACE, _table([-20.0, 20.0], {**FLAT, "1": [1.0, math.inf]})))
 def test_every_cli_run_exits_0_2_or_3_and_writes_the_stdlib_json(fuzz_dir, run):
     argv, doc = run
     sym, out = fuzz_dir / "sym.json", fuzz_dir / "out"
     out.unlink(missing_ok=True)
     if doc is not None:
-        sym.write_text(json.dumps(doc))
+        sym.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         argv = argv[:1] + ["--symbol", str(sym)] + argv[1:]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv + ["--output", str(out)])
     assert code in (0, 2, 3), (argv, doc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, doc, err.getvalue())
     if code == 0 and "json" in argv:
         text = out.read_text()
         assert text == oracle(json.loads(text)) + "\n"

@@ -365,7 +365,16 @@ def test_table_symbol_2d():
     ([np.linspace(-1, 1, 5), np.array([0.0, 1.0, 1.0])], "strictly increasing"),
     ([np.linspace(-1, 1, 5), np.array([0.0])], "length >= 2"),
     ([np.linspace(-1, 1, 5), np.zeros((2, 2))], "1-D array"),
-], ids=["one-grid-for-two-coordinates", "repeated-node", "one-node", "two-dimensional-grid"])
+    ([np.linspace(-1, 1, 5), {}], "table.grids"),
+    ([np.linspace(-1, 1, 5), [0.0, {}]], "table.grids"),
+    ([np.linspace(-1, 1, 5), [0.0, math.inf]], "table.grids"),
+    ([np.linspace(-1, 1, 5), [math.nan, 1.0]], "table.grids"),
+    ([np.linspace(-1, 1, 5), [0.0, "1"]], "table.grids"),
+    ([np.linspace(-1, 1, 5), [0.0, None]], "table.grids"),
+    ([np.linspace(-1, 1, 5), [0.0, [1.0, 2.0]]], "table.grids"),
+], ids=["one-grid-for-two-coordinates", "repeated-node", "one-node", "two-dimensional-grid",
+        "grid-not-a-list", "node-not-a-number", "node-inf", "node-nan", "node-string",
+        "node-null", "ragged-grid"])
 def test_table_symbol_checks_its_grids(grids, message):
     with pytest.raises(ValueError, match=message):
         table_symbol(2, grids, {})
@@ -402,7 +411,8 @@ def test_bad_documents(tmp_path):
     with pytest.raises(SymbolError, match=r"table.values.*'a'.*1 comma-separated"):
         symbol_from_dict({"kind": "table", "dim": 1, "table": {
             "grids": [[-1, 0, 1]], "values": {"a": [1, 2, 3]}}})
-    for value in ([1, 2], "abc"):
+    for value in ([1, 2], "abc", [1, 2, math.inf], [1, math.nan, 3], [1, None, 3],
+                  [1, "2", 3], [1, True, 3], [1, [2], 3]):
         with pytest.raises(SymbolError, match=r"table.values.*nu=\(0,\).*shape \(3,\)"):
             symbol_from_dict({"kind": "table", "dim": 1, "table": {
                 "grids": [[-1, 0, 1]], "values": {"0": value}}})
