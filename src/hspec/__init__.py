@@ -44,7 +44,6 @@ from .operator import (
     synthesize,
 )
 from .schatten import (
-    SchattenReport,
     build_report,
     compare_traces,
     hilbert_schmidt_direct,

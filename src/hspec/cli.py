@@ -89,7 +89,10 @@ def _load_symbol(args) -> SymbolSpec:
             sym = load_symbol(args.symbol)
         except FileNotFoundError:
             raise ConfigError(f"symbol file not found: {args.symbol}") from None
-        except SymbolError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read symbol file {args.symbol}: "
+                              f"{exc.strerror or exc}") from None
+        except (SymbolError, ValueError) as exc:
             raise ConfigError(f"bad symbol file {args.symbol}: {exc}") from exc
     elif args.builtin:
         try:
@@ -221,26 +224,34 @@ def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
         except ValueError:
             raise FloatingPointError("the report has non-finite values") from None
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {args.output}: "
+                              f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def _warn_worst_column(worst) -> None:
-    # stderr only: the report bytes do not depend on it
-    nu, change = worst
-    print(f"warning: quadrature residual above threshold; column nu={nu.entries} "
-          f"moved most between q and 2q (relative change {change:.3e})", file=sys.stderr)
+def _matrix_report(args, sym: SymbolSpec, spec: TruncationSpec, fields) -> dict:
+    """The report of fields(m) for the assembled matrix m.  Once it is built,
+    a residual above threshold names on stderr the column that moved most
+    between q and 2q; the report bytes do not depend on it."""
+    m = assemble_matrix(sym, spec, args.quad)
+    doc = _report(args, sym, **fields(m))
+    if m.residual_warning:
+        nu, change = m.worst_column
+        print(f"warning: quadrature residual above threshold; column nu={nu.entries} "
+              f"moved most between q and 2q (relative change {change:.3e})", file=sys.stderr)
+    return doc
 
 
 def cmd_analyze(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
-    report = build_report(sym, spec, args.quad, r_values=tuple(_parse_rs(args.r)))
-    if report.residual_warning:
-        _warn_worst_column(report.worst_column)
-    doc = _report(args, sym, report=report.to_dict())
+    r_values = tuple(_parse_rs(args.r))
+    doc = _matrix_report(args, sym, spec, lambda m: {"report": build_report(m, r_values)})
     # lazy: only --format csv reads the rows
     rows = enumerate(doc["report"]["singular_values"])
     _emit(doc, args, csv_rows=rows, csv_header=("index", "singular_value"))
@@ -264,15 +275,7 @@ def cmd_criteria(args) -> int:
 def cmd_trace(args) -> int:
     sym = _load_symbol(args)
     spec = TruncationSpec(args.dim, _single_level(args))
-    m = assemble_matrix(sym, spec, args.quad)
-    if m.residual_warning:
-        _warn_worst_column(m.worst_column)
-    _emit(_report(
-        args, sym,
-        **compare_traces(m),
-        assembly_residual=m.assembly_residual,
-        residual_warning=m.residual_warning,
-    ), args)
+    _emit(_matrix_report(args, sym, spec, compare_traces), args)
     return 0
 
 

@@ -85,7 +85,6 @@ class OperatorMatrix:
     values: tuple[np.ndarray, ...]
     quad_order: int
     assembly_residual: float
-    residual_warning: bool
     symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
     blocks: tuple[np.ndarray, ...]
@@ -97,6 +96,11 @@ class OperatorMatrix:
     @property
     def size(self) -> int:
         return self.spec.size
+
+    @property
+    def residual_warning(self) -> bool:
+        """Whether the relative change under quadrature doubling exceeds RESIDUAL_WARN."""
+        return self.assembly_residual > RESIDUAL_WARN
 
     @property
     def entries(self) -> np.ndarray:
@@ -434,13 +438,13 @@ def assemble_matrix(
     order-q pass gives the matrix, as its parity blocks, and the column
     integrals; the matrix is repeated at order 2q and the relative Frobenius
     change recorded, overall and per column, block by block; an overall
-    change above 1e-6 sets the residual warning flag (the result is still
-    returned).  The symmetrizer sqrt(a) is read from the pass whose matrix
-    is kept.
+    change above 1e-6 sets OperatorMatrix.residual_warning (the result is
+    still returned).  The symmetrizer sqrt(a) is read from the pass whose
+    matrix is kept.
     """
     if sym.is_multiplier:
         q, diag, columns, _ = _discretize(sym, spec, q)
-        return OperatorMatrix(spec, (), q, 0.0, False, sym, columns, (),
+        return OperatorMatrix(spec, (), q, 0.0, sym, columns, (),
                               singles=np.arange(spec.size), scalars=diag)
     blocks = _parity_blocks(sym, spec)
     layout = _stack_layout(blocks, spec)
@@ -470,8 +474,8 @@ def assemble_matrix(
     values = tuple(values[k, :len(b), :len(b)].T for k, b in enumerate(blocks))
     # a zero, negative or subnormal a(nu) gets no symmetrizer
     normal = a is not None and bool((a >= np.finfo(float).tiny).all())
-    return OperatorMatrix(spec, values, q, residual, residual > RESIDUAL_WARN, sym,
-                          columns, blocks, worst, np.sqrt(a) if normal else None)
+    return OperatorMatrix(spec, values, q, residual, sym, columns, blocks, worst,
+                          np.sqrt(a) if normal else None)
 
 
 def _basis_at(spec: TruncationSpec, x) -> np.ndarray:

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .multiindex import TruncationSpec
-from .operator import OperatorMatrix, assemble_matrix, column_integrals
+# assemble_matrix stays importable from this module for its existing readers
+from .operator import OperatorMatrix, assemble_matrix, column_integrals  # noqa: F401
 from .symbol import SymbolSpec
 
 IMAG_RESIDUAL_TOL = 1e-8
@@ -182,75 +182,38 @@ def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None 
 def compare_traces(m: OperatorMatrix) -> dict:
     """The three traces of one assembled operator, in the order they are
     computed: matrix_trace, formula_trace (the sum of its column integrals
-    of m phi_nu^2) and spectral_trace; a sum that overflows raises
-    FloatingPointError naming it."""
+    of m phi_nu^2) and spectral_trace, with the assembly_residual and
+    residual_warning that say how well its matrix is resolved; a sum that
+    overflows raises FloatingPointError naming it."""
     return {
         "matrix_trace": m.trace(),
         "formula_trace": named_fsum(TRACE_SUM, m.column_integrals(squared=False)),
         "spectral_trace": spectral_trace(m),
+        "assembly_residual": m.assembly_residual,
+        "residual_warning": m.residual_warning,
     }
 
 
-# ---------------------------------------------------------------------------
-# aggregate report
+def build_report(m: OperatorMatrix, r_values: tuple[float, ...] = (1.0, 2.0)) -> dict:
+    """The spectral summary of one assembled operator, as analyze writes it.
 
-@dataclass
-class SchattenReport:
-    dim: int
-    level: int
-    quad_order: int
-    singular_values: np.ndarray
-    schatten_norms: dict = field(default_factory=dict)  # r -> norm
-    schatten_sums: dict = field(default_factory=dict)   # r -> raw sum
-    matrix_trace: float = 0.0
-    formula_trace: float = 0.0
-    spectral_trace: float = 0.0
-    hs_direct: float = 0.0
-    assembly_residual: float = 0.0
-    residual_warning: bool = False
-    # (nu, relative change) of the column that moved most between q and 2q
-    # (OperatorMatrix.worst_column); not part of the serialized report
-    worst_column: tuple | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "level": self.level,
-            "quad_order": self.quad_order,
-            "singular_values": self.singular_values.tolist(),
-            "schatten_norms": {repr(r): v for r, v in self.schatten_norms.items()},
-            "schatten_sums": {repr(r): v for r, v in self.schatten_sums.items()},
-            "matrix_trace": self.matrix_trace,
-            "formula_trace": self.formula_trace,
-            "spectral_trace": self.spectral_trace,
-            "hilbert_schmidt_direct": self.hs_direct,
-            "assembly_residual": self.assembly_residual,
-            "residual_warning": self.residual_warning,
-            "convergence": [],  # kept so existing readers of the report find the key
-        }
-
-
-def build_report(
-    sym: SymbolSpec,
-    spec: TruncationSpec,
-    q: int | None = None,
-    r_values: tuple[float, ...] = (1.0, 2.0),
-) -> SchattenReport:
-    """Assemble the operator and compute the full spectral summary."""
-    m = assemble_matrix(sym, spec, q)
+    The quantities are computed in a fixed order, so a failing input always
+    names the same one first: the singular values, the traces
+    (compare_traces), the Hilbert-Schmidt sum, then for each r its Schatten
+    sum and then its norm, keyed by repr(r)."""
     sv = singular_values(m)
-    report = SchattenReport(
-        dim=spec.dim,
-        level=spec.level,
-        quad_order=m.quad_order,
-        singular_values=sv,
+    report = {
+        "dim": m.spec.dim,
+        "level": m.spec.level,
+        "quad_order": m.quad_order,
+        "singular_values": sv.tolist(),
         **compare_traces(m),
-        hs_direct=named_fsum(HS_SUM, m.column_integrals(squared=True)),
-        assembly_residual=m.assembly_residual,
-        residual_warning=m.residual_warning,
-        worst_column=m.worst_column,
-    )
+        "hilbert_schmidt_direct": named_fsum(HS_SUM, m.column_integrals(squared=True)),
+        "schatten_sums": {},
+        "schatten_norms": {},
+        "convergence": [],  # kept so existing readers of the report find the key
+    }
     for r in r_values:
-        report.schatten_sums[r] = schatten_sum(sv, r)
-        report.schatten_norms[r] = _root(report.schatten_sums[r], r)
+        total = report["schatten_sums"][repr(r)] = schatten_sum(sv, r)
+        report["schatten_norms"][repr(r)] = _root(total, r)
     return report

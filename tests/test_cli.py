@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -211,6 +212,20 @@ def test_arithmetic_overflow_exits_3(tmp_path, capsys, args):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_analyze_names_the_norm_of_the_first_order_before_the_sum_of_the_second(tmp_path,
+                                                                                capsys):
+    # both overflow: (41 * 1e150^0.01)^100 and 41 * 1e150^3; analyze takes each
+    # r's sum and then its norm, so the order-0.01 norm comes first
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": "1e150+0*absnu"}))
+    code, out = run(tmp_path, "analyze", "--symbol", str(path), "--level", "40",
+                    "--r", "0.01,3")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the Schatten norm of order 0.01 overflows\n")
     assert not out.exists()
 
 
@@ -656,6 +671,7 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, args, expr):
 
 
 TABLE_GRID = [[-1.0, 1.0]]
+DIRECTORY = object()  # the symbol path is a directory
 
 
 @pytest.mark.parametrize("args, doc", [
@@ -699,16 +715,30 @@ TABLE_GRID = [[-1.0, 1.0]]
         "grids": [[-20, "20"]], "values": {"0": [1, 1]}}}),
     (("trace",), {"kind": "table", "dim": 1, "table": {
         "grids": [[-20, 20]], "values": {"0": [1, None]}}}),
+    (("trace",), {"kind": "table", "dim": 1, "table": {
+        "grids": [[1.0, -1.0]], "values": {"0": [1.0, 2.0]}}}),
+    (("trace",), {"kind": "builtin", "dim": 1, "family": "nope", "params": {"t": 1}}),
+    (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"sigma": 1}}),
+    (("trace",), {"kind": "expression", "dim": 0, "expr": "x1"}),
+    (("trace",), b'\xff\xfe{"kind": "expression"}'),
+    (("analyze",), DIRECTORY),
 ], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "sigma-nan-unread", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
         "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull",
         "table-key-not-an-index", "table-values-wrong-length", "table-values-not-numbers",
         "table-grid-not-a-list", "table-grid-overflow", "table-value-overflow-unread",
-        "table-value-overflow-read", "table-grid-string", "table-value-null"])
+        "table-value-overflow-read", "table-grid-string", "table-value-null",
+        "table-grid-descending", "file-unknown-family", "file-wrong-param", "file-dim-0",
+        "undecodable-bytes", "symbol-is-a-directory"])
 def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
     if doc is not None:
         sym = tmp_path / "sym.json"
-        sym.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if doc is DIRECTORY:
+            sym.mkdir()
+        elif isinstance(doc, bytes):
+            sym.write_bytes(doc)
+        else:
+            sym.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         args = (*args, "--symbol", str(sym), "--level", "3")
     code, out = run(tmp_path, *args)
     assert code == 2
@@ -716,7 +746,26 @@ def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, ca
     assert "Traceback" not in err and "np.float64" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    # every error in loading a symbol file names the file; a table's hull is
+    # checked later, where the symbol is evaluated
+    if doc is DIRECTORY:
+        assert lines[0] == f"error: cannot read symbol file {sym}: {os.strerror(errno.EISDIR)}"
+    elif doc is not None and "tabulated hull" not in err:
+        assert lines[0].startswith(f"error: bad symbol file {sym}: "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output, errno_code", [
+    ("missing/out.json", errno.ENOENT),
+    (".", errno.EISDIR),
+], ids=["missing-directory", "directory"])
+def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, output,
+                                                            errno_code):
+    path = tmp_path / output
+    code = main(["analyze", *HEAT, "--level", "3", "--output", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write --output {path}: {os.strerror(errno_code)}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "trace"])

@@ -221,6 +221,7 @@ def _table(grid: list, values: dict) -> dict:
 
 FLAT = {str(k): [1.0, 1.0] for k in range(4)}
 TRACE = ["trace", "--level", "3", "--format", "json"]
+HEAT = ["--builtin", "heat", "--param", "t=1"]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -231,6 +232,12 @@ TRACE = ["trace", "--level", "3", "--format", "json"]
 @example(run=(TRACE, _table([-20.0, math.inf], FLAT)))
 @example(run=(TRACE, _table([-20.0, 20.0], {**FLAT, "9": [1.0, math.inf]})))
 @example(run=(TRACE, _table([-20.0, 20.0], {**FLAT, "1": [1.0, math.inf]})))
+# paths that cannot be read or written, under the fuzz directory DIR: a symbol
+# file that is a directory, an output in a missing directory, an output that
+# is a directory
+@example(run=(["analyze", "--symbol", "DIR", "--level", "3"], None))
+@example(run=(["analyze", *HEAT, "--level", "3", "--output", "DIR/missing/out"], None))
+@example(run=(["analyze", *HEAT, "--level", "3", "--output", "DIR"], None))
 def test_every_cli_run_exits_0_2_or_3_and_writes_the_stdlib_json(fuzz_dir, run):
     argv, doc = run
     sym, out = fuzz_dir / "sym.json", fuzz_dir / "out"
@@ -238,9 +245,12 @@ def test_every_cli_run_exits_0_2_or_3_and_writes_the_stdlib_json(fuzz_dir, run):
     if doc is not None:
         sym.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         argv = argv[:1] + ["--symbol", str(sym)] + argv[1:]
+    argv = [a.replace("DIR", str(fuzz_dir)) for a in argv]
+    if "--output" not in argv:
+        argv += ["--output", str(out)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv + ["--output", str(out)])
+        code = main(argv)
     assert code in (0, 2, 3), (argv, doc, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code:

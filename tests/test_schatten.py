@@ -197,14 +197,13 @@ def test_hilbert_schmidt_projection_gap_shrinks():
 
 
 def test_build_report_fields():
-    report = build_report(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 20),
-                          r_values=(1.0, 2.0))
-    assert report.formula_trace == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
-    assert report.matrix_trace == pytest.approx(report.formula_trace, abs=1e-12)
-    assert report.schatten_sums[2.0] == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
-    assert np.all(np.diff(report.singular_values) <= 0)
-    doc = report.to_dict()
-    assert doc["level"] == 20 and len(doc["singular_values"]) == 21
+    m = assemble_matrix(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 20))
+    report = build_report(m, r_values=(1.0, 2.0))
+    assert report["formula_trace"] == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
+    assert report["matrix_trace"] == pytest.approx(report["formula_trace"], abs=1e-12)
+    assert report["schatten_sums"]["2.0"] == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
+    assert np.all(np.diff(report["singular_values"]) <= 0)
+    assert report["level"] == 20 and len(report["singular_values"]) == 21
 
 
 @pytest.mark.parametrize("text", [
