@@ -20,9 +20,10 @@ from hspec import (
 
 def show(v):
     extra = ""
-    if v.extras.get("fit_slope") is not None:
-        extra = f"  (tail slope {v.extras['fit_slope']:+.3f})"
-    print(f"  {v.criterion:<16} partial sum {v.partial_sum:<22.12g} -> {v.tail_flag}{extra}")
+    if v["extras"].get("fit_slope") is not None:
+        extra = f"  (tail slope {v['extras']['fit_slope']:+.3f})"
+    print(f"  {v['criterion']:<16} partial sum {v['partial_sum']:<22.12g} -> "
+          f"{v['tail_flag']}{extra}")
 
 
 print("== Heat semigroup symbol e^(-t(2|nu|+n)), t=1: everything converges ==")
@@ -47,13 +48,13 @@ spec = TruncationSpec(1, 20000)
 sym = builtin_symbol("power", 1, sigma=1.0)
 for p in (0.9, 1.0, 1.2, 2.0):
     v = check_multiplier_schatten(sym, spec, r=p)
-    growth = v.extras.get("growth_exponent")
-    note = f", partial-sum growth ~ N^{growth:.3f}" if v.tail_flag == "diverging" else ""
-    print(f"  p = {p}: {v.tail_flag}{note}")
+    growth = v["extras"].get("growth_exponent")
+    note = f", partial-sum growth ~ N^{growth:.3f}" if v["tail_flag"] == "diverging" else ""
+    print(f"  p = {p}: {v['tail_flag']}{note}")
 
 print("\n== An x-dependent symbol ==")
 sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
 v = check_hilbert_schmidt(sym, TruncationSpec(1, 30), q=100)
 show(v)
 print(f"  cross-check: ||M||_F^2 agrees with the direct sum to "
-      f"{v.extras['relative_gap']:.2e} relative")
+      f"{v['extras']['relative_gap']:.2e} relative")

@@ -55,7 +55,6 @@ from .schatten import (
 )
 from .criteria import (
     CriterionPreconditionError,
-    CriterionVerdict,
     check_hilbert_schmidt,
     check_multiplier_schatten,
     check_sr_sigma,

@@ -265,9 +265,9 @@ def cmd_criteria(args) -> int:
     if args.sigma is not None and not math.isfinite(args.sigma):
         raise ConfigError(f"sigma must be finite, got {args.sigma}")
     verdicts = criteria(sym, spec, args.quad, tuple(_parse_rs(args.r)), args.sigma)
-    doc = _report(args, sym, verdicts=[v.to_dict() for v in verdicts])
+    doc = _report(args, sym, verdicts=verdicts)
     # lazy: only --format csv reads the rows
-    rows = ((v.criterion, s, val) for v in verdicts for s, val in v.shells)
+    rows = ((v["criterion"], s, val) for v in verdicts for s, val in v["shells"])
     _emit(doc, args, csv_rows=rows, csv_header=("criterion", "shell", "sum"))
     return 0
 

@@ -2,24 +2,25 @@
 explicit tail policy.
 
 Each criterion is an infinite sum over multi-indices; a finite tool can only
-report evidence.  A verdict therefore carries the partial sum, the per-shell
-contributions (shell s = all nu with |nu| = s), and a tail flag obtained by
+report evidence.  A verdict is therefore the dict the criteria report writes:
+the criterion's name, its partial_sum, its shells as [s, shell sum] pairs
+(shell s = all nu with |nu| = s), its parameters, and a tail_flag obtained by
 fitting log(shell sum) against log(2s + n) over the top half of the shells:
 
     slope >= -1          -> "diverging"   (shell sums not summable)
     slope <= -1.2        -> "converging"
     otherwise            -> "inconclusive"
 
-For diverging sums the reported growth exponent slope + 1 estimates the
-polynomial growth rate of the partial sums.  Sums are accumulated with
-math.fsum in shell-major, enumeration order, so identical inputs produce
-bitwise-identical verdicts.
+The fit and the criterion's own diagnostics are its extras.  For diverging
+sums the reported growth exponent slope + 1 estimates the polynomial growth
+rate of the partial sums.  Sums are accumulated with math.fsum in
+shell-major, enumeration order, so identical inputs produce bitwise-identical
+verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,29 +43,9 @@ class CriterionPreconditionError(Exception):
     """A criterion refused to run; the message names the violated check."""
 
 
-@dataclass
-class CriterionVerdict:
-    criterion: str
-    partial_sum: float
-    shells: list  # (s, shell sum) pairs, s = 0..N
-    tail_flag: str  # converging | diverging | inconclusive
-    parameters: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "partial_sum": self.partial_sum,
-            "shells": [[s, v] for s, v in self.shells],
-            "tail_flag": self.tail_flag,
-            "parameters": dict(self.parameters),
-            "extras": dict(self.extras),
-        }
-
-
 def shell_partition(spec: TruncationSpec, terms: np.ndarray,
-                    what: str = "the sum") -> list[tuple[int, float]]:
-    """Group per-index terms (enumeration order) into per-shell fsum totals;
+                    what: str = "the sum") -> list[list]:
+    """Group per-index terms (enumeration order) into [s, fsum total] pairs;
     a total that overflows raises FloatingPointError naming what and the shell.
     Each shell's slice is read as Python floats on its own, so no list of all
     the terms is formed."""
@@ -72,11 +53,11 @@ def shell_partition(spec: TruncationSpec, terms: np.ndarray,
     if terms.shape != (spec.size,):
         raise ValueError(f"expected {spec.size} terms, got {terms.shape}")
     o = spec.offsets
-    return [(s, named_fsum(f"{what} over shell {s}", terms[o[s]:o[s + 1]]))
+    return [[s, named_fsum(f"{what} over shell {s}", terms[o[s]:o[s + 1]])]
             for s in range(spec.level + 1)]
 
 
-def classify_tail(shells: list[tuple[int, float]], dim: int) -> tuple[str, dict]:
+def classify_tail(shells: list[list], dim: int) -> tuple[str, dict]:
     """Tail flag plus fit diagnostics from the top half of the shells."""
     tail = shells[len(shells) // 2:]
     positive = [(s, v) for s, v in tail if v > 0.0]
@@ -99,20 +80,18 @@ def classify_tail(shells: list[tuple[int, float]], dim: int) -> tuple[str, dict]
 
 
 def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
-             parameters: dict, extras: dict | None = None) -> CriterionVerdict:
+             parameters: dict, extras: dict | None = None) -> dict:
+    """The verdict as the report writes it; its extras are the tail fit, then extras."""
     shells = shell_partition(spec, terms, f"the {name} sum")
     flag, fit = classify_tail(shells, spec.dim)
-    merged = dict(fit)
-    if extras:
-        merged.update(extras)
-    return CriterionVerdict(
-        criterion=name,
-        partial_sum=named_fsum(f"the {name} sum", (v for _, v in shells)),
-        shells=shells,
-        tail_flag=flag,
-        parameters=parameters,
-        extras=merged,
-    )
+    return {
+        "criterion": name,
+        "partial_sum": named_fsum(f"the {name} sum", (v for _, v in shells)),
+        "shells": shells,
+        "tail_flag": flag,
+        "parameters": parameters,
+        "extras": {**fit, **(extras or {})},
+    }
 
 
 def _operator_and_squares(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
@@ -126,7 +105,7 @@ def _operator_and_squares(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
 
 
 def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
-                     m: OperatorMatrix | None) -> CriterionVerdict:
+                     m: OperatorMatrix | None) -> dict:
     extras = {}
     if m is not None:
         direct = named_fsum("the HS-iff sum", terms)
@@ -138,7 +117,7 @@ def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
     return _verdict("HS-iff", spec, terms, {}, extras)
 
 
-def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
+def _trace_class(m: OperatorMatrix) -> dict:
     blocks, d = m.values, m.symmetrizer
     # a constant symmetrizer makes M a multiple of the symmetric G
     if d is None or (d != d[0]).any():
@@ -161,7 +140,7 @@ def _trace_class(m: OperatorMatrix) -> CriterionVerdict:
 
 
 def _sr_small(spec: TruncationSpec, r: float, m: OperatorMatrix | None,
-              squared: np.ndarray) -> CriterionVerdict:
+              squared: np.ndarray) -> dict:
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if m is None:
@@ -185,7 +164,7 @@ def default_sigma(dim: int, r: float) -> float:
 
 
 def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
-              squared: np.ndarray) -> CriterionVerdict:
+              squared: np.ndarray) -> dict:
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
     bound = sigma_lower_bound(spec.dim, r)
@@ -207,7 +186,7 @@ def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
 def criteria(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
     rs: tuple[float, ...] = (1.0, 2.0), sigma: float | None = None,
-) -> list[CriterionVerdict]:
+) -> list[dict]:
     """Verdicts for each r in order: HS-iff at r = 2, Sr-sufficient for r <= 1
     (then TraceClass-iff at r = 1 if the symbol claims positivity), Sr-sigma
     for 1 < r < 2.  All read one discretization, assembled only if read."""
@@ -231,7 +210,7 @@ def criteria(
 
 def check_hilbert_schmidt(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
-) -> CriterionVerdict:
+) -> dict:
     """Hilbert-Schmidt criterion: sum of the integrals of |m(x,nu)|^2 phi_nu^2.
 
     For truncations up to 512 basis functions the squared Frobenius norm of
@@ -243,7 +222,7 @@ def check_hilbert_schmidt(
 
 def check_trace_class_positive(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
-) -> CriterionVerdict:
+) -> dict:
     """Trace-class criterion for positive self-adjoint operators: sum of the
     integrals of m(x,nu) phi_nu^2.
 
@@ -261,7 +240,7 @@ def check_trace_class_positive(
 
 def check_sr_small(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, r: float = 1.0
-) -> CriterionVerdict:
+) -> dict:
     """Sufficient S_r criterion for 0 < r <= 1: sum of the r/2 powers of the
     column integrals of |m(x,nu)|^2 phi_nu^2."""
     return _sr_small(spec, r, *_operator_and_squares(sym, spec, q, False))
@@ -270,7 +249,7 @@ def check_sr_small(
 def check_sr_sigma(
     sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
     r: float = 1.5, sigma: float | None = None,
-) -> CriterionVerdict:
+) -> dict:
     """Sufficient S_r criterion for 1 < r < 2: the column integrals times
     (2|nu|+n)^(2 sigma), with sigma > n(1/r - 1/2) required.
 
@@ -282,7 +261,7 @@ def check_sr_sigma(
 
 def check_multiplier_schatten(
     sym: SymbolSpec, spec: TruncationSpec, r: float
-) -> CriterionVerdict:
+) -> dict:
     """Exact multiplier criterion for any r > 0: sum of |m(nu)|^r.
 
     Valid because the singular values of a multiplier are the |m(nu)|; no

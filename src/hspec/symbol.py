@@ -55,6 +55,12 @@ class SymbolEvalError(SymbolError):
 
 # the deepest tree parse_symbol accepts: the walkers over a tree recurse
 MAX_DEPTH = 500
+# the most parser frames one parse may hold open: "(" and a call hold five
+# (expr, term, factor, unary, atom), a unary "-" one.  A parse past it is
+# refused at the token that opens the next level, so where it is refused
+# depends only on the input; the bound leaves room for the caller's frames
+# below Python's default recursion limit of 1000
+MAX_PARSE_FRAMES = 600
 
 
 def _record(node, names, *children) -> None:
@@ -186,6 +192,7 @@ class _Parser:
         self.tokens = _Tokenizer(text).tokens
         self.i = 0
         self.vars = _variables(dim)
+        self.frames = 0  # parser frames held open by "(", calls and unary "-"
 
     def peek(self):
         return self.tokens[self.i]
@@ -204,13 +211,19 @@ class _Parser:
     def parse(self) -> Node:
         try:
             node = self.expr()
-        except RecursionError:  # nesting that runs out of stack is refused, not crashed on
+        except RecursionError:  # a caller already deep runs out of stack before the bound
             tok = self.tokens[min(self.i, len(self.tokens) - 1)]
             raise SymbolParseError("expression nested too deeply to parse", tok[2], tok[3]) from None
         tok = self.peek()
         if tok[0] != "eof":
             raise SymbolParseError(f"trailing input starting at {tok[1]!r}", tok[2], tok[3])
         return node
+
+    def nest(self, tok, frames: int) -> None:
+        """Hold frames more parser frames open, refused at tok past the bound."""
+        self.frames += frames
+        if self.frames > MAX_PARSE_FRAMES:
+            raise SymbolParseError("expression nested too deeply to parse", tok[2], tok[3])
 
     def build(self, node: Node, tok) -> Node:
         """node, refused at the token tok when its tree is deeper than MAX_DEPTH."""
@@ -243,7 +256,10 @@ class _Parser:
     def unary(self) -> Node:
         if self.peek()[0] == "-":
             tok = self.advance()
-            return self.build(Neg(self.unary()), tok)
+            self.nest(tok, 1)
+            node = self.build(Neg(self.unary()), tok)
+            self.frames -= 1
+            return node
         return self.atom()
 
     def atom(self) -> Node:
@@ -252,19 +268,23 @@ class _Parser:
         if kind == "num":
             return Num(float(value))
         if kind == "(":
+            self.nest(tok, 5)
             node = self.expr()
             self.expect(")")
+            self.frames -= 5
             return node
         if kind == "ident":
             if self.peek()[0] == "(":
                 if value not in FUNCTIONS:
                     raise SymbolParseError(f"unknown function {value!r}", line, col)
                 self.advance()
+                self.nest(tok, 5)
                 args = [self.expr()]
                 while self.peek()[0] == ",":
                     self.advance()
                     args.append(self.expr())
                 self.expect(")")
+                self.frames -= 5
                 arity = FUNCTIONS[value][0]
                 if len(args) != arity:
                     raise SymbolParseError(
@@ -822,5 +842,5 @@ def load_symbol(path) -> SymbolSpec:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SymbolError(f"{path}: not valid JSON ({exc})") from exc
+            raise SymbolError(f"not valid JSON ({exc})") from exc
     return symbol_from_dict(doc)

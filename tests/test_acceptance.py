@@ -85,15 +85,15 @@ def test_criterion_4_power_schatten_threshold():
     conv = H.check_multiplier_schatten(sym, spec, r=1.2)
     div = H.check_multiplier_schatten(sym, spec, r=0.9)
     elapsed = time.perf_counter() - t0
-    growth = div.extras["growth_exponent"]
+    growth = div["extras"]["growth_exponent"]
     ok = (
-        conv.tail_flag == "converging"
-        and div.tail_flag == "diverging"
+        conv["tail_flag"] == "converging"
+        and div["tail_flag"] == "diverging"
         and abs(growth - 0.1) <= 0.02
         and elapsed < 5.0
     )
     report("4 inverse-oscillator Schatten threshold", ok,
-           f"p=1.2 -> {conv.tail_flag}, p=0.9 -> {div.tail_flag} "
+           f"p=1.2 -> {conv['tail_flag']}, p=0.9 -> {div['tail_flag']} "
            f"(growth {growth:.4f}), elapsed={elapsed:.2f}s")
 
 
@@ -101,10 +101,10 @@ def test_criterion_5_trace_class_value():
     spec = H.TruncationSpec(1, 10000)
     v = H.check_trace_class_positive(H.builtin_symbol("power", 1, sigma=2.0), spec)
     oracle = odd_reciprocal_square_sum()  # pi^2 / 8
-    ok = abs(v.partial_sum - oracle) <= 1e-4
+    ok = abs(v["partial_sum"] - oracle) <= 1e-4
     report("5 trace-class criterion value", ok,
-           f"partial={v.partial_sum:.10f} oracle={oracle:.10f} "
-           f"err={abs(v.partial_sum - oracle):.2e}")
+           f"partial={v['partial_sum']:.10f} oracle={oracle:.10f} "
+           f"err={abs(v['partial_sum'] - oracle):.2e}")
 
 
 def test_criterion_6_orthonormality_suite():

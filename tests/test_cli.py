@@ -22,6 +22,7 @@ from hspec import (
 import hspec.cli
 import hspec.operator
 from hspec.cli import main
+from hspec.criteria import criteria
 from hspec.schatten import HS_SUM, TRACE_SUM, hilbert_schmidt_direct, named_fsum, trace_formula
 from hspec.symbol import MAX_DEPTH
 from oracles import heat_trace_limit
@@ -599,8 +600,8 @@ def test_non_finite_report_exits_3(tmp_path, capsys, fmt):
 def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(symbol))
-    code, out = run(tmp_path, "criteria", "--symbol", str(path), "--dim", "2",
-                    "--level", "8", "--r", "0.5,1,1.5,2")
+    args = ("criteria", "--symbol", str(path), "--dim", "2", "--level", "8", "--r", "0.5,1,1.5,2")
+    code, out = run(tmp_path, *args)
     assert code == 0
     sym, spec = symbol_from_dict(symbol), TruncationSpec(2, 8)
     expected = [
@@ -610,8 +611,13 @@ def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
         check_sr_sigma(sym, spec, r=1.5),
         check_hilbert_schmidt(sym, spec),
     ]
-    assert json.loads(out.read_text())["verdicts"] == json.loads(
-        json.dumps([v.to_dict() for v in expected]))
+    # the report writes the verdicts criteria() returns, as they are
+    verdicts = criteria(sym, spec, None, (0.5, 1.0, 1.5, 2.0))
+    assert json.loads(out.read_text())["verdicts"] == expected == verdicts
+    code, out = run(tmp_path, *args, "--format", "csv", name="out.csv")
+    assert code == 0
+    assert out.read_text().splitlines() == ["criterion,shell,sum"] + [
+        f"{v['criterion']!r},{s!r},{total!r}" for v in verdicts for s, total in v["shells"]]
 
 
 @pytest.mark.parametrize("symbol, extra, message", [
@@ -721,6 +727,7 @@ DIRECTORY = object()  # the symbol path is a directory
     (("trace",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"sigma": 1}}),
     (("trace",), {"kind": "expression", "dim": 0, "expr": "x1"}),
     (("trace",), b'\xff\xfe{"kind": "expression"}'),
+    (("trace",), "{not json"),
     (("analyze",), DIRECTORY),
 ], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "sigma-nan-unread", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
@@ -729,7 +736,7 @@ DIRECTORY = object()  # the symbol path is a directory
         "table-grid-not-a-list", "table-grid-overflow", "table-value-overflow-unread",
         "table-value-overflow-read", "table-grid-string", "table-value-null",
         "table-grid-descending", "file-unknown-family", "file-wrong-param", "file-dim-0",
-        "undecodable-bytes", "symbol-is-a-directory"])
+        "undecodable-bytes", "not-json", "symbol-is-a-directory"])
 def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
     if doc is not None:
         sym = tmp_path / "sym.json"
@@ -746,12 +753,14 @@ def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, ca
     assert "Traceback" not in err and "np.float64" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
-    # every error in loading a symbol file names the file; a table's hull is
-    # checked later, where the symbol is evaluated
+    # every error in loading a symbol file names the file once; a table's
+    # hull is checked later, where the symbol is evaluated
     if doc is DIRECTORY:
         assert lines[0] == f"error: cannot read symbol file {sym}: {os.strerror(errno.EISDIR)}"
     elif doc is not None and "tabulated hull" not in err:
         assert lines[0].startswith(f"error: bad symbol file {sym}: "), err
+    if doc is not None and "tabulated hull" not in err:
+        assert lines[0].count(str(sym)) == 1, err
     assert not out.exists()
 
 

@@ -31,28 +31,28 @@ HEAT = builtin_symbol("heat", 1, t=1.0)
 
 def test_hs_heat_converges():
     v = check_hilbert_schmidt(HEAT, TruncationSpec(1, 40))
-    assert v.tail_flag == "converging"
-    assert v.partial_sum == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
+    assert v["tail_flag"] == "converging"
+    assert v["partial_sum"] == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
 
 
 def test_hs_identity_diverges():
     v = check_hilbert_schmidt(parse_symbol("1", 1), TruncationSpec(1, 40))
-    assert v.tail_flag == "diverging"
+    assert v["tail_flag"] == "diverging"
     # shell sums are the shell counts: constant 1 in dimension 1
-    assert all(s == pytest.approx(1.0, rel=1e-12) for _, s in v.shells)
+    assert all(s == pytest.approx(1.0, rel=1e-12) for _, s in v["shells"])
 
 
 def test_hs_weak_power_diverges():
     v = check_hilbert_schmidt(builtin_symbol("power", 1, sigma=0.3), TruncationSpec(1, 400))
-    assert v.tail_flag == "diverging"
-    assert v.extras["fit_slope"] == pytest.approx(-0.6, abs=1e-6)
+    assert v["tail_flag"] == "diverging"
+    assert v["extras"]["fit_slope"] == pytest.approx(-0.6, abs=1e-6)
 
 
 def test_hs_cross_check_recorded():
     v = check_hilbert_schmidt(parse_symbol("exp(-absnu/2)/(1+x1^2)", 1),
                               TruncationSpec(1, 30), q=100)
-    assert "frobenius_squared" in v.extras
-    assert v.extras["relative_gap"] < 1e-3
+    assert "frobenius_squared" in v["extras"]
+    assert v["extras"]["relative_gap"] < 1e-3
 
 
 def test_hs_cross_check_names_a_frobenius_norm_that_overflows():
@@ -87,7 +87,7 @@ def test_the_hs_cross_check_of_a_multiplier_builds_no_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hs.extras["relative_gap"] <= 1e-14
+    assert hs["extras"]["relative_gap"] <= 1e-14
     assert peak < dense, peak / dense
 
 
@@ -106,12 +106,12 @@ def test_sr_small_takes_the_same_powers_with_or_without_the_operator(text, dim, 
 
 def test_shells_sum_to_partial_sum():
     v = check_hilbert_schmidt(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 15))
-    assert math.fsum(s for _, s in v.shells) == pytest.approx(v.partial_sum, rel=1e-12)
+    assert math.fsum(s for _, s in v["shells"]) == pytest.approx(v["partial_sum"], rel=1e-12)
 
 
 def test_hs_partial_sums_monotone_in_level():
     sums = [
-        check_hilbert_schmidt(HEAT, TruncationSpec(1, n)).partial_sum
+        check_hilbert_schmidt(HEAT, TruncationSpec(1, n))["partial_sum"]
         for n in (5, 10, 20, 30)
     ]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
@@ -119,21 +119,21 @@ def test_hs_partial_sums_monotone_in_level():
 
 def test_trace_class_heat():
     v = check_trace_class_positive(HEAT, TruncationSpec(1, 30))
-    assert v.tail_flag == "converging"
-    assert v.partial_sum == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
+    assert v["tail_flag"] == "converging"
+    assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
 
 
 def test_trace_class_power_sigma1_diverges():
     v = check_trace_class_positive(builtin_symbol("power", 1, sigma=1.0),
                                    TruncationSpec(1, 500))
-    assert v.tail_flag == "diverging"
+    assert v["tail_flag"] == "diverging"
 
 
 def test_trace_class_power_sigma2_converges():
     v = check_trace_class_positive(builtin_symbol("power", 1, sigma=2.0),
                                    TruncationSpec(1, 2000))
-    assert v.tail_flag == "converging"
-    assert v.partial_sum == pytest.approx(odd_reciprocal_square_sum(), abs=1e-3)
+    assert v["tail_flag"] == "converging"
+    assert v["partial_sum"] == pytest.approx(odd_reciprocal_square_sum(), abs=1e-3)
 
 
 def test_trace_class_requires_flag():
@@ -160,8 +160,8 @@ def test_trace_class_accepts_verified_quadrature_symbol():
     sym = parse_symbol("exp(-lam) + 0 * x1", 1, positive_selfadjoint=True)
     assert not sym.is_multiplier
     v = check_trace_class_positive(sym, TruncationSpec(1, 15))
-    assert v.tail_flag == "converging"
-    assert v.partial_sum == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
+    assert v["tail_flag"] == "converging"
+    assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("text, dim, level", [
@@ -174,8 +174,8 @@ def test_the_criteria_read_the_stored_blocks_and_build_no_dense_matrix(monkeypat
     dense = assemble_matrix(sym, spec).entries
     monkeypatch.setattr(OperatorMatrix, "entries", property(lambda m: pytest.fail("dense")))
     hs, _, trace_class, _ = criteria(sym, spec, None, (2.0, 1.0, 1.5))
-    assert trace_class.criterion == "TraceClass-iff"
-    assert hs.extras["frobenius_squared"] == pytest.approx(float(np.sum(dense**2)), rel=1e-14)
+    assert trace_class["criterion"] == "TraceClass-iff"
+    assert hs["extras"]["frobenius_squared"] == pytest.approx(float(np.sum(dense**2)), rel=1e-14)
 
 
 def test_a_constant_symmetrizer_skips_the_symmetry_check():
@@ -185,23 +185,23 @@ def test_a_constant_symmetrizer_skips_the_symmetry_check():
     m = assemble_matrix(sym, TruncationSpec(3, 4))
     assert np.array_equal(m.symmetrizer, np.ones(m.size))
     skewed = tuple(b + 1e-6 * np.triu(np.ones_like(b), 1) for b in m.values)
-    assert _trace_class(dataclasses.replace(m, values=skewed)).criterion == "TraceClass-iff"
+    assert _trace_class(dataclasses.replace(m, values=skewed))["criterion"] == "TraceClass-iff"
     with pytest.raises(CriterionPreconditionError, match="symmetry check failed"):
         _trace_class(dataclasses.replace(m, values=skewed, symmetrizer=None))
 
 
 def test_sr_small_heat_r1():
     v = check_sr_small(HEAT, TruncationSpec(1, 40), r=1.0)
-    assert v.tail_flag == "converging"
+    assert v["tail_flag"] == "converging"
     # column integral e^(-2(2k+1)) to the power 1/2 gives the trace series
-    assert v.partial_sum == pytest.approx(heat_trace_limit(1.0), abs=1e-12)
+    assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-12)
 
 
 def test_sr_small_power_thresholds():
     assert check_sr_small(builtin_symbol("power", 1, sigma=2.0),
-                          TruncationSpec(1, 500), r=1.0).tail_flag == "converging"
+                          TruncationSpec(1, 500), r=1.0)["tail_flag"] == "converging"
     assert check_sr_small(builtin_symbol("power", 1, sigma=1.0),
-                          TruncationSpec(1, 500), r=1.0).tail_flag == "diverging"
+                          TruncationSpec(1, 500), r=1.0)["tail_flag"] == "diverging"
 
 
 def test_sr_small_range_validation():
@@ -217,15 +217,15 @@ def test_sr_sigma_range_validation(r):
 
 def test_sr_sigma_heat():
     v = check_sr_sigma(HEAT, TruncationSpec(1, 40), r=1.5, sigma=1.0)
-    assert v.tail_flag == "converging"
+    assert v["tail_flag"] == "converging"
 
 
 def test_sr_sigma_power_weighted_pseries():
     # weight (2k+1)^1 against symbol (2k+1)^(-3) squared: terms (2k+1)^(-5)
     v = check_sr_sigma(builtin_symbol("power", 1, sigma=3.0), TruncationSpec(1, 500),
                        r=1.5, sigma=0.5)
-    assert v.tail_flag == "converging"
-    assert v.extras["fit_slope"] == pytest.approx(-5.0, abs=1e-6)
+    assert v["tail_flag"] == "converging"
+    assert v["extras"]["fit_slope"] == pytest.approx(-5.0, abs=1e-6)
 
 
 def test_sr_sigma_bound_rejection():
@@ -245,7 +245,7 @@ def test_multiplier_fast_path_exact():
     spec = TruncationSpec(1, 60)
     v = check_sr_small(HEAT, spec, r=1.0)
     exact = math.fsum(math.exp(-(2 * k + 1.0)) for k in range(61))
-    assert v.partial_sum == exact  # bitwise: fsum over identical term lists
+    assert v["partial_sum"] == exact  # bitwise: fsum over identical term lists
 
 
 def test_multiplier_schatten_any_order():
@@ -253,9 +253,9 @@ def test_multiplier_schatten_any_order():
     p = builtin_symbol("power", 1, sigma=1.0)
     conv = check_multiplier_schatten(p, spec, r=1.2)
     div = check_multiplier_schatten(p, spec, r=0.9)
-    assert conv.tail_flag == "converging"
-    assert div.tail_flag == "diverging"
-    assert div.extras["growth_exponent"] == pytest.approx(0.1, abs=0.02)
+    assert conv["tail_flag"] == "converging"
+    assert div["tail_flag"] == "diverging"
+    assert div["extras"]["growth_exponent"] == pytest.approx(0.1, abs=0.02)
 
 
 @pytest.mark.parametrize("sym", [
@@ -273,12 +273,12 @@ def test_multiplier_powers_equal_per_index_python_powers(sym):
 
     def shells(r):
         terms = [abs(float(v)) ** r for v in values]
-        return [(s, math.fsum(terms[o[s]:o[s + 1]])) for s in range(spec.level + 1)]
+        return [[s, math.fsum(terms[o[s]:o[s + 1]])] for s in range(spec.level + 1)]
 
     for r in (0.5, 1.0):
-        assert check_sr_small(sym, spec, r=r).shells == shells(r)
+        assert check_sr_small(sym, spec, r=r)["shells"] == shells(r)
     for r in (0.9, 1.2, 3.0):
-        assert check_multiplier_schatten(sym, spec, r=r).shells == shells(r)
+        assert check_multiplier_schatten(sym, spec, r=r)["shells"] == shells(r)
 
 
 @pytest.mark.parametrize("r", [0.0, math.inf, math.nan])
@@ -297,9 +297,9 @@ def test_multiplier_schatten_rejects_pseudo():
 def test_bandlimit_tail_identically_zero():
     v = check_hilbert_schmidt(builtin_symbol("bandlimit", 1, cutoff=3),
                               TruncationSpec(1, 40))
-    assert v.tail_flag == "converging"
-    assert v.extras["note"] == "tail shells identically zero"
-    assert v.partial_sum == pytest.approx(4.0, rel=1e-12)
+    assert v["tail_flag"] == "converging"
+    assert v["extras"]["note"] == "tail shells identically zero"
+    assert v["partial_sum"] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_classify_tail_boundary():
@@ -337,11 +337,11 @@ def test_a_shell_sum_that_overflows_names_the_sum_and_the_shell():
 def test_verdict_reproducibility():
     a = check_hilbert_schmidt(HEAT, TruncationSpec(1, 30))
     b = check_hilbert_schmidt(HEAT, TruncationSpec(1, 30))
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_two_dim_heat_criteria():
     v = check_trace_class_positive(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 25))
-    assert v.tail_flag == "converging"
+    assert v["tail_flag"] == "converging"
     # product of two 1-D geometric series
-    assert v.partial_sum == pytest.approx(heat_trace_limit(1.0) ** 2, abs=1e-10)
+    assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0) ** 2, abs=1e-10)

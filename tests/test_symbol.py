@@ -714,3 +714,23 @@ def test_a_parse_that_runs_out_of_stack_is_refused(text):
     with pytest.raises(SymbolParseError, match="nested too deeply") as err:
         parse_symbol(text, 1)
     assert err.value.line == 1
+
+
+def _from_frames_deeper(frames: int, call):
+    return call() if frames == 0 else _from_frames_deeper(frames - 1, call)
+
+
+@pytest.mark.parametrize("text, col", [
+    # each "(" or call holds five parser frames and each "-" one: the level
+    # that passes MAX_PARSE_FRAMES = 600 is refused where it opens
+    ("(" * 300 + "x1" + ")" * 300, 121),
+    ("exp(" * 300 + "x1" + ")" * 300, 4 * 120 + 1),
+    ("-" * 1200 + "x1", 601),
+], ids=["parentheses", "calls", "unary-minus"])
+def test_where_a_deep_parse_is_refused_depends_only_on_the_input(text, col):
+    def position():
+        with pytest.raises(SymbolParseError, match="nested too deeply") as err:
+            parse_symbol(text, 1)
+        return err.value.line, err.value.col
+
+    assert position() == _from_frames_deeper(200, position) == (1, col)
