@@ -216,8 +216,7 @@ def _emit(doc: dict, args, csv_rows=None, csv_header=None) -> None:
     if args.format == "csv":
         if not _all_finite(doc):
             raise FloatingPointError("the report has non-finite values")
-        lines = [",".join(csv_header)] + [",".join(repr(v) for v in row) for row in csv_rows]
-        text = "\n".join(lines) + "\n"
+        text = "".join(",".join(map(str, row)) + "\n" for row in (csv_header, *csv_rows))
     else:
         try:
             text = render_json(doc) + "\n"

@@ -96,16 +96,17 @@ def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
 
 def _operator_and_squares(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
                           matrix: bool) -> tuple[OperatorMatrix | None, np.ndarray]:
-    # (operator, squared column integrals); the operator is None unless a
-    # verdict reads it or it is a multiplier's diagonal, which costs no quadrature
+    # (operator, squared column integrals) of one order-q pass; the operator is
+    # None unless a verdict reads it or it is a multiplier's, which costs no quadrature
     if matrix or sym.is_multiplier:
-        m = assemble_matrix(sym, spec, q)
+        m = assemble_matrix(sym, spec, q, doubling_check=False)
         return m, m.column_integrals(squared=True)
     return None, column_integrals(sym, spec, q, squared=True)
 
 
 def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
                      m: OperatorMatrix | None) -> dict:
+    """HS-iff on the terms, cross-checked on m, the matrix of their pass, if given."""
     extras = {}
     if m is not None:
         direct = named_fsum("the HS-iff sum", terms)
@@ -189,7 +190,7 @@ def criteria(
 ) -> list[dict]:
     """Verdicts for each r in order: HS-iff at r = 2, Sr-sufficient for r <= 1
     (then TraceClass-iff at r = 1 if the symbol claims positivity), Sr-sigma
-    for 1 < r < 2.  All read one discretization, assembled only if read."""
+    for 1 < r < 2.  All read one order-q pass, its matrix only if read."""
     if any(r > 2.0 for r in rs):
         raise ValueError(f"no criterion applies for r > 2, got {max(rs)}")
     trace_class = 1.0 in rs and sym.claims_positive_selfadjoint
@@ -213,9 +214,9 @@ def check_hilbert_schmidt(
 ) -> dict:
     """Hilbert-Schmidt criterion: sum of the integrals of |m(x,nu)|^2 phi_nu^2.
 
-    For truncations up to 512 basis functions the squared Frobenius norm of
-    the assembled matrix and its relative gap against the direct sum are
-    recorded in the extras.
+    For truncations up to 512 basis functions the extras hold the squared
+    Frobenius norm of the order-q matrix of the same pass and its relative
+    gap to the direct sum, by Bessel's inequality the leakage past the truncation.
     """
     return criteria(sym, spec, q, (2.0,))[0]
 
@@ -227,15 +228,15 @@ def check_trace_class_positive(
     integrals of m(x,nu) phi_nu^2.
 
     Refuses to run unless the symbol claims positive self-adjointness, and
-    verifies the claim numerically on the assembled matrix (symmetry to
-    1e-8 relative in the max norm, smallest eigenvalue >= -1e-8 ||M||).
+    verifies the claim on the order-q matrix of the pass that gives the sum
+    (symmetry to 1e-8 relative in the max norm, smallest eigenvalue >= -1e-8 ||M||).
     """
     if not sym.claims_positive_selfadjoint:
         raise CriterionPreconditionError(
             "trace-class criterion requires the symbol to claim positive "
             "self-adjointness (positive_selfadjoint flag unset)"
         )
-    return _trace_class(assemble_matrix(sym, spec, q))
+    return _trace_class(_operator_and_squares(sym, spec, q, True)[0])
 
 
 def check_sr_small(
@@ -274,5 +275,5 @@ def check_multiplier_schatten(
             "this symbol depends on x"
         )
     # a multiplier's operator is its m(nu), each a 1 x 1 block in rank order
-    terms = abs_powers(assemble_matrix(sym, spec).scalars, r)
+    terms = abs_powers(_operator_and_squares(sym, spec, None, True)[0].scalars, r)
     return _verdict("Multiplier-Sr", spec, terms, {"r": r})

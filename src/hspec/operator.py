@@ -436,8 +436,8 @@ def assemble_matrix(
 
     A multiplier is its exact m(nu), as 1 x 1 blocks.  Otherwise the
     order-q pass gives the matrix, as its parity blocks, and the column
-    integrals; the matrix is repeated at order 2q and the relative Frobenius
-    change recorded, overall and per column, block by block; an overall
+    integrals; the doubling check repeats the matrix at order 2q and records
+    the relative Frobenius change, overall and per column, block by block; an overall
     change above 1e-6 sets OperatorMatrix.residual_warning (the result is
     still returned).  The symmetrizer sqrt(a) is read from the pass whose
     matrix is kept.

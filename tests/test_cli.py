@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import math
@@ -299,6 +300,9 @@ def test_an_overflowing_trace_or_schatten_power_exits_3_naming_it(tmp_path, caps
 @pytest.mark.parametrize("command", ["analyze", "criteria", "trace"])
 def test_overflowing_sums_of_a_finite_symbol_exit_3_with_one_line(tmp_path, capsys, command,
                                                                    expr, level, message):
+    if command == "criteria" and "doubling" in message:
+        # criteria runs no doubling check: its HS-iff sum, of the same pass, overflows
+        message = "the HS-iff sum overflows"
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr}))
     with warnings.catch_warnings():
@@ -616,8 +620,14 @@ def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
     assert json.loads(out.read_text())["verdicts"] == expected == verdicts
     code, out = run(tmp_path, *args, "--format", "csv", name="out.csv")
     assert code == 0
-    assert out.read_text().splitlines() == ["criterion,shell,sum"] + [
-        f"{v['criterion']!r},{s!r},{total!r}" for v in verdicts for s, total in v["shells"]]
+    text = out.read_text()
+    assert text.splitlines() == ["criterion,shell,sum"] + [
+        f"{v['criterion']},{s!r},{total!r}" for v in verdicts for s, total in v["shells"]]
+    # the cells read back as the verdicts' own values, the criterion unquoted
+    header, *rows = csv.reader(text.splitlines())
+    assert header == ["criterion", "shell", "sum"]
+    assert [[c, int(s), float(total)] for c, s, total in rows] == [
+        [v["criterion"], s, total] for v in verdicts for s, total in v["shells"]]
 
 
 @pytest.mark.parametrize("symbol, extra, message", [

@@ -22,6 +22,7 @@ from hspec import (
     parse_symbol,
     sigma_lower_bound,
 )
+import hspec.operator
 from hspec.criteria import _hilbert_schmidt, _sr_small, _trace_class, criteria, shell_partition
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
@@ -171,11 +172,47 @@ def test_trace_class_accepts_verified_quadrature_symbol():
 def test_the_criteria_read_the_stored_blocks_and_build_no_dense_matrix(monkeypatch, text, dim,
                                                                        level):
     sym, spec = parse_symbol(text, dim, positive_selfadjoint=True), TruncationSpec(dim, level)
-    dense = assemble_matrix(sym, spec).entries
+    # the matrix of the one order-q pass the criteria read
+    dense = assemble_matrix(sym, spec, doubling_check=False).entries
     monkeypatch.setattr(OperatorMatrix, "entries", property(lambda m: pytest.fail("dense")))
     hs, _, trace_class, _ = criteria(sym, spec, None, (2.0, 1.0, 1.5))
     assert trace_class["criterion"] == "TraceClass-iff"
     assert hs["extras"]["frobenius_squared"] == pytest.approx(float(np.sum(dense**2)), rel=1e-14)
+
+
+def test_every_criteria_report_and_check_reads_one_order_q_pass(monkeypatch):
+    sym = parse_symbol("1/(1+0.5*x1^2+0.4*x2^2+0.3*x3^2)", 3, positive_selfadjoint=True)
+    spec, q = TruncationSpec(3, 5), 12
+    fro2 = assemble_matrix(sym, spec, q, doubling_check=False).frobenius_squared()
+    passes = []
+    discretize = hspec.operator._discretize
+
+    def counted(*args, **kwargs):
+        passes.append(discretize(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(hspec.operator, "_discretize", counted)
+    for run in (lambda: criteria(sym, spec, q, (1.0, 1.5, 2.0)),
+                lambda: check_trace_class_positive(sym, spec, q),
+                lambda: check_hilbert_schmidt(sym, spec, q),
+                lambda: check_sr_small(sym, spec, q, r=0.5),
+                lambda: check_sr_sigma(sym, spec, q, r=1.5)):
+        passes.clear()
+        run()
+        assert len(passes) == 1 and passes[0][0] == q
+    _, trace_class, _, hs = criteria(sym, spec, q, (1.0, 1.5, 2.0))
+    assert trace_class["criterion"] == "TraceClass-iff"
+    assert hs["extras"]["frobenius_squared"] == fro2
+
+
+@pytest.mark.parametrize("text", ["exp(2*x1)", "1/(0.05+x1^2)", "abs(x1)"])
+@pytest.mark.parametrize("level", [2, 4, 8])
+@pytest.mark.parametrize("extra", [1, 2, 5])
+def test_the_hs_cross_check_keeps_bessels_inequality(text, level, extra):
+    # under one Gauss rule of order q > N the basis rows are orthonormal, so
+    # each column's squared norm is at most its integral of m^2 phi_nu^2
+    (hs,) = criteria(parse_symbol(text, 1), TruncationSpec(1, level), level + extra, (2.0,))
+    assert hs["extras"]["frobenius_squared"] <= hs["partial_sum"] * (1 + 1e-12)
 
 
 def test_a_constant_symmetrizer_skips_the_symmetry_check():
