@@ -4,15 +4,8 @@ formulas checked against computed spectra."""
 
 __version__ = "0.1.0"
 
-from .multiindex import MultiIndex, TruncationSpec, enumerate_level
-from .hermite import (
-    QuadratureRule,
-    eval_hermite_1d,
-    eval_hermite_multi,
-    gauss_hermite_rule,
-    hermite_table,
-    oscillator_eigenvalue,
-)
+from .multiindex import TruncationSpec
+from .hermite import QuadratureRule, gauss_hermite_rule, hermite_table
 from .symbol import (
     SymbolError,
     SymbolEvalError,
@@ -32,17 +25,7 @@ from .symbol import (
     symbol_to_dict,
     table_symbol,
 )
-from .operator import (
-    CoefficientVector,
-    OperatorMatrix,
-    analyze,
-    apply_matrix,
-    assemble_matrix,
-    column_integrals,
-    export_matrix_csv,
-    kernel_eval,
-    synthesize,
-)
+from .operator import OperatorMatrix, assemble_matrix, column_integrals
 from .schatten import (
     build_report,
     compare_traces,

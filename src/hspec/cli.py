@@ -241,7 +241,7 @@ def _matrix_report(args, sym: SymbolSpec, spec: TruncationSpec, fields) -> dict:
     doc = _report(args, sym, **fields(m))
     if m.residual_warning:
         nu, change = m.worst_column
-        print(f"warning: quadrature residual above threshold; column nu={nu.entries} "
+        print(f"warning: quadrature residual above threshold; column nu={nu} "
               f"moved most between q and 2q (relative change {change:.3e})", file=sys.stderr)
     return doc
 

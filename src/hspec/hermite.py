@@ -1,4 +1,4 @@
-"""Normalized Hermite functions, oscillator eigenvalues, Gauss-Hermite rules.
+"""Normalized Hermite functions and Gauss-Hermite rules.
 
 phi_k(x) = (2^k k! sqrt(pi))^(-1/2) H_k(x) e^(-x^2/2) has one evaluator,
 hermite_table.  It runs the normalized three-term recurrence
@@ -11,8 +11,7 @@ the raw polynomials H_k would overflow near k ~ 90.  A column that passes
 together with the Gaussian's -x^2/2, which meets the values once, at the end.
 A Gauss-Hermite rule is the one place where weights meet Hermite values: it
 normalizes the columns of this table at its nodes into the bounded basis
-sqrt(w_i) h_k(x_i), entries in [-1, 1], and keeps the reciprocal column norms
-as its half weights sqrt(w_i) e^(x_i^2/2).  Quadrature code reads these two.
+sqrt(w_i) h_k(x_i), entries in [-1, 1], which quadrature code reads.
 
 The nodes are the eigenvalues of the Jacobi matrix.  Up to order
 DENSE_JACOBI_MAX_ORDER NumPy's dense symmetric solver finds them: its LAPACK
@@ -30,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex
-
 _PI_QUARTER = np.pi ** (-0.25)
 # the largest quadrature order whose nodes come from NumPy's dense solver
 DENSE_JACOBI_MAX_ORDER = 256
@@ -39,8 +36,8 @@ DENSE_JACOBI_MAX_ORDER = 256
 
 def hermite_table(max_degree: int, x) -> np.ndarray:
     """Values phi_k(x) for k = 0..max_degree, shape (max_degree+1, len(x)),
-    correct at any x.  Quadrature reads a rule's basis and half weights
-    instead of this table at the nodes.
+    correct at any x.  Quadrature reads a rule's basis instead of this table
+    at the nodes.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -64,37 +61,13 @@ def hermite_table(max_degree: int, x) -> np.ndarray:
     return out * np.exp(log_scale)
 
 
-def eval_hermite_1d(k: int, x: float) -> float:
-    """phi_k(x) for a single degree and point."""
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if not np.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x}")
-    return float(hermite_table(k, [x])[k, 0])
-
-
-def eval_hermite_multi(nu: MultiIndex, x) -> float:
-    """Tensor-product value phi_nu(x) = prod_j phi_{nu_j}(x_j)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != nu.dim:
-        raise ValueError(f"point has dimension {x.size}, multi-index has {nu.dim}")
-    return float(np.prod([eval_hermite_1d(k, xj) for k, xj in zip(nu, x)]))
-
-
-def oscillator_eigenvalue(nu: MultiIndex) -> float:
-    """Eigenvalue of the harmonic oscillator on phi_nu: 2|nu| + n."""
-    return float(2 * nu.order + nu.dim)
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Hermite rule for the weight e^(-x^2) on the real line, with its
-    basis table basis[k, i] = sqrt(w_i) h_k(x_i) for k < q and its half
-    weights sqrt(w_i) e^(x_i^2/2), the reciprocal column norms of the table."""
+    basis table basis[k, i] = sqrt(w_i) h_k(x_i) for k < q."""
 
     nodes: np.ndarray
     basis: np.ndarray
-    half_weights: np.ndarray
 
     @property
     def weights(self) -> np.ndarray:
@@ -103,10 +76,6 @@ class QuadratureRule:
     @property
     def order(self) -> int:
         return self.nodes.size
-
-    def integrate(self, values) -> float:
-        """Integral of f(x) e^(-x^2) from samples f(nodes)."""
-        return float(self.weights @ np.asarray(values, dtype=float))
 
 
 def gauss_hermite_rule(q: int) -> QuadratureRule:
@@ -118,8 +87,7 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     above, the same bits where both run (see the module docstring).  The
     basis is hermite_table at the nodes with each column normalized: by the
     Christoffel identity w_i = e^(-x_i^2) / sum_{k<q} phi_k(x_i)^2 it becomes
-    sqrt(w_i) h_k(x_i), its reciprocal norm is the half weight
-    sqrt(w_i) e^(x_i^2/2), and sqrt(pi) basis[0]^2 gives the weights to full
+    sqrt(w_i) h_k(x_i), and sqrt(pi) basis[0]^2 gives the weights to full
     relative accuracy.
     """
     if q < 1:
@@ -138,9 +106,8 @@ def gauss_hermite_rule(q: int) -> QuadratureRule:
     # symmetrize: nodes come in +/- pairs, enforce it exactly
     nodes = 0.5 * (nodes - nodes[::-1])
     t = hermite_table(q - 1, nodes)
-    norm = np.sqrt(np.sum(t**2, axis=0))
-    t /= norm
-    return QuadratureRule(nodes, t, 1.0 / norm)
+    t /= np.sqrt(np.sum(t**2, axis=0))
+    return QuadratureRule(nodes, t)
 
 
 def quadrature_order(level: int, q: int | None = None) -> int:

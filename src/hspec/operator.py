@@ -1,5 +1,5 @@
-"""Finite truncations of pseudo-multipliers: matrix assembly, kernel sums,
-and the analysis/synthesis transforms on the Hermite basis.
+"""Finite truncations of pseudo-multipliers: the matrix of P_N T_m P_N on the
+Hermite basis and its column integrals, from one discretization pass.
 
 The computed matrix is the compression P_N T_m P_N with entries
 M[mu, nu] = <T_m phi_nu, phi_mu> = integral of m(x, nu) phi_nu(x) phi_mu(x).
@@ -48,14 +48,13 @@ read; every reader takes one formula over both kinds of block.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import gauss_hermite_rule, hermite_table, quadrature_order
-from .multiindex import MultiIndex, TruncationSpec
+from .hermite import gauss_hermite_rule, quadrature_order
+from .multiindex import TruncationSpec
 from .symbol import (SymbolEvalError, SymbolSpec, axis_signs, eval_symbol, invariant_flips,
                      multiplier_value, separate, symbol_sampler)
 
@@ -73,8 +72,9 @@ class OperatorMatrix:
     unless mu and nu share a block, so the spectrum is the blocks' union.
     columns holds the per-nu integrals of m phi_nu^2 and m^2 phi_nu^2, for a
     non-multiplier reduced from the samples of the unrefined matrix.
-    worst_column is the nu whose column moved most between the order-q and
-    order-2q matrices, with its relative change (None without the check).
+    worst_column is the nu, a tuple of ints, whose column moved most between
+    the order-q and order-2q matrices, with its relative change (None without
+    the check).
     symmetrizer is d = sqrt(a(nu)) when the symbol splits as a(nu) b(x)
     (symbol.separate) with every a(nu) a positive normal float, else None:
     then M = G diag(a) with G symmetric, and diag(d) M diag(d)^-1
@@ -88,7 +88,7 @@ class OperatorMatrix:
     symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
     blocks: tuple[np.ndarray, ...]
-    worst_column: tuple[MultiIndex, float] | None = None
+    worst_column: tuple[tuple[int, ...], float] | None = None
     symmetrizer: np.ndarray | None = None
     singles: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
     scalars: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -133,12 +133,6 @@ class OperatorMatrix:
         if not math.isfinite(total):
             raise FloatingPointError("the matrix trace overflows")
         return total
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    spec: TruncationSpec
-    values: np.ndarray
 
 
 # Bytes per chunk of columns: of samples of m, or of the (N+1)^n sums of each
@@ -292,8 +286,8 @@ def _check_finite(what: str, bad: np.ndarray, spec: TruncationSpec) -> None:
     """Raise FloatingPointError naming the first column nu, in enumeration
     order, whose sums, of finite samples, overflowed (bad[nu])."""
     if bad.any():
-        nu = spec.unrank(int(np.argmax(bad)))
-        raise FloatingPointError(f"{what} overflows at nu={nu.entries}")
+        nu = tuple(spec.array[int(np.argmax(bad))].tolist())
+        raise FloatingPointError(f"{what} overflows at nu={nu}")
 
 
 def _discretize(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
@@ -469,99 +463,10 @@ def assemble_matrix(
         # the first column in graded order within 1e-9 of the largest change,
         # so mirrored columns of a symmetric symbol do not swap on a last bit
         k = int(np.argmax(per_column >= (1 - 1e-9) * per_column.max()))
-        worst = (spec.unrank(k), float(per_column[k]))
+        worst = (tuple(spec.array[k].tolist()), float(per_column[k]))
         values = refined
     values = tuple(values[k, :len(b), :len(b)].T for k, b in enumerate(blocks))
     # a zero, negative or subnormal a(nu) gets no symmetrizer
     normal = a is not None and bool((a >= np.finfo(float).tiny).all())
     return OperatorMatrix(spec, values, q, residual, sym, columns, blocks, worst,
                           np.sqrt(a) if normal else None)
-
-
-def _basis_at(spec: TruncationSpec, x) -> np.ndarray:
-    """The values phi_nu(x) over the truncation at one point x of R^n."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != spec.dim:
-        raise ValueError(f"point must have dimension {spec.dim}")
-    return np.prod(hermite_table(spec.level, x)[spec.array, np.arange(spec.dim)], axis=1)
-
-
-def kernel_eval(sym: SymbolSpec, spec: TruncationSpec, x, y) -> float:
-    """Truncated kernel K_m(x, y) = sum over |nu| <= N of m(x,nu) phi_nu(x) phi_nu(y)."""
-    px, py = _basis_at(spec, x), _basis_at(spec, y)
-    return math.fsum(eval_symbol(sym, x, spec.array)[:, 0] * px * py)
-
-
-def analyze(f, spec: TruncationSpec, q: int | None = None) -> CoefficientVector:
-    """Coefficients <f, phi_nu> for |nu| <= N, by tensor Gauss-Hermite quadrature.
-
-    f is a callable on (M, n) point arrays (or on 1-D arrays when n = 1).
-    """
-    q = quadrature_order(spec.level, q)
-    rule, box = gauss_hermite_rule(q), _box(spec)
-    # the (q^n, n) points in row-major order (x_1 slowest), each coordinate contiguous
-    points = np.stack(np.meshgrid(*[rule.nodes] * spec.dim, indexing="ij")).reshape(spec.dim, -1).T
-    samples = np.asarray(f(points[:, 0] if spec.dim == 1 else points), dtype=float)
-    if samples.shape != (len(points),):
-        raise ValueError(f"f must return one value per node, got shape {samples.shape}")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("f produced non-finite samples at quadrature nodes")
-    # integrand f * phi_nu = [f e^(|x|^2/2)] h_nu e^(-|x|^2), and w h_nu is the
-    # rule's half weight sqrt(w) e^(x^2/2) times its basis row
-    coeffs = _contract(samples.reshape((1,) + (q,) * spec.dim), rule.basis[:spec.level + 1],
-                       rule.half_weights[None, :], np.zeros((1, spec.dim), dtype=int))
-    return CoefficientVector(spec, coeffs[0, box])
-
-
-def synthesize(c: CoefficientVector, x) -> float:
-    """Pointwise sum of c_nu phi_nu(x) over the truncation."""
-    return math.fsum(c.values * _basis_at(c.spec, x))
-
-
-def apply_matrix(m: OperatorMatrix, c: CoefficientVector) -> CoefficientVector:
-    """The coefficients of M c, block by block: out[b] = M[b, b] c[b] for
-    each block b, dense or 1 x 1; no dense matrix."""
-    if m.spec is not c.spec and (m.spec.dim != c.spec.dim or m.spec.level != c.spec.level):
-        raise ValueError("matrix and coefficient vector use different truncations")
-    out = np.zeros(m.size)
-    for b, block in zip(m.blocks, m.values):
-        out[b] = block @ c.values[b]
-    out[m.singles] = m.scalars * c.values[m.singles]
-    return CoefficientVector(c.spec, out)
-
-
-def export_matrix_csv(m: OperatorMatrix, path: str) -> None:
-    """Row-major CSV with an n/N/Q header row, plus a JSON metadata sidecar;
-    the lines end in CRLF as csv.writer's, and no cell needs quoting.
-
-    Each row is written from the one block that holds it, so no dense matrix
-    is built: a cell outside the block is the exact zero "0.0", and only the
-    block's values are formatted, each as repr(float)."""
-    rows = [None] * m.size  # per rank mu: the columns of its block, its values there
-    for b, block in zip(m.blocks, m.values):
-        cols = b.tolist()
-        for mu, values in zip(cols, block):
-            rows[mu] = cols, values
-    for k, mu in enumerate(m.singles.tolist()):
-        rows[mu] = [mu], m.scalars[k:k + 1]
-    cells = ["0.0"] * m.size
-    with open(path, "w", newline="") as fh:
-        fh.write(f"n={m.spec.dim},N={m.spec.level},Q={m.quad_order}\r\n")
-        for cols, values in rows:
-            for i, v in zip(cols, values.tolist()):
-                cells[i] = repr(v)
-            fh.write(",".join(cells) + "\r\n")
-            for i in cols:
-                cells[i] = "0.0"
-    meta = {
-        "dim": m.spec.dim,
-        "level": m.spec.level,
-        "size": m.size,
-        "quad_order": m.quad_order,
-        "assembly_residual": m.assembly_residual,
-        "residual_warning": m.residual_warning,
-        "symbol": m.symbol.describe(),
-    }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .multiindex import MultiIndex
 
 FUNCTIONS = {
     "exp": (1, np.exp),
@@ -421,14 +420,6 @@ class SymbolSpec:
     text: Optional[str] = None
     table: Optional[dict] = None
 
-    def describe(self) -> str:
-        if self.kind == "builtin":
-            p = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-            return f"builtin {self.family}({p})"
-        if self.kind == "expression":
-            return f"expression {self.text!r}"
-        return "tabulated grid"
-
     @property
     def is_multiplier(self) -> bool:
         """m reads no x: a builtin, or an expression free of x."""
@@ -618,11 +609,8 @@ def _grid_nodes(spec: SymbolSpec, x) -> np.ndarray:
 
 
 def _index_rows(spec: SymbolSpec, nu) -> np.ndarray:
-    """nu, one MultiIndex or a (c, n) array of indices, as a (c, n) int array."""
-    if isinstance(nu, MultiIndex):
-        if nu.dim != spec.dim:
-            raise ValueError(f"multi-index dimension {nu.dim} != symbol dimension {spec.dim}")
-        return np.array([nu.entries])
+    """nu, a (c, n) array of indices, as an int array, checked against the
+    symbol's dimension."""
     rows = np.asarray(nu, dtype=int)
     if rows.ndim != 2 or rows.shape[1] != spec.dim:
         raise ValueError(f"index array has shape {rows.shape}, expected (c, {spec.dim})")
@@ -643,9 +631,9 @@ def _builtin(spec: SymbolSpec, order: int) -> float:
 
 
 def multiplier_value(spec: SymbolSpec, nu):
-    """m(nu) of a multiplier, a symbol with no x-dependence: a float for one
-    MultiIndex, a (c,) array for a (c, n) array of indices.  A builtin
-    depends on nu only through |nu| and is evaluated once per order."""
+    """m(nu) of a multiplier, a symbol with no x-dependence, as a (c,) array
+    for a (c, n) array of indices.  A builtin depends on nu only through |nu|
+    and is evaluated once per order."""
     if not spec.is_multiplier:
         raise ValueError("the symbol depends on x; evaluate it with eval_symbol")
     rows = _index_rows(spec, nu)
@@ -660,18 +648,16 @@ def multiplier_value(spec: SymbolSpec, nu):
     if bad.any():
         raise SymbolEvalError(
             f"symbol evaluation not finite at nu={tuple(rows[np.argmax(bad)].tolist())}")
-    return float(vals[0]) if isinstance(nu, MultiIndex) else vals
+    return vals
 
 
 def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
-    """m(x, nu); x is a point in R^n or an (M, n) batch of points, nu a
-    MultiIndex or a (c, n) integer array of indices.
+    """m(x, nu); x is a point in R^n or an (M, n) batch of points, nu a (c, n)
+    integer array of indices.
 
-    For a MultiIndex, returns a float for a single point and an (M,) array
-    for a batch.  For an index array, returns a (c, M) array, or (1, M) when
-    m does not depend on nu: an expression is evaluated once, each subtree on
-    the indices and points it depends on, so an x-only symbol costs M
-    evaluations, not c M.
+    Returns a (c, M) array, or (1, M) when m does not depend on nu: an
+    expression is evaluated once, each subtree on the indices and points it
+    depends on, so an x-only symbol costs M evaluations, not c M.
 
     With grid=True, x is the (q, n) array of the per-axis nodes of a tensor
     grid, column j those of x_j, and the batch is its M = q^n points in
@@ -680,16 +666,13 @@ def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
     a subtree that reads one coordinate costs q evaluations, not q^n; a
     table is evaluated on the points.
     """
-    single = isinstance(nu, MultiIndex)
     rows = _index_rows(spec, nu)
-    scalar_input = False
     if grid:
         pts = _grid_nodes(spec, x)
         if spec.kind == "table":  # interpolated at the q^n points
             pts, grid = np.stack(np.meshgrid(*pts.T, indexing="ij")).reshape(spec.dim, -1).T, False
     else:
         pts = np.asarray(x, dtype=float)
-        scalar_input = pts.ndim <= 1
         pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
         if pts.shape[1] != spec.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
@@ -714,11 +697,7 @@ def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
         raise SymbolEvalError(
             f"symbol evaluation not finite at x={tuple(float(v) for v in at)}, "
             f"nu={tuple(int(v) for v in rows[k])}")
-    if not single:
-        return out
-    if scalar_input and len(pts) == 1:
-        return float(out[0, 0])
-    return out[0]
+    return out
 
 
 def symbol_sampler(spec: SymbolSpec, x):
@@ -806,19 +785,12 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
         spec = builtin_symbol(_field(doc, "family"), dim, **params)
         if not psd:
             spec = replace(spec, claims_positive_selfadjoint=False)
-        return spec
-    if kind == "expression":
+    elif kind == "expression":
         expr = _field(doc, "expr")
         if not isinstance(expr, str):
             raise SymbolError(f"symbol field 'expr' must be a string, got {expr!r}")
         spec = parse_symbol(expr, dim, positive_selfadjoint=psd)
-        if "multiplier" in doc and multiplier != spec.is_multiplier:
-            raise SymbolError(
-                f"document claims multiplier={multiplier} but the expression "
-                f"{'has no' if spec.is_multiplier else 'has'} x-dependence"
-            )
-        return spec
-    if kind == "table":
+    elif kind == "table":
         t = _field(doc, "table")
         if not (isinstance(t, dict) and isinstance(t.get("grids"), list)
                 and isinstance(t.get("values"), dict)):
@@ -833,8 +805,15 @@ def symbol_from_dict(doc: dict) -> SymbolSpec:
                 raise SymbolError(f"symbol field 'table.values' has key {key!r}; expected a "
                                   f"multi-index of {dim} comma-separated integers")
             values[nu] = v
-        return table_symbol(dim, t["grids"], values, positive_selfadjoint=psd)
-    raise SymbolError(f"unknown symbol kind {kind!r}")
+        spec = table_symbol(dim, t["grids"], values, positive_selfadjoint=psd)
+    else:
+        raise SymbolError(f"unknown symbol kind {kind!r}")
+    if "multiplier" in doc and multiplier != spec.is_multiplier:
+        raise SymbolError(
+            f"document claims multiplier={multiplier} but the {kind} "
+            f"{'has no' if spec.is_multiplier else 'has'} x-dependence"
+        )
+    return spec
 
 
 def load_symbol(path) -> SymbolSpec:

@@ -7,8 +7,10 @@ constants in the test modules were produced by these routines at 50 digits.
 
 The module also holds the dense sums that the operator's sum factorization
 replaces: D x q^n tables of tensor products of a rule's basis rows, summed
-over the whole grid at once.  They read the rule's basis and half weights and
-nothing of the contraction, chunking or box indexing they check.
+over the whole grid at once.  They read the rule's nodes and basis and
+nothing of the contraction, chunking or box indexing they check.  And it holds
+the truncated kernel K_m(x, y) = sum over |nu| <= N of m(x, nu) phi_nu(x)
+phi_nu(y), summed term by term from hermite_table.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from hspec import gauss_hermite_rule
+from hspec import gauss_hermite_rule, hermite_table
 from hspec.symbol import eval_symbol
 
 mp.mp.dps = 50
@@ -69,7 +71,7 @@ def dense_basis(spec, rule):
 def dense_sums(sym, spec, q):
     """The order-q matrix, then the integrals of m phi_nu^2 and m^2 phi_nu^2."""
     basis, points, _ = dense_basis(spec, gauss_hermite_rule(q))
-    mvals = np.array([eval_symbol(sym, points, nu) for nu in spec.indices])
+    mvals = np.array([eval_symbol(sym, points, nu[None])[0] for nu in spec.array])
     return (basis @ (mvals * basis).T,
             np.sum(mvals * basis**2, axis=1),
             np.sum(mvals**2 * basis**2, axis=1))
@@ -77,8 +79,24 @@ def dense_sums(sym, spec, q):
 
 def dense_coefficients(f, spec, q):
     """<f, phi_nu> as one sum over the grid of f times the tensor half
-    weights and basis rows; f is called as analyze calls it."""
+    weights sqrt(w_i) e^(x_i^2/2), the reciprocal norms of the columns of
+    hermite_table at the nodes, and the basis rows; f is called on the (q^n,)
+    nodes in 1-D, else on the (q^n, n) points."""
     rule = gauss_hermite_rule(q)
     basis, points, idx = dense_basis(spec, rule)
+    half = 1 / np.sqrt(np.sum(hermite_table(q - 1, rule.nodes) ** 2, axis=0))
     samples = f(points[:, 0] if spec.dim == 1 else points)
-    return basis @ (np.prod(rule.half_weights[idx], axis=0) * samples)
+    return basis @ (np.prod(half[idx], axis=0) * samples)
+
+
+def basis_at(spec, x):
+    """The values phi_nu(x) over the truncation at one point x of R^n."""
+    x = np.asarray(x, dtype=float).ravel()
+    return np.prod(hermite_table(spec.level, x)[spec.array, np.arange(spec.dim)], axis=1)
+
+
+def kernel_sum(sym, spec, x, y):
+    """The truncated kernel K_m(x, y), as one exactly rounded sum over the
+    truncation of m(x, nu) phi_nu(x) phi_nu(y)."""
+    m = eval_symbol(sym, x, spec.array)[:, 0]
+    return math.fsum(m * basis_at(spec, x) * basis_at(spec, y))

@@ -8,20 +8,11 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_hermite
 
-from hspec import (
-    MultiIndex,
-    eval_hermite_1d,
-    eval_hermite_multi,
-    gauss_hermite_rule,
-    hermite_table,
-    oscillator_eigenvalue,
-)
+from hspec import gauss_hermite_rule, hermite_table
 from hspec.hermite import DENSE_JACOBI_MAX_ORDER, quadrature_order
 
 # frozen from tests/oracles.py phi_mp at 50 digits
 PHI_4_AT_0P7 = -0.23036447379803544656
-PHI_2_AT_0P3 = -0.41635917055704163841
-PHI_3_AT_M0P4 = 0.42914408535388808286
 # past |x| = 38.6, where the Gaussian factor e^(-x^2/2) alone underflows
 PHI_AT_LARGE_X = [
     (800, 38.3, 0.23370145187074941018),
@@ -31,44 +22,28 @@ PHI_AT_LARGE_X = [
 ]
 
 
+def phi(k, x):
+    """phi_k(x) for one degree and point, read from hermite_table."""
+    return float(hermite_table(k, [x])[k, 0])
+
+
 def test_ground_state_at_origin():
-    assert eval_hermite_1d(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
+    assert phi(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
 
 
 def test_odd_parity_kills_origin():
-    assert eval_hermite_1d(1, 0.0) == 0.0
+    assert phi(1, 0.0) == 0.0
 
 
 def test_degree4_oracle():
-    assert eval_hermite_1d(4, 0.7) == pytest.approx(PHI_4_AT_0P7, abs=1e-13)
-
-
-def test_multi_tensor_product():
-    assert eval_hermite_multi(MultiIndex((0, 0)), (0.0, 0.0)) == pytest.approx(
-        math.pi ** -0.5, abs=1e-15
-    )
-    assert eval_hermite_multi(MultiIndex((1, 0)), (0.0, 5.0)) == 0.0
-    assert eval_hermite_multi(MultiIndex((2, 3)), (0.3, -0.4)) == pytest.approx(
-        PHI_2_AT_0P3 * PHI_3_AT_M0P4, abs=1e-13
-    )
-
-
-def test_multi_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        eval_hermite_multi(MultiIndex((1, 2)), (0.5,))
+    assert phi(4, 0.7) == pytest.approx(PHI_4_AT_0P7, abs=1e-13)
 
 
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
-        eval_hermite_1d(3, float("nan"))
+        hermite_table(3, [float("nan")])
     with pytest.raises(ValueError):
         hermite_table(5, [0.0, float("inf")])
-
-
-def test_eigenvalues():
-    assert oscillator_eigenvalue(MultiIndex((0,))) == 1.0
-    assert oscillator_eigenvalue(MultiIndex((1, 2))) == 8.0
-    assert oscillator_eigenvalue(MultiIndex((0, 0, 0))) == 3.0
 
 
 def test_recurrence_residual():
@@ -83,8 +58,8 @@ def test_recurrence_residual():
 @settings(max_examples=100)
 @given(st.integers(0, 60), st.floats(-10, 10, allow_nan=False))
 def test_parity(k, x):
-    a = eval_hermite_1d(k, x)
-    b = eval_hermite_1d(k, -x)
+    a = phi(k, x)
+    b = phi(k, -x)
     assert b == pytest.approx((-1.0) ** k * a, abs=1e-12 * max(1.0, abs(a)))
 
 
@@ -97,7 +72,7 @@ def test_no_overflow_high_degree():
 def test_phi_correct_where_the_gaussian_underflows(k, x, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert eval_hermite_1d(k, x) == pytest.approx(expected, rel=1e-11)
+        assert phi(k, x) == pytest.approx(expected, rel=1e-11)
 
 
 def test_rule_q1():
@@ -118,7 +93,7 @@ def test_rule_q2():
 
 def test_rule_second_moment():
     r = gauss_hermite_rule(5)
-    assert r.integrate(r.nodes**2) == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-13)
+    assert r.weights @ r.nodes**2 == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-13)
 
 
 @pytest.mark.parametrize("q", [4, 16, 64])
@@ -127,7 +102,7 @@ def test_rule_moments(q):
     r = gauss_hermite_rule(q)
     assert math.fsum(r.weights) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     for k in (0, 2, 4):
-        assert r.integrate(r.nodes**k) == pytest.approx(math.gamma((k + 1) / 2), rel=1e-12)
+        assert r.weights @ r.nodes**k == pytest.approx(math.gamma((k + 1) / 2), rel=1e-12)
 
 
 def test_rule_positive_weights():
@@ -153,7 +128,7 @@ def test_bad_orders():
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
     with pytest.raises(ValueError):
-        eval_hermite_1d(-1, 0.0)
+        hermite_table(-1, [0.0])
 
 
 @pytest.mark.parametrize("q", [200, 800, 2000])
@@ -178,7 +153,6 @@ def test_dense_nodes_equal_the_tridiagonal_solver_bit_for_bit():
         r = gauss_hermite_rule(q)
         assert np.array_equal(r.nodes, nodes), q
         assert np.array_equal(r.basis, table / norm), q
-        assert np.array_equal(r.half_weights, 1.0 / norm), q
 
 
 def test_basis_table_is_the_weighted_hermite_table():
@@ -195,11 +169,12 @@ def test_basis_table_is_the_weighted_hermite_table():
 
 
 @pytest.mark.parametrize("q", [1, 64, 732, 2000])
-def test_rule_keeps_its_column_norms(q):
+def test_rule_basis_is_the_column_normalized_table(q):
     r = gauss_hermite_rule(q)
-    # the Christoffel half weights sqrt(w) e^(x^2/2), finite past |x| = 37.7
-    expected = 1 / np.sqrt(np.sum(hermite_table(q - 1, r.nodes) ** 2, axis=0))
-    assert np.array_equal(r.half_weights, expected)
+    # the reciprocal column norms are the Christoffel half weights
+    # sqrt(w) e^(x^2/2), finite past |x| = 37.7
+    table = hermite_table(q - 1, r.nodes)
+    assert np.array_equal(r.basis, table / np.sqrt(np.sum(table**2, axis=0)))
     assert np.array_equal(r.weights, math.sqrt(math.pi) * r.basis[0] ** 2)
 
 
@@ -225,6 +200,18 @@ def test_basis_table_bounded_and_orthonormal_at_high_order():
         gram = rows @ rows.T
     assert np.abs(basis).max() <= 1.0
     assert np.abs(gram - np.eye(n_level + 1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("level", [700, 1500])
+def test_ground_state_coefficients_at_high_level(level):
+    # <phi_0, phi_k> for k <= N under the default rule: phi_0 sampled at the
+    # nodes times the half weights sqrt(w) e^(x^2/2) is the basis row 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = gauss_hermite_rule(quadrature_order(level))
+        c = r.basis[:level + 1] @ r.basis[0]
+    assert abs(c[0] - 1) <= 1e-12
+    assert np.abs(c[1:]).max() <= 1e-12
 
 
 def test_quadrature_order():

@@ -1,7 +1,4 @@
-import csv
-import dataclasses
 import gc
-import json
 import math
 import tracemalloc
 import warnings
@@ -13,43 +10,29 @@ from hypothesis import strategies as st
 
 import hspec.operator as operator
 from hspec import (
-    CoefficientVector,
-    MultiIndex,
     SymbolEvalError,
     TruncationSpec,
-    analyze,
-    apply_matrix,
     assemble_matrix,
     axis_signs,
     builtin_symbol,
     column_integrals,
-    eval_hermite_1d,
     eval_symbol,
-    export_matrix_csv,
     gauss_hermite_rule,
+    hermite_table,
     invariant_flips,
-    kernel_eval,
     parse_symbol,
     separate,
     symbol_sampler,
-    synthesize,
     table_symbol,
 )
-from oracles import dense_basis, dense_coefficients, dense_sums, mehler_heat_kernel
-
-# frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
-INNER_GAUSS_PHI0 = 1.0870307726111884785  # = pi^(-1/4) sqrt(2 pi / 3)
-INNER_GAUSS_PHI2 = -0.25621561022394111639
-# frozen from tests/oracles.py phi_mp at 50 digits; e^(-40^2/2) alone underflows
-PHI_1000_AT_40 = 0.17225052073279226983
+from oracles import dense_basis, dense_coefficients, dense_sums, kernel_sum, mehler_heat_kernel
 
 ONE = parse_symbol("1", 1)
 
 
-def unit_vector(spec, nu):
-    v = np.zeros(spec.size)
-    v[spec.rank(nu)] = 1.0
-    return CoefficientVector(spec, v)
+def rank(spec, nu):
+    """The rank of the multi-index nu: its row in spec.array."""
+    return int(np.flatnonzero((spec.array == nu).all(axis=1))[0])
 
 
 def test_identity_symbol_gives_identity_matrix():
@@ -114,20 +97,20 @@ def test_nesting_prefix_blocks_agree():
 
 def test_kernel_heat_matches_mehler():
     spec = TruncationSpec(1, 40)
-    got = kernel_eval(builtin_symbol("heat", 1, t=1.0), spec, [0.0], [0.0])
+    got = kernel_sum(builtin_symbol("heat", 1, t=1.0), spec, [0.0], [0.0])
     assert got == pytest.approx(mehler_heat_kernel(1.0, 0.0, 0.0), abs=1e-10)
 
 
 def test_kernel_heat_matches_mehler_off_diagonal():
     spec = TruncationSpec(1, 60)
     for t, x, y in [(0.7, 0.3, -0.2), (1.0, 1.1, 0.4), (0.5, -0.8, -0.8)]:
-        got = kernel_eval(builtin_symbol("heat", 1, t=t), spec, [x], [y])
+        got = kernel_sum(builtin_symbol("heat", 1, t=t), spec, [x], [y])
         assert got == pytest.approx(mehler_heat_kernel(t, x, y), abs=1e-8)
 
 
 @pytest.mark.parametrize("y", [40.0, 39.5])
 def test_kernel_heat_matches_mehler_far_out(y):
-    got = kernel_eval(builtin_symbol("heat", 1, t=0.05), TruncationSpec(1, 1500), [40.0], [y])
+    got = kernel_sum(builtin_symbol("heat", 1, t=0.05), TruncationSpec(1, 1500), [40.0], [y])
     assert got == pytest.approx(mehler_heat_kernel(0.05, 40.0, y), rel=1e-11, abs=0)
 
 
@@ -137,53 +120,19 @@ def test_kernel_projection_identity():
     rule = gauss_hermite_rule(40)
     for x in (0.0, 0.8, -1.7):
         vals = np.array([
-            kernel_eval(ONE, spec, [x], [y]) * eval_hermite_1d(0, y) * math.exp(y * y)
+            kernel_sum(ONE, spec, [x], [y]) * hermite_table(0, [y])[0, 0] * math.exp(y * y)
             for y in rule.nodes
         ])
-        assert rule.integrate(vals) == pytest.approx(eval_hermite_1d(0, x), abs=1e-10)
+        assert rule.weights @ vals == pytest.approx(hermite_table(0, [x])[0, 0], abs=1e-10)
 
 
 def test_kernel_bandlimit_single_term():
     spec = TruncationSpec(1, 5)
     sym = builtin_symbol("bandlimit", 1, cutoff=0)
     x, y = 0.4, -1.2
-    assert kernel_eval(sym, spec, [x], [y]) == pytest.approx(
-        eval_hermite_1d(0, x) * eval_hermite_1d(0, y), rel=1e-13
+    assert kernel_sum(sym, spec, [x], [y]) == pytest.approx(
+        hermite_table(0, [x])[0, 0] * hermite_table(0, [y])[0, 0], rel=1e-13
     )
-
-
-def test_analyze_orthonormality():
-    spec = TruncationSpec(1, 5)
-    c = analyze(lambda x: np.array([eval_hermite_1d(2, xi) for xi in x]), spec, q=32)
-    expected = np.zeros(6)
-    expected[2] = 1.0
-    assert np.abs(c.values - expected).max() < 1e-10
-
-
-def test_analyze_linearity():
-    spec = TruncationSpec(1, 5)
-
-    def f(x):
-        return np.array([eval_hermite_1d(0, xi) + 2 * eval_hermite_1d(3, xi) for xi in x])
-
-    c = analyze(f, spec, q=32)
-    expected = np.zeros(6)
-    expected[0], expected[3] = 1.0, 2.0
-    assert np.abs(c.values - expected).max() < 1e-10
-
-
-def test_analyze_gaussian_against_oracle():
-    spec = TruncationSpec(1, 4)
-    c = analyze(lambda x: np.exp(-x**2), spec, q=48)
-    assert c.values[0] == pytest.approx(INNER_GAUSS_PHI0, abs=1e-12)
-    assert c.values[2] == pytest.approx(INNER_GAUSS_PHI2, abs=1e-12)
-    assert abs(c.values[1]) < 1e-14 and abs(c.values[3]) < 1e-14
-
-
-def test_analyze_rejects_nonfinite():
-    spec = TruncationSpec(1, 3)
-    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
-        analyze(lambda x: x / 0.0, spec, q=8)
 
 
 @pytest.mark.parametrize("text, dim, level, q", [
@@ -499,7 +448,7 @@ def test_worst_column_is_recorded_with_the_doubling_check():
     coarse = assemble_matrix(sym, spec, q=8, doubling_check=False).entries
     fine = assemble_matrix(sym, spec, q=16, doubling_check=False).entries
     per_column = np.linalg.norm(fine - coarse, axis=0) / np.linalg.norm(fine, axis=0)
-    assert nu == spec.indices[int(np.argmax(per_column))]
+    assert nu == tuple(spec.array[int(np.argmax(per_column))].tolist())
     assert change == pytest.approx(per_column.max(), rel=1e-12)
 
 
@@ -509,8 +458,8 @@ def test_worst_column_of_a_mirrored_tie_is_the_first_in_graded_order():
     sym = parse_symbol("lam^(-0.75)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2)
     spec = TruncationSpec(2, 10)
     nu, _ = assemble_matrix(sym, spec, q=16).worst_column
-    assert nu == MultiIndex((10, 0))
-    assert spec.rank(MultiIndex((10, 0))) < spec.rank(MultiIndex((0, 10)))
+    assert nu == (10, 0)
+    assert rank(spec, (10, 0)) < rank(spec, (0, 10))
 
 
 # symbols with invariant flips, so their operators are stored as parity blocks
@@ -587,7 +536,7 @@ def test_the_blockwise_residual_matches_one_from_the_dense_entries(case):
     per_column = np.linalg.norm(fine - coarse, axis=0) / np.linalg.norm(fine, axis=0)
     nu, change = m.worst_column
     assert change == pytest.approx(per_column.max(), rel=1e-14)
-    assert per_column[spec.rank(nu)] >= (1 - 1e-9) * per_column.max()
+    assert per_column[rank(spec, nu)] >= (1 - 1e-9) * per_column.max()
 
 
 @pytest.mark.parametrize("columns", [None, 0], ids=["one-chunk", "column-by-column"])
@@ -630,117 +579,20 @@ def test_a_blocked_assembly_holds_far_less_than_three_dense_matrices():
     assert peak < 2.5 * dense, peak / dense
 
 
-@pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9), (1, 700, 732)])
-def test_analyze_matches_dense_sums(dim, level, q):
-    spec = TruncationSpec(dim, level)
-
-    def f(x):
-        x = x.reshape(len(x), -1)
-        return np.exp(-np.sum((x - 0.3) ** 2, axis=1)) * (1 + x[:, 0])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        expected = dense_coefficients(f, spec, q)
-        got = analyze(f, spec, q=q).values
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-def test_synthesize_unit_vector():
-    spec = TruncationSpec(1, 4)
-    c = unit_vector(spec, MultiIndex((0,)))
-    assert synthesize(c, 0.9) == pytest.approx(eval_hermite_1d(0, 0.9), rel=1e-14)
-
-
-def test_synthesize_far_out():
-    spec = TruncationSpec(1, 1000)
-    c = unit_vector(spec, MultiIndex((1000,)))
-    assert synthesize(c, 40.0) == pytest.approx(PHI_1000_AT_40, rel=1e-11)
-
-
-@pytest.mark.parametrize("level", [700, 1500])
-def test_analyze_ground_state_at_high_level(level):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        c = analyze(lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x), TruncationSpec(1, level))
-    assert abs(c.values[0] - 1) <= 1e-12
-    assert np.abs(c.values[1:]).max() <= 1e-12
-
-
-def test_analyze_synthesize_round_trip():
-    spec = TruncationSpec(1, 5)
-    c = analyze(lambda x: np.array([eval_hermite_1d(1, xi) for xi in x]), spec, q=32)
-    for x in np.linspace(-2, 2, 9):
-        assert synthesize(c, x) == pytest.approx(eval_hermite_1d(1, x), abs=1e-10)
-
-
-def test_apply_matrix_cases():
-    spec = TruncationSpec(1, 4)
-    ident = assemble_matrix(ONE, spec, q=16)
-    c = CoefficientVector(spec, np.arange(1.0, 6.0))
-    assert apply_matrix(ident, c).values == pytest.approx(c.values, abs=1e-12)
-
-    heat = assemble_matrix(builtin_symbol("heat", 1, t=0.5), spec)
-    e2 = unit_vector(spec, MultiIndex((2,)))
-    out = apply_matrix(heat, e2).values
-    assert out[2] == pytest.approx(math.exp(-2.5), rel=1e-14)
-    assert np.abs(np.delete(out, 2)).max() == 0.0
-
-    x_op = assemble_matrix(parse_symbol("x1", 1), spec, q=16)
-    out = apply_matrix(x_op, unit_vector(spec, MultiIndex((0,)))).values
-    assert out[1] == pytest.approx(math.sqrt(0.5), abs=1e-13)
-
-
-def test_apply_matrix_spec_mismatch():
-    m = assemble_matrix(ONE, TruncationSpec(1, 4), q=16)
-    c = CoefficientVector(TruncationSpec(1, 5), np.zeros(6))
-    with pytest.raises(ValueError, match="truncation"):
-        apply_matrix(m, c)
-
-
-@pytest.mark.parametrize("expr", [
-    "exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)",  # four parity blocks
-    "lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))",  # two
-    "exp(-0.3*absnu)*(1+x1+x2)/(1+x2^2+nu2*x2^2)",  # one
-])
-def test_apply_matrix_block_by_block_matches_the_dense_product(expr):
-    spec = TruncationSpec(2, 12)
-    m = assemble_matrix(parse_symbol(expr, 2), spec)
-    c = CoefficientVector(spec, np.random.default_rng(5).normal(size=spec.size))
-    dense = m.entries @ c.values
-    assert np.abs(apply_matrix(m, c).values - dense).max() <= 1e-14 * np.abs(dense).max()
-
-
-def test_apply_matrix_allocates_no_dense_matrix():
-    # 2-D N = 60, D = 1891: one dense D x D matrix is 28.6 MB
-    spec = TruncationSpec(2, 60)
-    m = assemble_matrix(parse_symbol("lam^(-0.8)*(1+0.9*x1*x2/(1+x1^2+x2^2))", 2), spec,
-                        doubling_check=False)
-    c = CoefficientVector(spec, np.ones(spec.size))
-    tracemalloc.start()
-    try:
-        apply_matrix(m, c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * spec.size**2, peak / 2**20
-
-
 def test_matrix_vs_direct_quantization_sum():
-    # apply-then-synthesize against the direct pseudo-multiplier sum
+    # M c summed on the basis against the direct pseudo-multiplier sum
     spec = TruncationSpec(1, 20)
     sym = builtin_symbol("heat", 1, t=1.0)
     m = assemble_matrix(sym, spec)
-    c = analyze(lambda x: np.exp(-(x - 0.4) ** 2), spec, q=60)
-    x = 0.3
-    via_matrix = synthesize(apply_matrix(m, c), x)
-    direct = sum(
-        math.exp(-(2 * k + 1)) * c.values[k] * eval_hermite_1d(k, x) for k in range(21)
-    )
+    c = dense_coefficients(lambda x: np.exp(-(x - 0.4) ** 2), spec, 60)
+    phi = hermite_table(20, [0.3])[:, 0]
+    via_matrix = math.fsum((m.entries @ c) * phi)
+    direct = sum(math.exp(-(2 * k + 1)) * c[k] * phi[k] for k in range(21))
     assert via_matrix == pytest.approx(direct, abs=1e-10)
 
 
 def test_matrix_vs_kernel_pathway():
-    # apply_matrix(M, c) against analyzing the kernel-applied function: the
+    # M c against the coefficients of the kernel-applied function: the
     # matrix is P_N T P_N, so the kernel output must be projected back onto
     # the span before comparing (the unprojected residual decays only like
     # the Hermite coefficients of the symbol's x-profile)
@@ -752,25 +604,25 @@ def test_matrix_vs_kernel_pathway():
     rule = gauss_hermite_rule(q)
     rng = np.random.default_rng(11)
     for _ in range(5):
-        c = CoefficientVector(spec, rng.normal(size=spec.size))
-        fvals = np.array([synthesize(c, y) for y in rule.nodes])
+        c = rng.normal(size=spec.size)
+        fvals = c @ hermite_table(spec.level, rule.nodes)
 
         def kernel_applied(xs):
             out = []
             for x in np.atleast_1d(xs):
-                kvals = np.array([kernel_eval(sym, spec, [x], [y]) for y in rule.nodes])
-                out.append(rule.integrate(kvals * fvals * np.exp(rule.nodes**2)))
+                kvals = np.array([kernel_sum(sym, spec, [x], [y]) for y in rule.nodes])
+                out.append(rule.weights @ (kvals * fvals * np.exp(rule.nodes**2)))
             return np.array(out)
 
-        via_matrix = apply_matrix(m, c).values
-        via_kernel = analyze(kernel_applied, spec, q=q).values
+        via_matrix = m.entries @ c
+        via_kernel = dense_coefficients(kernel_applied, spec, q)
         assert np.abs(via_matrix - via_kernel).max() < 1e-8
 
 
 def test_two_dim_assembly_diagonal():
     spec = TruncationSpec(2, 4)
     m = assemble_matrix(builtin_symbol("heat", 2, t=0.5), spec)
-    lam = np.array([2 * nu.order + 2 for nu in spec.indices])
+    lam = 2 * spec.array.sum(axis=1) + 2
     assert np.diag(m.entries) == pytest.approx(np.exp(-0.5 * lam), rel=1e-14)
 
 
@@ -779,75 +631,3 @@ def test_two_dim_identity_by_quadrature():
     sym = parse_symbol("1 + 0 * x1 * x2", 2)
     m = assemble_matrix(sym, spec, q=20, doubling_check=False)
     assert np.abs(m.entries - np.eye(spec.size)).max() < 1e-11
-
-
-def test_csv_export(tmp_path):
-    spec = TruncationSpec(1, 3)
-    m = assemble_matrix(builtin_symbol("power", 1, sigma=1.0), spec)
-    path = tmp_path / "mat.csv"
-    export_matrix_csv(m, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["n=1", "N=3", "Q=35"]
-    assert len(lines) == 1 + spec.size
-    loaded = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
-    assert np.array_equal(loaded, m.entries)
-    assert (tmp_path / "mat.csv.meta.json").exists()
-
-
-def _entries_csv(m, path):
-    # the rows of the dense matrix, each value as repr(float(v)), with the header
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"n={m.spec.dim}", f"N={m.spec.level}", f"Q={m.quad_order}"])
-        for row in m.entries:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-@pytest.mark.parametrize("text, blocks", [
-    ("sin(nu1) - 0.5", 0),
-    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 4),
-    ("exp(-0.3*absnu)*(2+0.7*x1*x2^3+x2)/(1+x1^2+x2^2)", 1),
-], ids=["multiplier", "four-block", "one-block"])
-def test_csv_rows_are_the_rows_of_the_entries(tmp_path, text, blocks):
-    # written block by block, the CSV is byte for byte the rows of the dense
-    # matrix, a stored -0.0 included
-    m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, 8))
-    assert len(m.values) == blocks and m.singles.size == (0 if blocks else m.size)
-    values = [b.copy() for b in m.values]
-    for b in values:
-        b[0, -1] = -0.0
-    scalars = m.scalars.copy()
-    scalars[:1] = -0.0
-    for case in (m, dataclasses.replace(m, values=tuple(values), scalars=scalars)):
-        export_matrix_csv(case, str(tmp_path / "blocks.csv"))
-        _entries_csv(case, str(tmp_path / "entries.csv"))
-        written = (tmp_path / "blocks.csv").read_bytes()
-        assert written == (tmp_path / "entries.csv").read_bytes()
-    assert b"-0.0," in written or b"-0.0\r" in written
-
-
-@pytest.mark.parametrize("text, level", [
-    ("exp(-absnu)", 60),  # a dense matrix takes 28.6 MB
-    ("exp(-0.5*absnu)/(1+0.3*x1^2+0.6*x2^2)", 30),  # 900k values to format at N = 60
-], ids=["multiplier", "four-block"])
-def test_csv_export_builds_no_dense_matrix(tmp_path, text, level):
-    m = assemble_matrix(parse_symbol(text, 2), TruncationSpec(2, level))
-    dense = 8 * m.size**2
-    tracemalloc.start()
-    try:
-        export_matrix_csv(m, str(tmp_path / "m.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dense / 4, peak / dense
-
-
-@pytest.mark.parametrize("sym, described", [
-    (parse_symbol("exp(-absnu)/(1+x1^2)", 1), "expression 'exp(-absnu)/(1+x1^2)'"),
-    (table_symbol(1, [_TABLE_GRID], {(k,): 1.0 / (1.0 + _TABLE_GRID**2) for k in range(4)}),
-     "tabulated grid"),
-], ids=["expression", "table"])
-def test_csv_sidecar_describes_the_symbol(tmp_path, sym, described):
-    path = tmp_path / "mat.csv"
-    export_matrix_csv(assemble_matrix(sym, TruncationSpec(1, 3), q=12), str(path))
-    assert json.loads((tmp_path / "mat.csv.meta.json").read_text())["symbol"] == described

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from hspec import (
-    CoefficientVector,
     CriterionPreconditionError,
     TruncationSpec,
-    apply_matrix,
     assemble_matrix,
     build_report,
     builtin_symbol,
@@ -262,8 +260,6 @@ def test_diagonal_operator_matches_dense_lapack(sym):
     one = _as_one_dense_block(m)
     assert np.array_equal(one.entries, m.entries)
     assert np.array_equal(singular_values(one), singular_values(m))
-    c = CoefficientVector(m.spec, np.cos(np.arange(m.size)))
-    assert np.array_equal(apply_matrix(one, c).values, apply_matrix(m, c).values)
     assert spectral_trace(one) == spectral_trace(m) and one.trace() == m.trace()
     assert one.frobenius_squared() == pytest.approx(m.frobenius_squared(), rel=1e-15, abs=0)
     squared = m.column_integrals(squared=True)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hspec import (
-    MultiIndex,
     SymbolError,
     SymbolEvalError,
     SymbolParseError,
@@ -48,6 +47,11 @@ CORPUS = [
     "pi * e / n", "1 + 2 + 3 + 4", "1 - 2 - 3", "2 * 3 / 4",
     "pow(abs(x1), 2)", "sqrt(abs(min(x1, -x2)))", "exp(-max(nu1, nu2))",
 ]
+
+
+def value_at(sym, x, nu):
+    """m(x, nu) at one point x and one index nu."""
+    return float(eval_symbol(sym, x, [nu])[0, 0])
 
 
 def test_corpus_size():
@@ -99,7 +103,7 @@ def test_arity_errors():
 def test_power_family():
     # symbol of the inverse oscillator: (2|nu| + n)^(-sigma)
     s = builtin_symbol("power", 1, sigma=1.0)
-    assert eval_symbol(s, 0.37, MultiIndex((2,))) == pytest.approx(1.0 / 5.0, rel=1e-15)
+    assert value_at(s, 0.37, (2,)) == pytest.approx(1.0 / 5.0, rel=1e-15)
     assert s.is_multiplier and s.claims_positive_selfadjoint
 
 
@@ -107,28 +111,27 @@ def test_power_family_matches_expression():
     s = builtin_symbol("power", 1, sigma=1.0)
     expr = parse_symbol("pow(lam, -1.0)", 1)
     for k in range(6):
-        nu = MultiIndex((k,))
-        assert eval_symbol(expr, 0.0, nu) == pytest.approx(eval_symbol(s, 0.0, nu), rel=1e-15)
+        assert value_at(expr, 0.0, (k,)) == pytest.approx(value_at(s, 0.0, (k,)), rel=1e-15)
 
 
 def test_heat_family():
     s = builtin_symbol("heat", 1, t=1.0)
-    assert eval_symbol(s, 0.0, MultiIndex((0,))) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert value_at(s, 0.0, (0,)) == pytest.approx(math.exp(-1.0), rel=1e-15)
     for k in range(40):
-        assert eval_symbol(s, 0.0, MultiIndex((k,))) > 0
+        assert value_at(s, 0.0, (k,)) > 0
 
 
 def test_power_positive_decreasing():
     s = builtin_symbol("power", 1, sigma=0.7)
-    vals = [eval_symbol(s, 0.0, MultiIndex((k,))) for k in range(30)]
+    vals = [value_at(s, 0.0, (k,)) for k in range(30)]
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_bandlimit_family():
     s = builtin_symbol("bandlimit", 2, cutoff=3)
-    assert eval_symbol(s, (0.1, 0.2), MultiIndex((1, 2))) == 1.0
-    assert eval_symbol(s, (0.1, 0.2), MultiIndex((2, 2))) == 0.0
+    assert value_at(s, (0.1, 0.2), (1, 2)) == 1.0
+    assert value_at(s, (0.1, 0.2), (2, 2)) == 0.0
 
 
 def test_builtin_param_validation():
@@ -148,13 +151,13 @@ def test_builtin_rejects_dimension_below_one():
 
 def test_multiplier_value():
     s = parse_symbol("1/absnu", 1)
-    assert multiplier_value(s, MultiIndex((4,))) == eval_symbol(s, 0.3, MultiIndex((4,))) == 0.25
+    assert multiplier_value(s, [(4,)]).tolist() == [value_at(s, 0.3, (4,))] == [0.25]
     with pytest.raises(SymbolEvalError, match="not finite"):
-        multiplier_value(s, MultiIndex((0,)))
+        multiplier_value(s, [(0,)])
     with pytest.raises(SymbolEvalError, match="not finite"):
-        multiplier_value(builtin_symbol("heat", 1, t=-1000.0), MultiIndex((3,)))
+        multiplier_value(builtin_symbol("heat", 1, t=-1000.0), [(3,)])
     with pytest.raises(ValueError, match="depends on x"):
-        multiplier_value(parse_symbol("x1", 1), MultiIndex((0,)))
+        multiplier_value(parse_symbol("x1", 1), [(0,)])
 
 
 @pytest.mark.parametrize("sym, reference", [
@@ -168,10 +171,10 @@ def test_multiplier_value_on_an_index_array_is_bitwise_per_index(sym, reference)
     spec = TruncationSpec(2, 20)
     got = multiplier_value(sym, spec.array)
     assert got.shape == (spec.size,)
-    per_index = [multiplier_value(sym, nu) for nu in spec.indices]
+    per_index = [float(multiplier_value(sym, [nu])[0]) for nu in spec.array.tolist()]
     assert got.tolist() == per_index
     if reference is not None:
-        assert per_index == [float(reference(nu.entries)) for nu in spec.indices]
+        assert per_index == [float(reference(nu)) for nu in spec.array.tolist()]
 
 
 def test_multiplier_value_on_an_index_array_names_the_first_bad_index():
@@ -185,37 +188,36 @@ def test_multiplier_value_on_an_index_array_names_the_first_bad_index():
 
 def test_expression_evaluation():
     s = parse_symbol("exp(-(x1^2))*exp(-absnu)", 1)
-    got = eval_symbol(s, 0.5, MultiIndex((3,)))
+    got = value_at(s, 0.5, (3,))
     assert got == pytest.approx(math.exp(-0.25) * math.exp(-3.0), rel=1e-14)
 
 
 def test_unary_minus_binds_before_power():
     # per the grammar, factor := unary ("^" unary)?, so -x1^2 is (-x1)^2
     s = parse_symbol("-x1^2", 1)
-    assert eval_symbol(s, 3.0, MultiIndex((0,))) == pytest.approx(9.0, rel=1e-15)
+    assert value_at(s, 3.0, (0,)) == pytest.approx(9.0, rel=1e-15)
 
 
 def test_multiplier_constant_in_x():
     s = parse_symbol("exp(-absnu) + 1/lam", 1)
     rng = np.random.default_rng(7)
-    nu = MultiIndex((4,))
-    vals = {eval_symbol(s, float(x), nu) for x in rng.normal(size=10)}
+    vals = {value_at(s, float(x), (4,)) for x in rng.normal(size=10)}
     assert len(vals) == 1
 
 
 def test_batch_evaluation():
     s = parse_symbol("x1 * exp(-absnu)", 1)
     pts = np.array([[-1.0], [0.0], [2.0]])
-    got = eval_symbol(s, pts, MultiIndex((1,)))
+    got = eval_symbol(s, pts, [(1,)])[0]
     assert got == pytest.approx(np.array([-1.0, 0.0, 2.0]) * math.exp(-1.0), rel=1e-14)
 
 
 def test_eval_error_names_inputs():
     s = parse_symbol("log(x1)", 1)
     with pytest.raises(SymbolEvalError, match="nu=\\(1,\\)"):
-        eval_symbol(s, -2.0, MultiIndex((1,)))
+        value_at(s, -2.0, (1,))
     with pytest.raises(SymbolEvalError):
-        eval_symbol(parse_symbol("1/x1", 1), 0.0, MultiIndex((0,)))
+        value_at(parse_symbol("1/x1", 1), 0.0, (0,))
 
 
 @pytest.mark.parametrize("text", [
@@ -231,7 +233,7 @@ def test_index_array_evaluation_matches_eval_symbol(text):
     got = eval_symbol(s, pts, nus)
     assert got.shape[1:] == (9,)
     for k, nu in enumerate(nus):
-        want = eval_symbol(s, pts, MultiIndex(tuple(int(v) for v in nu)))
+        want = eval_symbol(s, pts, nu[None])[0]
         assert np.allclose(np.broadcast_to(got, (3, 9))[k], want, rtol=1e-15, atol=0.0)
     if "nu" not in text:
         assert got.shape[0] == 1  # evaluated on the M points only
@@ -272,7 +274,7 @@ def test_index_array_evaluation_names_the_first_bad_point_like_eval_symbol():
     with pytest.raises(SymbolEvalError) as batch_err:
         eval_symbol(s, pts, [[0, 0], [1, 0]])
     with pytest.raises(SymbolEvalError) as point_err:
-        eval_symbol(s, pts, MultiIndex((0, 0)))
+        eval_symbol(s, pts, [(0, 0)])
     assert str(batch_err.value) == str(point_err.value)
     assert str(batch_err.value) == "symbol evaluation not finite at x=(0.0, -1.0), nu=(0, 0)"
     corners = np.array([(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)])
@@ -320,8 +322,8 @@ def test_grid_nodes_give_the_tensor_grid_batch():
                               eval_symbol(s, pts, [[0, 0], [1, 0]]))
         assert np.array_equal(symbol_sampler(s, nodes)([[1, 0]]),
                               eval_symbol(s, pts, [[1, 0]]))
-    assert eval_symbol(parse_symbol("x1 - 2*x2", 2), nodes, MultiIndex((0, 0)),
-                       grid=True).shape == (9,)
+    assert eval_symbol(parse_symbol("x1 - 2*x2", 2), nodes, [(0, 0)],
+                       grid=True).shape == (1, 9)
     for bad in (nodes[:, :1], nodes.ravel()):
         with pytest.raises(ValueError, match="grid nodes have shape"):
             eval_symbol(parse_symbol("x1", 2), bad, [[0, 0]], grid=True)
@@ -343,12 +345,12 @@ def test_sampler_reports_a_bad_nu_free_subtree_like_eval_symbol():
 def test_table_symbol():
     grid = np.linspace(-3, 3, 61)
     s = table_symbol(1, [grid], {(0,): np.exp(-grid**2), (1,): 0.5 * np.exp(-grid**2)})
-    assert eval_symbol(s, 0.0, MultiIndex((0,))) == pytest.approx(1.0, rel=1e-12)
-    assert eval_symbol(s, 0.0, MultiIndex((1,))) == pytest.approx(0.5, rel=1e-12)
+    assert value_at(s, 0.0, (0,)) == pytest.approx(1.0, rel=1e-12)
+    assert value_at(s, 0.0, (1,)) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(SymbolEvalError, match="no values for nu"):
-        eval_symbol(s, 0.0, MultiIndex((2,)))
+        value_at(s, 0.0, (2,))
     with pytest.raises(SymbolEvalError, match="outside tabulated hull"):
-        eval_symbol(s, 4.0, MultiIndex((0,)))
+        value_at(s, 4.0, (0,))
 
 
 def test_table_symbol_2d():
@@ -356,8 +358,8 @@ def test_table_symbol_2d():
     vals = np.add.outer(g**2, g**2)
     s = table_symbol(2, [g, g], {(0, 0): vals})
     # (0.4, -0.6) lies on the grid: exact; (0.5, -0.5) is the bilinear value
-    assert eval_symbol(s, (0.4, -0.6), MultiIndex((0, 0))) == pytest.approx(0.52, abs=1e-12)
-    assert eval_symbol(s, (0.5, -0.5), MultiIndex((0, 0))) == pytest.approx(0.52, abs=1e-12)
+    assert value_at(s, (0.4, -0.6), (0, 0)) == pytest.approx(0.52, abs=1e-12)
+    assert value_at(s, (0.5, -0.5), (0, 0)) == pytest.approx(0.52, abs=1e-12)
 
 
 @pytest.mark.parametrize("grids, message", [
@@ -390,10 +392,28 @@ def test_json_round_trip(tmp_path):
         path = tmp_path / "sym.json"
         path.write_text(json.dumps(doc))
         loaded = load_symbol(path)
-        nu = MultiIndex((0,))
-        assert eval_symbol(loaded, 0.25, nu) == pytest.approx(
-            eval_symbol(spec, 0.25, nu), rel=1e-14
+        assert value_at(loaded, 0.25, (0,)) == pytest.approx(
+            value_at(spec, 0.25, (0,)), rel=1e-14
         )
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "expression", "expr": "x1", "multiplier": True},
+     "document claims multiplier=True but the expression has x-dependence"),
+    ({"kind": "expression", "expr": "exp(-absnu)", "multiplier": False},
+     "document claims multiplier=False but the expression has no x-dependence"),
+    ({"kind": "builtin", "family": "heat", "params": {"t": 1.0}, "multiplier": False},
+     "document claims multiplier=False but the builtin has no x-dependence"),
+    ({"kind": "table", "table": {"grids": [[-1, 0, 1]], "values": {"0": [1, 2, 3]}},
+      "multiplier": True},
+     "document claims multiplier=True but the table has x-dependence"),
+], ids=["expression", "expression-free-of-x", "builtin", "table"])
+def test_a_multiplier_claim_must_agree_with_the_kind(doc, message):
+    with pytest.raises(SymbolError) as raised:
+        symbol_from_dict({"dim": 1, **doc})
+    assert str(raised.value) == message
+    # the claim that agrees loads
+    assert symbol_from_dict({"dim": 1, **doc, "multiplier": not doc["multiplier"]})
 
 
 def test_bad_documents(tmp_path):
@@ -401,8 +421,6 @@ def test_bad_documents(tmp_path):
         symbol_from_dict({"kind": "expression"})
     with pytest.raises(SymbolError, match="unknown symbol kind"):
         symbol_from_dict({"kind": "mystery", "dim": 1})
-    with pytest.raises(SymbolError, match="multiplier"):
-        symbol_from_dict({"kind": "expression", "dim": 1, "expr": "x1", "multiplier": True})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SymbolError, match="not valid JSON"):
