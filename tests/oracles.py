@@ -10,7 +10,8 @@ replaces: D x q^n tables of tensor products of a rule's basis rows, summed
 over the whole grid at once.  They read the rule's nodes and basis and
 nothing of the contraction, chunking or box indexing they check.  And it holds
 the truncated kernel K_m(x, y) = sum over |nu| <= N of m(x, nu) phi_nu(x)
-phi_nu(y), summed term by term from hermite_table.
+phi_nu(y), summed term by term from hermite_table, and the rank of a
+multi-index, read from a truncation's array.
 """
 
 import math
@@ -87,6 +88,11 @@ def dense_coefficients(f, spec, q):
     half = 1 / np.sqrt(np.sum(hermite_table(q - 1, rule.nodes) ** 2, axis=0))
     samples = f(points[:, 0] if spec.dim == 1 else points)
     return basis @ (np.prod(half[idx], axis=0) * samples)
+
+
+def rank(spec, nu):
+    """The rank of the multi-index nu: its row in spec.array."""
+    return int(np.flatnonzero((spec.array == nu).all(axis=1))[0])
 
 
 def basis_at(spec, x):

@@ -739,6 +739,12 @@ DIRECTORY = object()  # the symbol path is a directory
     (("trace",), b'\xff\xfe{"kind": "expression"}'),
     (("trace",), "{not json"),
     (("analyze",), DIRECTORY),
+    # a "multiplier" claim is checked against every kind
+    (("analyze",), {"kind": "expression", "dim": 1, "expr": "x1", "multiplier": True}),
+    (("criteria",), {"kind": "builtin", "dim": 1, "family": "heat", "params": {"t": 1},
+                     "multiplier": False}),
+    (("trace",), {"kind": "table", "dim": 1, "multiplier": True, "table": {
+        "grids": [[-20, 20]], "values": {"0": [1, 2], "1": [1, 2], "2": [1, 2], "3": [1, 2]}}}),
 ], ids=["r-inf", "r-nan", "sigma-nan", "sigma-inf", "sigma-nan-unread", "param-inf", "param-nan",
         "file-param-infinity", "file-param-overflow", "file-param-null", "file-param-list",
         "table-list", "table-without-values", "psd-string", "multiplier-string", "table-hull",
@@ -746,7 +752,8 @@ DIRECTORY = object()  # the symbol path is a directory
         "table-grid-not-a-list", "table-grid-overflow", "table-value-overflow-unread",
         "table-value-overflow-read", "table-grid-string", "table-value-null",
         "table-grid-descending", "file-unknown-family", "file-wrong-param", "file-dim-0",
-        "undecodable-bytes", "not-json", "symbol-is-a-directory"])
+        "undecodable-bytes", "not-json", "symbol-is-a-directory", "file-multiplier-expression",
+        "file-multiplier-builtin", "file-multiplier-table"])
 def test_non_finite_and_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, args, doc):
     if doc is not None:
         sym = tmp_path / "sym.json"

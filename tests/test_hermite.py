@@ -13,6 +13,8 @@ from hspec.hermite import DENSE_JACOBI_MAX_ORDER, quadrature_order
 
 # frozen from tests/oracles.py phi_mp at 50 digits
 PHI_4_AT_0P7 = -0.23036447379803544656
+PHI_2_AT_0P3 = -0.41635917055704163841
+PHI_3_AT_M0P4 = 0.42914408535388808286
 # past |x| = 38.6, where the Gaussian factor e^(-x^2/2) alone underflows
 PHI_AT_LARGE_X = [
     (800, 38.3, 0.23370145187074941018),
@@ -37,6 +39,16 @@ def test_odd_parity_kills_origin():
 
 def test_degree4_oracle():
     assert phi(4, 0.7) == pytest.approx(PHI_4_AT_0P7, abs=1e-13)
+
+
+def test_multi_tensor_product():
+    # phi_nu(x) = prod_j phi_{nu_j}(x_j), read from one table at the coordinates of x
+    def phi_nu(nu, x):
+        return float(np.prod(hermite_table(max(nu), x)[list(nu), np.arange(len(x))]))
+
+    assert phi_nu((0, 0), [0.0, 0.0]) == pytest.approx(math.pi ** -0.5, abs=1e-15)
+    assert phi_nu((1, 0), [0.0, 5.0]) == 0.0
+    assert phi_nu((2, 3), [0.3, -0.4]) == pytest.approx(PHI_2_AT_0P3 * PHI_3_AT_M0P4, abs=1e-13)
 
 
 def test_nonfinite_rejected():

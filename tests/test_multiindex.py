@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hspec import TruncationSpec
+from oracles import rank
 
 
 def brute_force_level(n, s):
@@ -43,15 +44,35 @@ def test_level_counts_and_uniqueness(n, s):
     assert all(sum(nu) == s for nu in out)
 
 
+def test_rank_dim1():
+    spec = TruncationSpec(1, 3)
+    assert rank(spec, (0,)) == 0
+    assert rank(spec, (3,)) == 3
+
+
 def test_graded_order_n2():
     spec = TruncationSpec(2, 1)
     assert spec.array.tolist() == [[0, 0], [1, 0], [0, 1]]
+
+
+def test_unrank_n2():
+    assert tuple(TruncationSpec(2, 2).array[5].tolist()) == (0, 2)
 
 
 def test_size_is_binomial():
     for n in range(1, 4):
         for level in range(6):
             assert TruncationSpec(n, level).size == comb(level + n, n)
+
+
+def test_rejections():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        TruncationSpec(0, 2)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        TruncationSpec(2, -1)
+    # the array is shared by every reader of the truncation, so it is read-only
+    with pytest.raises(ValueError, match="read-only"):
+        TruncationSpec(2, 2).array[0, 0] = 1
 
 
 def test_grading_respected():
@@ -64,6 +85,17 @@ def test_prefix_nesting():
     shallow = TruncationSpec(2, 3)
     deep = TruncationSpec(2, 6)
     assert np.array_equal(deep.array[: shallow.size], shallow.array)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 7), st.data())
+def test_rank_unrank_inverse(n, level, data):
+    # the rows are distinct, so the rank of the row at i is i
+    spec = TruncationSpec(n, level)
+    i = data.draw(st.integers(0, spec.size - 1))
+    assert rank(spec, spec.array[i]) == i
+    nu = tuple(spec.array[data.draw(st.integers(0, spec.size - 1))].tolist())
+    assert tuple(spec.array[rank(spec, nu)].tolist()) == nu
 
 
 def test_shells_cover_everything():

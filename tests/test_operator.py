@@ -25,14 +25,14 @@ from hspec import (
     symbol_sampler,
     table_symbol,
 )
-from oracles import dense_basis, dense_coefficients, dense_sums, kernel_sum, mehler_heat_kernel
+from oracles import (dense_basis, dense_coefficients, dense_sums, kernel_sum, mehler_heat_kernel,
+                     rank)
+
+# frozen from a 4Q mpmath quadrature of <e^(-x^2), phi_k>
+INNER_GAUSS_PHI0 = 1.0870307726111884785  # = pi^(-1/4) sqrt(2 pi / 3)
+INNER_GAUSS_PHI2 = -0.25621561022394111639
 
 ONE = parse_symbol("1", 1)
-
-
-def rank(spec, nu):
-    """The rank of the multi-index nu: its row in spec.array."""
-    return int(np.flatnonzero((spec.array == nu).all(axis=1))[0])
 
 
 def test_identity_symbol_gives_identity_matrix():
@@ -631,3 +631,59 @@ def test_two_dim_identity_by_quadrature():
     sym = parse_symbol("1 + 0 * x1 * x2", 2)
     m = assemble_matrix(sym, spec, q=20, doubling_check=False)
     assert np.abs(m.entries - np.eye(spec.size)).max() < 1e-11
+
+
+@pytest.mark.parametrize("dim, level, q", [(2, 6, 14), (3, 3, 9), (1, 700, 732)])
+def test_first_column_is_the_coefficients_of_m_phi_0(dim, level, q):
+    # M[mu, 0] = <m phi_0, phi_mu>: the sum factorization against one dense
+    # sum of m phi_0 times the half weights, which never meets the basis row 0
+    spec = TruncationSpec(dim, level)
+    shifted = "+".join(f"(x{j + 1}-0.3)^2" for j in range(dim))
+    sym = parse_symbol(f"exp(-({shifted}))*(1+x1)", dim)
+
+    def f(x):
+        x = x.reshape(len(x), -1)
+        m = np.exp(-np.sum((x - 0.3) ** 2, axis=1)) * (1 + x[:, 0])
+        return m * math.pi ** (-dim / 4) * np.exp(-0.5 * np.sum(x * x, axis=1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = dense_coefficients(f, spec, q)
+        got = assemble_matrix(sym, spec, q, doubling_check=False).entries[:, 0]
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_gaussian_column_against_oracle():
+    # m phi_0 = e^(-x^2), so column 0 holds <e^(-x^2), phi_k>
+    spec = TruncationSpec(1, 4)
+    col = assemble_matrix(parse_symbol("pi^0.25*exp(-0.5*x1^2)", 1), spec, q=48,
+                          doubling_check=False).entries[:, 0]
+    assert col[0] == pytest.approx(INNER_GAUSS_PHI0, abs=1e-12)
+    assert col[2] == pytest.approx(INNER_GAUSS_PHI2, abs=1e-12)
+    assert abs(col[1]) < 1e-14 and abs(col[3]) < 1e-14
+
+
+def test_the_matrix_is_linear_in_the_symbol():
+    # T_(a + 2b) = T_a + 2 T_b; the even a and odd b run on the folded grid,
+    # their sum, neither, on the whole grid
+    spec = TruncationSpec(1, 5)
+    a, b = "exp(-absnu)/(1+x1^2)", "x1*exp(-0.5*absnu)/(1+x1^2)"
+
+    def matrix(text):
+        return assemble_matrix(parse_symbol(text, 1), spec, q=32, doubling_check=False).entries
+
+    combined = matrix(f"{a} + 2*({b})")
+    assert np.abs(combined - (matrix(a) + 2 * matrix(b))).max() < 1e-14 * np.abs(combined).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_worst_column_names_nu_as_a_tuple_of_ints(dim):
+    # the warning prints it as nu=(4,) in 1-D and nu=(4, 0) in 2-D
+    scales = "+".join(f"{c}*x{j + 1}^2" for j, c in enumerate((4, 2, 3)[:dim]))
+    spec = TruncationSpec(dim, 4)
+    nu, change = assemble_matrix(parse_symbol(f"exp(-absnu)/(1+{scales})", dim), spec,
+                                 q=6).worst_column
+    assert type(nu) is tuple and len(nu) == dim and all(type(k) is int for k in nu)
+    assert nu == tuple(spec.array[rank(spec, nu)].tolist())
+    assert str(nu) == "(" + ", ".join(map(str, nu)) + ("," if dim == 1 else "") + ")"
+    assert type(change) is float and change > 0

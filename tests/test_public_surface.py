@@ -1,8 +1,12 @@
-"""The package's public surface: the names it exports, and the rule that no
-module imports another hspec module's private names."""
+"""The package's public surface: the names it exports, the rule that no
+module imports another hspec module's private names, and the library API
+that no report reads, which is gone with no alias."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import hspec
 
@@ -42,3 +46,42 @@ def test_no_module_imports_a_private_name_from_another_hspec_module():
             found += [f"{path.name}:{node.lineno} {alias.name}"
                       for alias in node.names if _private(alias.name)]
     assert found == []
+
+
+def test_hermite_and_symbol_import_nothing_from_multiindex():
+    found = []
+    for name in ("hermite.py", "symbol.py"):
+        for node in ast.walk(ast.parse((SOURCE / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("multiindex"):
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno}" for alias in node.names
+                          if alias.name.endswith("multiindex")]
+    assert found == []
+
+
+# per module, the attributes deleted with the API that no command or report read
+DELETED = {
+    "hspec": ["MultiIndex", "enumerate_level", "eval_hermite_1d", "eval_hermite_multi",
+              "oscillator_eigenvalue", "CoefficientVector", "analyze", "apply_matrix",
+              "export_matrix_csv", "kernel_eval", "synthesize"],
+    "hspec.operator": ["CoefficientVector", "analyze", "synthesize", "apply_matrix",
+                       "kernel_eval", "_basis_at", "export_matrix_csv", "json"],
+    "hspec.multiindex": ["MultiIndex", "enumerate_level", "TruncationSpec.indices",
+                         "TruncationSpec.rank", "TruncationSpec.unrank"],
+    "hspec.hermite": ["eval_hermite_1d", "eval_hermite_multi", "oscillator_eigenvalue",
+                      "QuadratureRule.integrate", "QuadratureRule.half_weights"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(DELETED))
+def test_the_deleted_api_has_no_alias(module):
+    def has(path):
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    assert [path for path in DELETED[module] if has(path)] == []

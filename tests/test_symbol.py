@@ -160,6 +160,25 @@ def test_multiplier_value():
         multiplier_value(parse_symbol("x1", 1), [(0,)])
 
 
+def test_lam_is_the_oscillator_eigenvalue():
+    # H phi_nu = (2|nu| + n) phi_nu for H = -Laplacian + |x|^2 on R^n
+    for nu, lam in [((0,), 1.0), ((1, 2), 8.0), ((0, 0, 0), 3.0)]:
+        sym = parse_symbol("lam", len(nu))
+        assert multiplier_value(sym, [nu]).tolist() == [lam]
+        assert eval_symbol(sym, np.zeros(len(nu)), [nu]).tolist() == [[lam]]
+
+
+@pytest.mark.parametrize("nu, shape", [((1, 2), "(2,)"), ([(1, 2, 0)], "(1, 3)")],
+                         ids=["one-index", "wrong-width"])
+def test_an_index_array_of_the_wrong_shape_is_refused(nu, shape):
+    # indices are (c, n) arrays only: one index on its own is not read as a row
+    message = re.escape(f"index array has shape {shape}, expected (c, 2)")
+    with pytest.raises(ValueError, match=message):
+        eval_symbol(parse_symbol("x1*exp(-absnu)", 2), [0.5, 0.5], nu)
+    with pytest.raises(ValueError, match=message):
+        multiplier_value(parse_symbol("exp(-absnu)", 2), nu)
+
+
 @pytest.mark.parametrize("sym, reference", [
     (builtin_symbol("power", 2, sigma=1.7), lambda nu: (2 * sum(nu) + 2) ** -1.7),
     (builtin_symbol("heat", 2, t=0.3), lambda nu: math.exp(-0.3 * (2 * sum(nu) + 2))),
