@@ -6,16 +6,8 @@ the tool reports partial sums per spectral shell together with a tail fit
 that classifies the growth as converging, diverging, or inconclusive.
 """
 
-from hspec import (
-    TruncationSpec,
-    builtin_symbol,
-    check_hilbert_schmidt,
-    check_multiplier_schatten,
-    check_sr_sigma,
-    check_sr_small,
-    check_trace_class_positive,
-    parse_symbol,
-)
+from hspec import TruncationSpec, builtin_symbol, check_multiplier_schatten, parse_symbol
+from hspec.criteria import criteria
 
 
 def show(v):
@@ -29,18 +21,19 @@ def show(v):
 print("== Heat semigroup symbol e^(-t(2|nu|+n)), t=1: everything converges ==")
 heat = builtin_symbol("heat", 1, t=1.0)
 spec = TruncationSpec(1, 40)
-show(check_hilbert_schmidt(heat, spec))
-show(check_trace_class_positive(heat, spec))
-show(check_sr_small(heat, spec, r=0.5))
-show(check_sr_sigma(heat, spec, r=1.5, sigma=1.0))
+# one verdict per r, and TraceClass-iff after r = 1, as the symbol claims positivity
+small, hs, _, trace_class, weighted = criteria(heat, spec, None, (0.5, 2.0, 1.0, 1.5), sigma=1.0)
+for v in (hs, trace_class, small, weighted):
+    show(v)
 
 print("\n== Inverse oscillator powers (2|nu|+n)^(-sigma): a sharp threshold ==")
 spec = TruncationSpec(1, 2000)
 for sigma in (0.3, 1.0, 2.0):
     sym = builtin_symbol("power", 1, sigma=sigma)
     print(f"sigma = {sigma}:")
-    show(check_hilbert_schmidt(sym, spec))
-    show(check_trace_class_positive(sym, spec))
+    hs, _, trace_class = criteria(sym, spec, None, (2.0, 1.0))
+    show(hs)
+    show(trace_class)
 
 print("\n== Multiplier fast path: S_p membership of the inverse oscillator ==")
 print("sum (2k+1)^(-p) converges exactly when p > 1 (dimension 1):")
@@ -54,7 +47,7 @@ for p in (0.9, 1.0, 1.2, 2.0):
 
 print("\n== An x-dependent symbol ==")
 sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
-v = check_hilbert_schmidt(sym, TruncationSpec(1, 30), q=100)
+(v,) = criteria(sym, TruncationSpec(1, 30), 100, (2.0,))
 show(v)
 print(f"  cross-check: ||M||_F^2 agrees with the direct sum to "
       f"{v['extras']['relative_gap']:.2e} relative")

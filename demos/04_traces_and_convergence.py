@@ -12,11 +12,10 @@ from hspec import (
     TruncationSpec,
     assemble_matrix,
     builtin_symbol,
+    compare_traces,
     parse_symbol,
     schatten_norm,
     singular_values,
-    spectral_trace,
-    trace_formula,
 )
 
 print("== Heat semigroup trace: formula vs spectrum vs closed form ==")
@@ -27,17 +26,17 @@ print(f"closed form sum_k e^(-(2k+1)t) = 1/(2 sinh t) = {limit:.15f}")
 print(f"{'N':>4}  {'formula trace':>18}  {'spectral trace':>18}  {'gap to limit':>12}")
 for n_level in (5, 10, 20, 40):
     spec = TruncationSpec(1, n_level)
-    m = assemble_matrix(heat, spec)
-    tf = trace_formula(heat, spec)
-    st = spectral_trace(m)
+    traces = compare_traces(assemble_matrix(heat, spec))
+    tf, st = traces["formula_trace"], traces["spectral_trace"]
     print(f"{n_level:>4}  {tf:>18.15f}  {st:>18.15f}  {abs(tf - limit):>12.3e}")
 
 print("\n== The same comparison for a genuine pseudo-multiplier ==")
 sym = parse_symbol("exp(-lam) + 0 * x1", 1, positive_selfadjoint=True)
 spec = TruncationSpec(1, 25)
 m = assemble_matrix(sym, spec, q=80)
-tf = trace_formula(sym, spec, q=80)
-st = spectral_trace(m)
+# the formula sums the order-80 column integrals; the kept matrix is the order-160 one
+traces = compare_traces(m)
+tf, st = traces["formula_trace"], traces["spectral_trace"]
 print(f"symbol {sym.text!r} assembled by quadrature, N=25, Q=80:")
 print(f"formula trace  = {tf:.15f}")
 print(f"spectral trace = {st:.15f}")
@@ -57,7 +56,7 @@ sym = builtin_symbol("power", 1, sigma=2.0)
 limit = math.pi**2 / 8.0
 prev = None
 for n_level in (10, 100, 1000, 10000):
-    tf = trace_formula(sym, TruncationSpec(1, n_level))
+    tf = compare_traces(assemble_matrix(sym, TruncationSpec(1, n_level)))["formula_trace"]
     shrink = "" if prev is None else f"  (gap shrank {prev / abs(tf - limit):.1f}x)"
     print(f"N = {n_level:>6}: partial trace = {tf:.12f}, gap = {abs(tf - limit):.3e}{shrink}")
     prev = abs(tf - limit)

@@ -4,6 +4,7 @@ formulas checked against computed spectra."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
 from .multiindex import TruncationSpec
 from .hermite import QuadratureRule, gauss_hermite_rule, hermite_table
 from .symbol import (
@@ -29,23 +30,18 @@ from .operator import OperatorMatrix, assemble_matrix, column_integrals
 from .schatten import (
     build_report,
     compare_traces,
-    hilbert_schmidt_direct,
     schatten_norm,
     schatten_sum,
     singular_values,
     spectral_trace,
-    trace_formula,
 )
 from .criteria import (
     CriterionPreconditionError,
-    check_hilbert_schmidt,
     check_multiplier_schatten,
-    check_sr_sigma,
-    check_sr_small,
-    check_trace_class_positive,
     classify_tail,
     default_sigma,
     sigma_lower_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _Module)]

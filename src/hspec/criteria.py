@@ -94,16 +94,6 @@ def _verdict(name: str, spec: TruncationSpec, terms: np.ndarray,
     }
 
 
-def _operator_and_squares(sym: SymbolSpec, spec: TruncationSpec, q: int | None,
-                          matrix: bool) -> tuple[OperatorMatrix | None, np.ndarray]:
-    # (operator, squared column integrals) of one order-q pass; the operator is
-    # None unless a verdict reads it or it is a multiplier's, which costs no quadrature
-    if matrix or sym.is_multiplier:
-        m = assemble_matrix(sym, spec, q, doubling_check=False)
-        return m, m.column_integrals(squared=True)
-    return None, column_integrals(sym, spec, q, squared=True)
-
-
 def _hilbert_schmidt(spec: TruncationSpec, terms: np.ndarray,
                      m: OperatorMatrix | None) -> dict:
     """HS-iff on the terms, cross-checked on m, the matrix of their pass, if given."""
@@ -166,6 +156,9 @@ def default_sigma(dim: int, r: float) -> float:
 
 def _sr_sigma(spec: TruncationSpec, r: float, sigma: float | None,
               squared: np.ndarray) -> dict:
+    """The squared column integrals weighted by (2|nu|+n)^(2 sigma), sigma >
+    n(1/r - 1/2).  The weight 2|nu|+n rather than |nu| (the two are
+    comparable) keeps the nu = 0 term non-degenerate."""
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
     bound = sigma_lower_bound(spec.dim, r)
@@ -189,13 +182,24 @@ def criteria(
     rs: tuple[float, ...] = (1.0, 2.0), sigma: float | None = None,
 ) -> list[dict]:
     """Verdicts for each r in order: HS-iff at r = 2, Sr-sufficient for r <= 1
-    (then TraceClass-iff at r = 1 if the symbol claims positivity), Sr-sigma
-    for 1 < r < 2.  All read one order-q pass, its matrix only if read."""
+    (then TraceClass-iff at r = 1 if the symbol claims positivity, else none),
+    Sr-sigma for 1 < r < 2 (_sr_sigma).  All read one order-q pass: its column
+    integrals, and its matrix if a verdict reads it or the symbol is a multiplier.
+
+    Up to 512 basis functions, HS-iff records the squared Frobenius norm of
+    the matrix and its relative gap to the sum, by Bessel's inequality the
+    leakage past the truncation.  TraceClass-iff first verifies the claim on
+    the matrix: symmetry to 1e-8 relative in the max norm, smallest
+    eigenvalue >= -1e-8 ||M||_F."""
     if any(r > 2.0 for r in rs):
         raise ValueError(f"no criterion applies for r > 2, got {max(rs)}")
     trace_class = 1.0 in rs and sym.claims_positive_selfadjoint
     cross_check = 2.0 in rs and spec.size <= CROSS_CHECK_MAX_SIZE
-    m, squared = _operator_and_squares(sym, spec, q, trace_class or cross_check)
+    if trace_class or cross_check or sym.is_multiplier:
+        m = assemble_matrix(sym, spec, q, doubling_check=False)
+        squared = m.column_integrals(squared=True)
+    else:
+        m, squared = None, column_integrals(sym, spec, q, squared=True)
     verdicts = []
     for r in rs:
         if r == 2.0:
@@ -207,57 +211,6 @@ def criteria(
         else:
             verdicts.append(_sr_sigma(spec, r, sigma, squared))
     return verdicts
-
-
-def check_hilbert_schmidt(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
-) -> dict:
-    """Hilbert-Schmidt criterion: sum of the integrals of |m(x,nu)|^2 phi_nu^2.
-
-    For truncations up to 512 basis functions the extras hold the squared
-    Frobenius norm of the order-q matrix of the same pass and its relative
-    gap to the direct sum, by Bessel's inequality the leakage past the truncation.
-    """
-    return criteria(sym, spec, q, (2.0,))[0]
-
-
-def check_trace_class_positive(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
-) -> dict:
-    """Trace-class criterion for positive self-adjoint operators: sum of the
-    integrals of m(x,nu) phi_nu^2.
-
-    Refuses to run unless the symbol claims positive self-adjointness, and
-    verifies the claim on the order-q matrix of the pass that gives the sum
-    (symmetry to 1e-8 relative in the max norm, smallest eigenvalue >= -1e-8 ||M||).
-    """
-    if not sym.claims_positive_selfadjoint:
-        raise CriterionPreconditionError(
-            "trace-class criterion requires the symbol to claim positive "
-            "self-adjointness (positive_selfadjoint flag unset)"
-        )
-    return _trace_class(_operator_and_squares(sym, spec, q, True)[0])
-
-
-def check_sr_small(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, r: float = 1.0
-) -> dict:
-    """Sufficient S_r criterion for 0 < r <= 1: sum of the r/2 powers of the
-    column integrals of |m(x,nu)|^2 phi_nu^2."""
-    return _sr_small(spec, r, *_operator_and_squares(sym, spec, q, False))
-
-
-def check_sr_sigma(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None,
-    r: float = 1.5, sigma: float | None = None,
-) -> dict:
-    """Sufficient S_r criterion for 1 < r < 2: the column integrals times
-    (2|nu|+n)^(2 sigma), with sigma > n(1/r - 1/2) required.
-
-    The weight uses 2|nu|+n rather than |nu| (the two are comparable), which
-    keeps the nu = 0 term non-degenerate.
-    """
-    return _sr_sigma(spec, r, sigma, _operator_and_squares(sym, spec, q, False)[1])
 
 
 def check_multiplier_schatten(
@@ -275,5 +228,5 @@ def check_multiplier_schatten(
             "this symbol depends on x"
         )
     # a multiplier's operator is its m(nu), each a 1 x 1 block in rank order
-    terms = abs_powers(_operator_and_squares(sym, spec, None, True)[0].scalars, r)
+    terms = abs_powers(assemble_matrix(sym, spec).scalars, r)
     return _verdict("Multiplier-Sr", spec, terms, {"r": r})

@@ -85,7 +85,6 @@ class OperatorMatrix:
     values: tuple[np.ndarray, ...]
     quad_order: int
     assembly_residual: float
-    symbol: SymbolSpec
     columns: tuple[np.ndarray, np.ndarray]
     blocks: tuple[np.ndarray, ...]
     worst_column: tuple[tuple[int, ...], float] | None = None
@@ -438,7 +437,7 @@ def assemble_matrix(
     """
     if sym.is_multiplier:
         q, diag, columns, _ = _discretize(sym, spec, q)
-        return OperatorMatrix(spec, (), q, 0.0, sym, columns, (),
+        return OperatorMatrix(spec, (), q, 0.0, columns, (),
                               singles=np.arange(spec.size), scalars=diag)
     blocks = _parity_blocks(sym, spec)
     layout = _stack_layout(blocks, spec)
@@ -468,5 +467,5 @@ def assemble_matrix(
     values = tuple(values[k, :len(b), :len(b)].T for k, b in enumerate(blocks))
     # a zero, negative or subnormal a(nu) gets no symmetrizer
     normal = a is not None and bool((a >= np.finfo(float).tiny).all())
-    return OperatorMatrix(spec, values, q, residual, sym, columns, blocks, worst,
+    return OperatorMatrix(spec, values, q, residual, columns, blocks, worst,
                           np.sqrt(a) if normal else None)

@@ -1,10 +1,10 @@
 """Spectral analysis of assembled operators: singular values, Schatten sums,
 and the two independent trace computations.
 
-trace_formula sums the diagonal integrals of the symbol (the nuclear-trace
-expression); spectral_trace sums the eigenvalues of the assembled matrix.
-For trace-class operators the two agree, and comparing them is the point of
-this module.
+compare_traces reads both from one assembled operator: its formula_trace
+sums the column integrals of m phi_nu^2 (the nuclear-trace expression), its
+spectral_trace the eigenvalues of the matrix.  For trace-class operators the
+two agree, and comparing them is the point of this module.
 
 An operator is stored as a direct sum of dense blocks (OperatorMatrix.values
 over the index sets OperatorMatrix.blocks) and 1 x 1 blocks
@@ -38,10 +38,8 @@ import warnings
 
 import numpy as np
 
-from .multiindex import TruncationSpec
 # assemble_matrix stays importable from this module for its existing readers
-from .operator import OperatorMatrix, assemble_matrix, column_integrals  # noqa: F401
-from .symbol import SymbolSpec
+from .operator import OperatorMatrix, assemble_matrix  # noqa: F401
 
 IMAG_RESIDUAL_TOL = 1e-8
 # what named_fsum names when the sum of the column integrals overflows
@@ -157,34 +155,14 @@ def spectral_trace(m: OperatorMatrix) -> float:
     return named_fsum(_EIGEN_SUM, np.concatenate(eigs + [m.scalars]))
 
 
-# ---------------------------------------------------------------------------
-# sums of the per-basis-function column integrals of the symbol
-
-def trace_formula(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
-    """Truncated nuclear-trace expression: sum over |nu| <= N of the
-    integrals of m(x,nu) phi_nu(x)^2.
-
-    These are the order-q column integrals, the diagonal of the order-q
-    matrix (exactly m(nu) for a symbol without x).  assemble_matrix keeps the
-    order-2q matrix when its doubling check runs, whose diagonal differs
-    from them by the quadrature error.
-    """
-    return named_fsum(TRACE_SUM, column_integrals(sym, spec, q, squared=False))
-
-
-def hilbert_schmidt_direct(sym: SymbolSpec, spec: TruncationSpec, q: int | None = None) -> float:
-    """Truncated Hilbert-Schmidt criterion sum: sum of the integrals of
-    |m(x,nu)|^2 phi_nu(x)^2 (the squared HS norm of T_m before truncation
-    loss)."""
-    return named_fsum(HS_SUM, column_integrals(sym, spec, q, squared=True))
-
-
 def compare_traces(m: OperatorMatrix) -> dict:
     """The three traces of one assembled operator, in the order they are
     computed: matrix_trace, formula_trace (the sum of its column integrals
     of m phi_nu^2) and spectral_trace, with the assembly_residual and
     residual_warning that say how well its matrix is resolved; a sum that
-    overflows raises FloatingPointError naming it."""
+    overflows raises FloatingPointError naming it.  The column integrals are
+    the order-q ones; after a doubling check the kept matrix is the order-2q
+    one, whose diagonal differs from them by the quadrature error."""
     return {
         "matrix_trace": m.trace(),
         "formula_trace": named_fsum(TRACE_SUM, m.column_integrals(squared=False)),

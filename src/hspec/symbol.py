@@ -672,8 +672,8 @@ def eval_symbol(spec: SymbolSpec, x, nu, *, grid: bool = False):
         if spec.kind == "table":  # interpolated at the q^n points
             pts, grid = np.stack(np.meshgrid(*pts.T, indexing="ij")).reshape(spec.dim, -1).T, False
     else:
-        pts = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(pts.reshape(-1, spec.dim) if pts.ndim > 0 else pts)
+        pts = np.asarray(x, dtype=float)  # a batch keeps its width: no regrouping
+        pts = pts.reshape(-1, pts.shape[-1]) if pts.ndim > 1 else pts.reshape(1, -1)
         if pts.shape[1] != spec.dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, symbol has {spec.dim}")
     shape = (len(pts),) * spec.dim if grid else (len(pts),)

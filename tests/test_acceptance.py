@@ -50,7 +50,8 @@ def test_criterion_2_hilbert_schmidt_cross_check():
             spec = H.TruncationSpec(1, level)
             m = H.assemble_matrix(sym, spec, q=120)
             fro2 = float(np.sum(m.entries**2))
-            direct = H.hilbert_schmidt_direct(sym, spec, q=120)
+            # the sum of m's order-q column integrals of m^2 phi_nu^2
+            direct = H.build_report(m, ())["hilbert_schmidt_direct"]
             gaps[(sym.kind, level)] = abs(fro2 - direct) / direct
     elapsed = time.perf_counter() - t0
     ok = (
@@ -100,7 +101,7 @@ def test_criterion_4_power_schatten_threshold():
 
 def test_criterion_5_trace_class_value():
     spec = H.TruncationSpec(1, 10000)
-    v = H.check_trace_class_positive(H.builtin_symbol("power", 1, sigma=2.0), spec)
+    _, v = H.criteria.criteria(H.builtin_symbol("power", 1, sigma=2.0), spec, None, (1.0,))
     oracle = odd_reciprocal_square_sum()  # pi^2 / 8
     ok = abs(v["partial_sum"] - oracle) <= 1e-4
     report("5 trace-class criterion value", ok,
@@ -130,7 +131,7 @@ def test_criterion_7_non_selfadjoint_trace_identity():
     m = H.assemble_matrix(sym, spec)
     st = H.spectral_trace(m)
     mt = m.trace()
-    ft = H.trace_formula(sym, spec)
+    ft = H.compare_traces(H.assemble_matrix(sym, spec, doubling_check=False))["formula_trace"]
     norm = float(np.linalg.norm(m.entries))
     ok = abs(st - mt) <= 1e-8 * norm and abs(st - ft) <= 1e-8 and abs(mt - ft) <= 1e-8
     report("7 non-self-adjoint trace identity", ok,

@@ -14,17 +14,14 @@ import pytest
 from hspec import (
     TruncationSpec,
     assemble_matrix,
-    check_hilbert_schmidt,
-    check_sr_sigma,
-    check_sr_small,
-    check_trace_class_positive,
+    build_report,
     symbol_from_dict,
 )
 import hspec.cli
 import hspec.operator
 from hspec.cli import main
 from hspec.criteria import criteria
-from hspec.schatten import HS_SUM, TRACE_SUM, hilbert_schmidt_direct, named_fsum, trace_formula
+from hspec.schatten import HS_SUM, TRACE_SUM, named_fsum
 from hspec.symbol import MAX_DEPTH
 from oracles import heat_trace_limit
 
@@ -169,8 +166,9 @@ def test_converge_reads_every_level_from_one_pass(tmp_path, monkeypatch, symbol,
     values = json.loads(out.read_text())["values"]
     assert values == [[n, named_fsum(HS_SUM if hs else TRACE_SUM,
                                      integrals[:spec.offsets[n + 1]])] for n in levels]
-    top = (hilbert_schmidt_direct if hs else trace_formula)(symbol_from_dict(symbol), spec)
-    assert values[-1][1] == top
+    # the same sum read from an assembled operator's column integrals
+    report = build_report(assemble_matrix(symbol_from_dict(symbol), spec), ())
+    assert values[-1][1] == report["hilbert_schmidt_direct" if hs else "formula_trace"]
 
 
 def test_basis_check(tmp_path):
@@ -601,20 +599,17 @@ def test_non_finite_report_exits_3(tmp_path, capsys, fmt):
     {"kind": "builtin", "dim": 2, "family": "heat", "params": {"t": 0.5},
      "positive_selfadjoint": True},
 ], ids=["x-dependent", "builtin"])
-def test_criteria_verdicts_equal_the_public_checks(tmp_path, symbol):
+def test_criteria_verdicts_equal_the_single_r_runs(tmp_path, symbol):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps(symbol))
     args = ("criteria", "--symbol", str(path), "--dim", "2", "--level", "8", "--r", "0.5,1,1.5,2")
     code, out = run(tmp_path, *args)
     assert code == 0
     sym, spec = symbol_from_dict(symbol), TruncationSpec(2, 8)
-    expected = [
-        check_sr_small(sym, spec, r=0.5),
-        check_sr_small(sym, spec, r=1.0),
-        check_trace_class_positive(sym, spec),
-        check_sr_sigma(sym, spec, r=1.5),
-        check_hilbert_schmidt(sym, spec),
-    ]
+    # r = 1 gives Sr-sufficient, then TraceClass-iff for a symbol that claims positivity
+    expected = [v for r in (0.5, 1.0, 1.5, 2.0) for v in criteria(sym, spec, None, (r,))]
+    assert [v["criterion"] for v in expected] == [
+        "Sr-sufficient", "Sr-sufficient", "TraceClass-iff", "Sr-sigma", "HS-iff"]
     # the report writes the verdicts criteria() returns, as they are
     verdicts = criteria(sym, spec, None, (0.5, 1.0, 1.5, 2.0))
     assert json.loads(out.read_text())["verdicts"] == expected == verdicts

@@ -12,18 +12,15 @@ from hspec import (
     TruncationSpec,
     assemble_matrix,
     builtin_symbol,
-    check_hilbert_schmidt,
     check_multiplier_schatten,
-    check_sr_sigma,
-    check_sr_small,
-    check_trace_class_positive,
     classify_tail,
     default_sigma,
     parse_symbol,
     sigma_lower_bound,
 )
 import hspec.operator
-from hspec.criteria import _hilbert_schmidt, _sr_small, _trace_class, criteria, shell_partition
+from hspec.criteria import (_hilbert_schmidt, _sr_sigma, _sr_small, _trace_class, criteria,
+                            shell_partition)
 from hspec.symbol import multiplier_value
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
@@ -31,27 +28,27 @@ HEAT = builtin_symbol("heat", 1, t=1.0)
 
 
 def test_hs_heat_converges():
-    v = check_hilbert_schmidt(HEAT, TruncationSpec(1, 40))
+    (v,) = criteria(HEAT, TruncationSpec(1, 40), None, (2.0,))
     assert v["tail_flag"] == "converging"
     assert v["partial_sum"] == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
 
 
 def test_hs_identity_diverges():
-    v = check_hilbert_schmidt(parse_symbol("1", 1), TruncationSpec(1, 40))
+    (v,) = criteria(parse_symbol("1", 1), TruncationSpec(1, 40), None, (2.0,))
     assert v["tail_flag"] == "diverging"
     # shell sums are the shell counts: constant 1 in dimension 1
     assert all(s == pytest.approx(1.0, rel=1e-12) for _, s in v["shells"])
 
 
 def test_hs_weak_power_diverges():
-    v = check_hilbert_schmidt(builtin_symbol("power", 1, sigma=0.3), TruncationSpec(1, 400))
+    (v,) = criteria(builtin_symbol("power", 1, sigma=0.3), TruncationSpec(1, 400), None, (2.0,))
     assert v["tail_flag"] == "diverging"
     assert v["extras"]["fit_slope"] == pytest.approx(-0.6, abs=1e-6)
 
 
 def test_hs_cross_check_recorded():
-    v = check_hilbert_schmidt(parse_symbol("exp(-absnu/2)/(1+x1^2)", 1),
-                              TruncationSpec(1, 30), q=100)
+    (v,) = criteria(parse_symbol("exp(-absnu/2)/(1+x1^2)", 1), TruncationSpec(1, 30), 100,
+                    (2.0,))
     assert "frobenius_squared" in v["extras"]
     assert v["extras"]["relative_gap"] < 1e-3
 
@@ -106,53 +103,54 @@ def test_sr_small_takes_the_same_powers_with_or_without_the_operator(text, dim, 
 
 
 def test_shells_sum_to_partial_sum():
-    v = check_hilbert_schmidt(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 15))
+    (v,) = criteria(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 15), None, (2.0,))
     assert math.fsum(s for _, s in v["shells"]) == pytest.approx(v["partial_sum"], rel=1e-12)
 
 
 def test_hs_partial_sums_monotone_in_level():
     sums = [
-        check_hilbert_schmidt(HEAT, TruncationSpec(1, n))["partial_sum"]
+        criteria(HEAT, TruncationSpec(1, n), None, (2.0,))[0]["partial_sum"]
         for n in (5, 10, 20, 30)
     ]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
 
 
 def test_trace_class_heat():
-    v = check_trace_class_positive(HEAT, TruncationSpec(1, 30))
+    _, v = criteria(HEAT, TruncationSpec(1, 30), None, (1.0,))
     assert v["tail_flag"] == "converging"
     assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
 
 
 def test_trace_class_power_sigma1_diverges():
-    v = check_trace_class_positive(builtin_symbol("power", 1, sigma=1.0),
-                                   TruncationSpec(1, 500))
+    _, v = criteria(builtin_symbol("power", 1, sigma=1.0), TruncationSpec(1, 500), None, (1.0,))
+    assert v["criterion"] == "TraceClass-iff"
     assert v["tail_flag"] == "diverging"
 
 
 def test_trace_class_power_sigma2_converges():
-    v = check_trace_class_positive(builtin_symbol("power", 1, sigma=2.0),
-                                   TruncationSpec(1, 2000))
+    _, v = criteria(builtin_symbol("power", 1, sigma=2.0), TruncationSpec(1, 2000), None, (1.0,))
+    assert v["criterion"] == "TraceClass-iff"
     assert v["tail_flag"] == "converging"
     assert v["partial_sum"] == pytest.approx(odd_reciprocal_square_sum(), abs=1e-3)
 
 
 def test_trace_class_requires_flag():
     sym = parse_symbol("exp(-lam)", 1)  # same values as heat, but flag unset
-    with pytest.raises(CriterionPreconditionError, match="positive_selfadjoint"):
-        check_trace_class_positive(sym, TruncationSpec(1, 10))
+    assert not sym.claims_positive_selfadjoint
+    verdicts = criteria(sym, TruncationSpec(1, 10), None, (1.0,))
+    assert [v["criterion"] for v in verdicts] == ["Sr-sufficient"]
 
 
 def test_trace_class_refuses_asymmetric():
     sym = parse_symbol("x1 * exp(-absnu)", 1, positive_selfadjoint=True)
     with pytest.raises(CriterionPreconditionError, match="symmetry|positivity"):
-        check_trace_class_positive(sym, TruncationSpec(1, 10))
+        criteria(sym, TruncationSpec(1, 10), None, (1.0,))
 
 
 def test_trace_class_refuses_negative_multiplier():
     sym = parse_symbol("-exp(-lam)", 1, positive_selfadjoint=True)
     with pytest.raises(CriterionPreconditionError, match="positivity"):
-        check_trace_class_positive(sym, TruncationSpec(1, 10))
+        criteria(sym, TruncationSpec(1, 10), None, (1.0,))
 
 
 def test_trace_class_accepts_verified_quadrature_symbol():
@@ -160,7 +158,8 @@ def test_trace_class_accepts_verified_quadrature_symbol():
     # positivity are verified on the matrix rather than trusted
     sym = parse_symbol("exp(-lam) + 0 * x1", 1, positive_selfadjoint=True)
     assert not sym.is_multiplier
-    v = check_trace_class_positive(sym, TruncationSpec(1, 15))
+    _, v = criteria(sym, TruncationSpec(1, 15), None, (1.0,))
+    assert v["criterion"] == "TraceClass-iff"
     assert v["tail_flag"] == "converging"
     assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
 
@@ -192,13 +191,9 @@ def test_every_criteria_report_and_check_reads_one_order_q_pass(monkeypatch):
         return passes[-1]
 
     monkeypatch.setattr(hspec.operator, "_discretize", counted)
-    for run in (lambda: criteria(sym, spec, q, (1.0, 1.5, 2.0)),
-                lambda: check_trace_class_positive(sym, spec, q),
-                lambda: check_hilbert_schmidt(sym, spec, q),
-                lambda: check_sr_small(sym, spec, q, r=0.5),
-                lambda: check_sr_sigma(sym, spec, q, r=1.5)):
+    for rs in ((1.0, 1.5, 2.0), (1.0,), (2.0,), (0.5,), (1.5,)):
         passes.clear()
-        run()
+        criteria(sym, spec, q, rs)
         assert len(passes) == 1 and passes[0][0] == q
     _, trace_class, _, hs = criteria(sym, spec, q, (1.0, 1.5, 2.0))
     assert trace_class["criterion"] == "TraceClass-iff"
@@ -228,46 +223,52 @@ def test_a_constant_symmetrizer_skips_the_symmetry_check():
 
 
 def test_sr_small_heat_r1():
-    v = check_sr_small(HEAT, TruncationSpec(1, 40), r=1.0)
+    v = criteria(HEAT, TruncationSpec(1, 40), None, (1.0,))[0]
     assert v["tail_flag"] == "converging"
     # column integral e^(-2(2k+1)) to the power 1/2 gives the trace series
     assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0), abs=1e-12)
 
 
 def test_sr_small_power_thresholds():
-    assert check_sr_small(builtin_symbol("power", 1, sigma=2.0),
-                          TruncationSpec(1, 500), r=1.0)["tail_flag"] == "converging"
-    assert check_sr_small(builtin_symbol("power", 1, sigma=1.0),
-                          TruncationSpec(1, 500), r=1.0)["tail_flag"] == "diverging"
+    for sigma, flag in ((2.0, "converging"), (1.0, "diverging")):
+        v = criteria(builtin_symbol("power", 1, sigma=sigma), TruncationSpec(1, 500), None,
+                     (1.0,))[0]
+        assert v["criterion"] == "Sr-sufficient" and v["tail_flag"] == flag
 
 
 def test_sr_small_range_validation():
+    # criteria() sends 1 < r < 2 to Sr-sigma, and r <= 0 here
+    spec = TruncationSpec(1, 10)
     with pytest.raises(ValueError):
-        check_sr_small(HEAT, TruncationSpec(1, 10), r=1.5)
+        _sr_small(spec, 1.5, None, np.ones(spec.size))
+    with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+        criteria(HEAT, spec, None, (0.0,))
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 0.5])
 def test_sr_sigma_range_validation(r):
+    # criteria() sends these r to the other criteria, so Sr-sigma is called directly
+    spec = TruncationSpec(1, 10)
     with pytest.raises(ValueError, match=r"r must lie in \(1, 2\)"):
-        check_sr_sigma(HEAT, TruncationSpec(1, 10), r=r)
+        _sr_sigma(spec, r, None, np.ones(spec.size))
 
 
 def test_sr_sigma_heat():
-    v = check_sr_sigma(HEAT, TruncationSpec(1, 40), r=1.5, sigma=1.0)
+    (v,) = criteria(HEAT, TruncationSpec(1, 40), None, (1.5,), sigma=1.0)
     assert v["tail_flag"] == "converging"
 
 
 def test_sr_sigma_power_weighted_pseries():
     # weight (2k+1)^1 against symbol (2k+1)^(-3) squared: terms (2k+1)^(-5)
-    v = check_sr_sigma(builtin_symbol("power", 1, sigma=3.0), TruncationSpec(1, 500),
-                       r=1.5, sigma=0.5)
+    (v,) = criteria(builtin_symbol("power", 1, sigma=3.0), TruncationSpec(1, 500), None,
+                    (1.5,), sigma=0.5)
     assert v["tail_flag"] == "converging"
     assert v["extras"]["fit_slope"] == pytest.approx(-5.0, abs=1e-6)
 
 
 def test_sr_sigma_bound_rejection():
     with pytest.raises(CriterionPreconditionError, match="1/6|0.16"):
-        check_sr_sigma(HEAT, TruncationSpec(1, 10), r=1.5, sigma=0.1)
+        criteria(HEAT, TruncationSpec(1, 10), None, (1.5,), sigma=0.1)
 
 
 def test_sigma_default_inside_region():
@@ -280,7 +281,7 @@ def test_sigma_default_inside_region():
 def test_multiplier_fast_path_exact():
     # for multipliers the S_r criterion is exactly sum |m(nu)|^r
     spec = TruncationSpec(1, 60)
-    v = check_sr_small(HEAT, spec, r=1.0)
+    v = criteria(HEAT, spec, None, (1.0,))[0]
     exact = math.fsum(math.exp(-(2 * k + 1.0)) for k in range(61))
     assert v["partial_sum"] == exact  # bitwise: fsum over identical term lists
 
@@ -313,7 +314,7 @@ def test_multiplier_powers_equal_per_index_python_powers(sym):
         return [[s, math.fsum(terms[o[s]:o[s + 1]])] for s in range(spec.level + 1)]
 
     for r in (0.5, 1.0):
-        assert check_sr_small(sym, spec, r=r)["shells"] == shells(r)
+        assert criteria(sym, spec, None, (r,))[0]["shells"] == shells(r)
     for r in (0.9, 1.2, 3.0):
         assert check_multiplier_schatten(sym, spec, r=r)["shells"] == shells(r)
 
@@ -332,8 +333,8 @@ def test_multiplier_schatten_rejects_pseudo():
 
 
 def test_bandlimit_tail_identically_zero():
-    v = check_hilbert_schmidt(builtin_symbol("bandlimit", 1, cutoff=3),
-                              TruncationSpec(1, 40))
+    (v,) = criteria(builtin_symbol("bandlimit", 1, cutoff=3), TruncationSpec(1, 40), None,
+                    (2.0,))
     assert v["tail_flag"] == "converging"
     assert v["extras"]["note"] == "tail shells identically zero"
     assert v["partial_sum"] == pytest.approx(4.0, rel=1e-12)
@@ -372,13 +373,14 @@ def test_a_shell_sum_that_overflows_names_the_sum_and_the_shell():
 
 
 def test_verdict_reproducibility():
-    a = check_hilbert_schmidt(HEAT, TruncationSpec(1, 30))
-    b = check_hilbert_schmidt(HEAT, TruncationSpec(1, 30))
+    a = criteria(HEAT, TruncationSpec(1, 30), None, (2.0,))
+    b = criteria(HEAT, TruncationSpec(1, 30), None, (2.0,))
     assert a == b
 
 
 def test_two_dim_heat_criteria():
-    v = check_trace_class_positive(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 25))
+    _, v = criteria(builtin_symbol("heat", 2, t=1.0), TruncationSpec(2, 25), None, (1.0,))
+    assert v["criterion"] == "TraceClass-iff"
     assert v["tail_flag"] == "converging"
     # product of two 1-D geometric series
     assert v["partial_sum"] == pytest.approx(heat_trace_limit(1.0) ** 2, abs=1e-10)

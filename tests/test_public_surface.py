@@ -1,6 +1,7 @@
 """The package's public surface: the names it exports, the rule that no
-module imports another hspec module's private names, and the library API
-that no report reads, which is gone with no alias."""
+module imports another hspec module's private names or a name it never
+reads, and the library API that no report reads, which is gone with no
+alias."""
 
 import ast
 import importlib
@@ -15,15 +16,12 @@ SOURCE = Path(hspec.__file__).parent
 PUBLIC = [
     "CriterionPreconditionError", "OperatorMatrix", "QuadratureRule", "SymbolError",
     "SymbolEvalError", "SymbolParseError", "SymbolSpec", "TruncationSpec", "assemble_matrix",
-    "axis_signs", "build_report", "builtin_symbol", "check_hilbert_schmidt",
-    "check_multiplier_schatten", "check_sr_sigma", "check_sr_small",
-    "check_trace_class_positive", "classify_tail", "column_integrals", "compare_traces",
-    "criteria", "default_sigma", "eval_symbol", "gauss_hermite_rule", "hermite", "hermite_table",
-    "hilbert_schmidt_direct", "invariant_flips", "load_symbol", "multiindex",
-    "multiplier_value", "operator", "parse_symbol", "pretty_print", "schatten",
-    "schatten_norm", "schatten_sum", "separate", "sigma_lower_bound", "singular_values",
-    "spectral_trace", "symbol", "symbol_from_dict", "symbol_sampler", "symbol_to_dict",
-    "table_symbol", "trace_formula",
+    "axis_signs", "build_report", "builtin_symbol", "check_multiplier_schatten", "classify_tail",
+    "column_integrals", "compare_traces", "default_sigma", "eval_symbol", "gauss_hermite_rule",
+    "hermite_table", "invariant_flips", "load_symbol", "multiplier_value", "parse_symbol",
+    "pretty_print", "schatten_norm", "schatten_sum", "separate", "sigma_lower_bound",
+    "singular_values", "spectral_trace", "symbol_from_dict", "symbol_sampler", "symbol_to_dict",
+    "table_symbol",
 ]
 
 
@@ -48,6 +46,36 @@ def test_no_module_imports_a_private_name_from_another_hspec_module():
     assert found == []
 
 
+def _imported(tree):
+    """(line, name) of each name an import statement binds, but __future__'s."""
+    return [(alias.lineno, alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for line, name in _imported(tree)
+                  if name not in read and "# noqa: F401" not in lines[line - 1]]
+    assert found == []
+
+
+def test_the_package_exports_the_names_it_imports():
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = [name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for name in (alias.asname or alias.name for alias in node.names)]
+    assert sorted(imported) == sorted(hspec.__all__)
+
+
 def test_hermite_and_symbol_import_nothing_from_multiindex():
     found = []
     for name in ("hermite.py", "symbol.py"):
@@ -64,7 +92,12 @@ def test_hermite_and_symbol_import_nothing_from_multiindex():
 DELETED = {
     "hspec": ["MultiIndex", "enumerate_level", "eval_hermite_1d", "eval_hermite_multi",
               "oscillator_eigenvalue", "CoefficientVector", "analyze", "apply_matrix",
-              "export_matrix_csv", "kernel_eval", "synthesize"],
+              "export_matrix_csv", "kernel_eval", "synthesize", "check_hilbert_schmidt",
+              "check_trace_class_positive", "check_sr_small", "check_sr_sigma",
+              "trace_formula", "hilbert_schmidt_direct"],
+    "hspec.criteria": ["check_hilbert_schmidt", "check_trace_class_positive", "check_sr_small",
+                       "check_sr_sigma", "_operator_and_squares"],
+    "hspec.schatten": ["trace_formula", "hilbert_schmidt_direct"],
     "hspec.operator": ["CoefficientVector", "analyze", "synthesize", "apply_matrix",
                        "kernel_eval", "_basis_at", "export_matrix_csv", "json"],
     "hspec.multiindex": ["MultiIndex", "enumerate_level", "TruncationSpec.indices",

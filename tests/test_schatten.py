@@ -13,7 +13,6 @@ from hspec import (
     builtin_symbol,
     column_integrals,
     compare_traces,
-    hilbert_schmidt_direct,
     multiplier_value,
     parse_symbol,
     schatten_norm,
@@ -22,9 +21,9 @@ from hspec import (
     singular_values,
     spectral_trace,
     table_symbol,
-    trace_formula,
 )
 from hspec.criteria import _sr_small, _trace_class
+from hspec.schatten import TRACE_SUM, named_fsum
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
 
@@ -116,20 +115,31 @@ def test_multiplication_property_holder():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+def _formula_trace(sym, spec, q=None):
+    # the sum of the order-q column integrals of m phi_nu^2
+    return compare_traces(assemble_matrix(sym, spec, q, doubling_check=False))["formula_trace"]
+
+
+def _hs_direct(sym, spec, q=None):
+    # the sum of the order-q column integrals of m^2 phi_nu^2
+    m = assemble_matrix(sym, spec, q, doubling_check=False)
+    return build_report(m, ())["hilbert_schmidt_direct"]
+
+
 def test_trace_formula_identity_symbol():
-    assert trace_formula(parse_symbol("1", 1), TruncationSpec(1, 9)) == pytest.approx(
+    assert _formula_trace(parse_symbol("1", 1), TruncationSpec(1, 9)) == pytest.approx(
         10.0, rel=1e-12
     )
 
 
 def test_trace_formula_heat():
     # geometric series, truncation tail below e^(-61)
-    got = trace_formula(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 30))
+    got = _formula_trace(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 30))
     assert got == pytest.approx(heat_trace_limit(1.0), abs=1e-10)
 
 
 def test_trace_formula_power_sigma2():
-    got = trace_formula(builtin_symbol("power", 1, sigma=2.0), TruncationSpec(1, 10000))
+    got = _formula_trace(builtin_symbol("power", 1, sigma=2.0), TruncationSpec(1, 10000))
     assert got == pytest.approx(odd_reciprocal_square_sum(), abs=1e-4)
 
 
@@ -137,13 +147,13 @@ def test_trace_formula_matches_matrix_diagonal():
     sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
     spec = TruncationSpec(1, 12)
     m = assemble_matrix(sym, spec, q=80)
-    assert trace_formula(sym, spec, q=160) == pytest.approx(m.trace(), abs=1e-10)
+    assert _formula_trace(sym, spec, q=160) == pytest.approx(m.trace(), abs=1e-10)
 
 
 @pytest.mark.parametrize("sym", [parse_symbol("exp(-absnu)/(1+x1^2)", 1),
                                  builtin_symbol("heat", 1, t=1.0)],
                          ids=["x-dependent", "multiplier"])
-@pytest.mark.parametrize("reader", [column_integrals, trace_formula, hilbert_schmidt_direct])
+@pytest.mark.parametrize("reader", [column_integrals, assemble_matrix])
 def test_column_sums_refuse_an_order_below_level_plus_one(reader, sym):
     # the same order rule as assemble_matrix, for a multiplier too
     with pytest.raises(ValueError, match=r"^quadrature order 5 must be at least N\+1 = 21$"):
@@ -154,7 +164,7 @@ def test_spectral_trace_diagonal_heat():
     spec = TruncationSpec(1, 30)
     m = assemble_matrix(builtin_symbol("heat", 1, t=1.0), spec)
     assert spectral_trace(m) == pytest.approx(
-        trace_formula(builtin_symbol("heat", 1, t=1.0), spec), abs=1e-12
+        _formula_trace(builtin_symbol("heat", 1, t=1.0), spec), abs=1e-12
     )
 
 
@@ -170,13 +180,13 @@ def test_spectral_trace_nonsymmetric_matrix():
 
 
 def test_hilbert_schmidt_identity_symbol():
-    assert hilbert_schmidt_direct(parse_symbol("1", 1), TruncationSpec(1, 9)) == pytest.approx(
+    assert _hs_direct(parse_symbol("1", 1), TruncationSpec(1, 9)) == pytest.approx(
         10.0, rel=1e-12
     )
 
 
 def test_hilbert_schmidt_heat():
-    got = hilbert_schmidt_direct(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 40))
+    got = _hs_direct(builtin_symbol("heat", 1, t=1.0), TruncationSpec(1, 40))
     assert got == pytest.approx(heat_hs_limit(1.0), abs=1e-12)
 
 
@@ -187,7 +197,7 @@ def test_hilbert_schmidt_projection_gap_shrinks():
         spec = TruncationSpec(1, level)
         m = assemble_matrix(sym, spec, q=120)
         fro2 = float(np.sum(m.entries**2))
-        direct = hilbert_schmidt_direct(sym, spec, q=120)
+        direct = _hs_direct(sym, spec, q=120)
         return abs(fro2 - direct) / direct
 
     g20, g40 = gap(20), gap(40)
@@ -375,11 +385,14 @@ def test_other_symbols_get_no_symmetrizer_and_keep_the_nonsymmetric_solve(sym, l
 
 @pytest.mark.parametrize("text, level, reader, message", [
     # a multiplier's values are its column integrals: 31 of them at 1e307
-    ("1e307+0*absnu", 30, trace_formula, "the trace formula sum of the integrals of m phi_nu^2"),
-    ("1.2e153*(1+0.000001*x1^2)", 200, hilbert_schmidt_direct,
+    # compare_traces names the matrix trace first; converge sums the integrals alone
+    ("1e307+0*absnu", 30, lambda sym, spec: named_fsum(
+        TRACE_SUM, column_integrals(sym, spec, squared=False)),
+     "the trace formula sum of the integrals of m phi_nu^2"),
+    ("1.2e153*(1+0.000001*x1^2)", 200, _hs_direct,
      "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"),
     # m^2 = 1e400 is not finite, and is named where it is summed
-    ("1e200+0*absnu", 3, hilbert_schmidt_direct,
+    ("1e200+0*absnu", 3, _hs_direct,
      "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"),
 ], ids=["trace-formula", "hs-direct", "hs-direct-multiplier"])
 def test_a_sum_of_column_integrals_that_overflows_is_named(text, level, reader, message):

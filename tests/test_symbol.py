@@ -267,6 +267,17 @@ def test_index_array_evaluation_does_not_alias_the_points():
     assert pts[0, 0] == 0.5
 
 
+@pytest.mark.parametrize("x, width", [
+    (np.arange(6.0).reshape(2, 3), 3),  # six coordinates, also three points of two
+    ([0.5, 1.0, 2.0, 3.0], 4),          # one point of four coordinates, not two points
+    (0.5, 1),
+], ids=["batch", "point", "scalar"])
+def test_points_must_have_the_symbol_dimension(x, width):
+    # the width is checked before the points are read, so no batch is regrouped
+    with pytest.raises(ValueError, match=f"^points have dimension {width}, symbol has 2$"):
+        eval_symbol(parse_symbol("x1 + 10*x2", 2), x, [[0, 0]])
+
+
 def test_index_array_must_have_the_symbol_dimension():
     s = parse_symbol("x1 + nu2", 2)
     for bad in ([[0, 0, 1], [1, 0, 0]], [0, 1]):
