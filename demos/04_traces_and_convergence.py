@@ -14,7 +14,7 @@ from hspec import (
     builtin_symbol,
     compare_traces,
     parse_symbol,
-    schatten_norm,
+    schatten_sum,
     singular_values,
 )
 
@@ -46,8 +46,8 @@ print("\n== Singular values and Schatten norms ==")
 sv = singular_values(m)
 print(f"largest singular values: {[round(float(s), 6) for s in sv[:4]]}")
 print(f"(the multiplier values e^(-1), e^(-3), ... of the heat symbol)")
-print(f"S_1 norm (trace norm)    = {schatten_norm(sv, 1.0):.12f}")
-print(f"S_2 norm (Frobenius)     = {schatten_norm(sv, 2.0):.12f}")
+print(f"S_1 norm (trace norm)    = {schatten_sum(sv, 1.0) ** (1 / 1.0):.12f}")
+print(f"S_2 norm (Frobenius)     = {schatten_sum(sv, 2.0) ** (1 / 2.0):.12f}")
 print(f"S_2 closed form          = {math.sqrt(1.0 / (2.0 * math.sinh(2.0))):.12f}")
 
 print("\n== Convergence of a power-symbol trace to pi^2/8 ==")

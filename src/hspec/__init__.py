@@ -30,7 +30,6 @@ from .operator import OperatorMatrix, assemble_matrix, column_integrals
 from .schatten import (
     build_report,
     compare_traces,
-    schatten_norm,
     schatten_sum,
     singular_values,
     spectral_trace,

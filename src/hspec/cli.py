@@ -286,9 +286,8 @@ def cmd_converge(args) -> int:
     # one pass at the top level: the truncation is graded, so level n is the
     # first offsets[n + 1] columns of it
     spec = TruncationSpec(args.dim, levels[-1])
-    squared = args.quantity == "hs"
-    integrals = column_integrals(sym, spec, args.quad, squared)
-    what = HS_SUM if squared else TRACE_SUM
+    linear, squared = column_integrals(sym, spec, args.quad)
+    integrals, what = (squared, HS_SUM) if args.quantity == "hs" else (linear, TRACE_SUM)
     rows = [(n, named_fsum(what, integrals[:spec.offsets[n + 1]])) for n in levels]
     diffs = [rows[i + 1][1] - rows[i][1] for i in range(len(rows) - 1)]
     doc = _report(

@@ -127,7 +127,7 @@ def _trace_class(m: OperatorMatrix) -> dict:
             f"positivity check failed: smallest eigenvalue {lo:.3e} "
             f"below -{POSITIVITY_TOL:.0e} * ||M||"
         )
-    return _verdict("TraceClass-iff", m.spec, m.column_integrals(squared=False), {})
+    return _verdict("TraceClass-iff", m.spec, m.columns[0], {})
 
 
 def _sr_small(spec: TruncationSpec, r: float, m: OperatorMatrix | None,
@@ -197,9 +197,10 @@ def criteria(
     cross_check = 2.0 in rs and spec.size <= CROSS_CHECK_MAX_SIZE
     if trace_class or cross_check or sym.is_multiplier:
         m = assemble_matrix(sym, spec, q, doubling_check=False)
-        squared = m.column_integrals(squared=True)
+        _, squared = m.columns
     else:
-        m, squared = None, column_integrals(sym, spec, q, squared=True)
+        m = None
+        _, squared = column_integrals(sym, spec, q)
     verdicts = []
     for r in rs:
         if r == 2.0:

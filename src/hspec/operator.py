@@ -111,10 +111,6 @@ class OperatorMatrix:
         dense[self.singles, self.singles] = self.scalars
         return dense
 
-    def column_integrals(self, squared: bool = True) -> np.ndarray:
-        """Per-nu integrals of m^2 phi_nu^2 (squared=True) or of m phi_nu^2."""
-        return self.columns[squared]
-
     def frobenius_squared(self) -> float:
         """The sum of the squared entries, block by block; inf when it overflows."""
         with np.errstate(over="ignore"):
@@ -411,12 +407,12 @@ def _stack_layout(blocks: tuple[np.ndarray, ...], spec: TruncationSpec):
 
 
 def column_integrals(
-    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None, squared: bool = True
-) -> np.ndarray:
-    """Per-nu integrals of m(x,nu)^2 phi_nu(x)^2 (squared=True) or of
-    m(x,nu) phi_nu(x)^2 (squared=False), in enumeration order; a multiplier's
-    are exactly m(nu)^2 resp. m(nu)."""
-    return _discretize(sym, spec, q)[2][squared]
+    sym: SymbolSpec, spec: TruncationSpec, q: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-nu integrals of m(x,nu) phi_nu(x)^2 and of m(x,nu)^2
+    phi_nu(x)^2, in enumeration order, from one pass; a multiplier's are
+    exactly m(nu) and m(nu)^2."""
+    return _discretize(sym, spec, q)[2]
 
 
 def assemble_matrix(

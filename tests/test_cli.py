@@ -179,9 +179,12 @@ def test_basis_check(tmp_path):
         assert doc["orthonormality_residual"] <= 1e-10
 
 
-def test_basis_check_at_high_level(tmp_path):
-    code, out = run(tmp_path, "basis-check", "--level", "1000")
+def test_basis_check_at_high_level(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "basis-check", "--level", "2000")
     assert code == 0
+    assert capsys.readouterr().err == ""
     assert json.loads(out.read_text())["orthonormality_residual"] <= 1e-11
 
 
@@ -189,7 +192,9 @@ def test_x_dependent_trace_at_high_level(tmp_path, capsys):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1,
                                 "expr": "exp(-0.1*absnu)/(1+x1^2)"}))
-    code, out = run(tmp_path, "trace", "--symbol", str(path), "--level", "400")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "trace", "--symbol", str(path), "--level", "1000")
     assert code == 0
     assert capsys.readouterr().err == ""
     doc = json.loads(out.read_text())
@@ -238,22 +243,33 @@ def _sum(terms: int) -> str:
 def test_a_sum_at_the_depth_limit_runs(tmp_path, capsys, command):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": _sum(MAX_DEPTH)}))
-    code, out = run(tmp_path, *command, "--symbol", str(path), "--level", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, *command, "--symbol", str(path), "--level", "3")
     assert code == 0 and out.exists()
     assert "error" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("expr", [_sum(MAX_DEPTH + 1), "(" * 300 + "x1" + ")" * 300,
-                                  "-" * 1200 + "x1"],
-                         ids=["sum-one-level-deeper", "parentheses", "unary-minus"])
+@pytest.mark.parametrize("expr, col", [
+    (_sum(MAX_DEPTH + 1), None),
+    # refused where the nesting passes MAX_PARSE_FRAMES = 600, whatever the
+    # caller's stack depth
+    ("(" * 300 + "x1" + ")" * 300, 121),
+    ("-" * 1200 + "x1", 601),
+], ids=["sum-one-level-deeper", "parentheses", "unary-minus"])
 @pytest.mark.parametrize("command", ["analyze", "criteria"])
-def test_a_deeper_expression_exits_2_with_one_named_line(tmp_path, capsys, expr, command):
+def test_a_deeper_expression_exits_2_with_one_named_line(tmp_path, capsys, expr, col, command):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": 1, "expr": expr}))
-    code, out = run(tmp_path, command, "--symbol", str(path), "--level", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, command, "--symbol", str(path), "--level", "3")
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "nested" in err, err
+    if col is not None:
+        assert err == (f"error: bad symbol file {path}: 1:{col}: "
+                       "expression nested too deeply to parse\n")
 
 
 @pytest.mark.parametrize("expr, args, message", [
@@ -830,8 +846,10 @@ def test_the_warning_names_no_column_that_is_zero_in_exact_arithmetic(tmp_path, 
     # odd and mu_j + nu_j even for j > 1; such entries are exact zeros, not roundoff
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"kind": "expression", "dim": dim, "expr": expr}))
-    code, _ = run(tmp_path, "analyze", "--symbol", str(path), "--level", str(level),
-                  "--quad", "4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, "analyze", "--symbol", str(path), "--level", str(level),
+                      "--quad", "4")
     assert code == 0
     assert capsys.readouterr().err.splitlines() == [
         f"warning: quadrature residual above threshold; column {column}"]

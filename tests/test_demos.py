@@ -1,5 +1,5 @@
 """The demos read only the public API: each runs to the end with warnings as
-errors, as the CI step runs them."""
+errors, as `python -W error demos/<name>.py`."""
 
 import os
 import subprocess

@@ -214,7 +214,7 @@ def test_basis_table_bounded_and_orthonormal_at_high_order():
     assert np.abs(gram - np.eye(n_level + 1)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("level", [700, 1500])
+@pytest.mark.parametrize("level", [700, 1000, 1500])
 def test_ground_state_coefficients_at_high_level(level):
     # <phi_0, phi_k> for k <= N under the default rule: phi_0 sampled at the
     # nodes times the half weights sqrt(w) e^(x^2/2) is the basis row 0

@@ -146,12 +146,10 @@ def test_assembly_carries_the_column_integrals(text, dim, level, q):
     # match a separate column_integrals pass bit for bit
     sym, spec = parse_symbol(text, dim), TruncationSpec(dim, level)
     m = assemble_matrix(sym, spec, q=q, doubling_check=False)
-    for squared in (False, True):
-        assert np.array_equal(m.column_integrals(squared=squared),
-                              column_integrals(sym, spec, q, squared=squared))
+    for carried, separate_pass in zip(m.columns, column_integrals(sym, spec, q), strict=True):
+        assert np.array_equal(carried, separate_pass)
     # the linear integrals are the diagonal of the same-order matrix
-    assert np.diag(m.entries) == pytest.approx(m.column_integrals(squared=False),
-                                               rel=1e-12, abs=1e-14)
+    assert np.diag(m.entries) == pytest.approx(m.columns[0], rel=1e-12, abs=1e-14)
 
 
 _TABLE_GRID = np.linspace(-12.0, 12.0, 49)
@@ -191,9 +189,9 @@ def test_sum_factorization_matches_dense_sums(monkeypatch, case, columns):
         matrix, linear, squared = dense_sums(sym, spec, q)
     scale = np.abs(matrix).max()
     assert np.abs(m.entries - matrix).max() <= 1e-13 * scale
-    assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
+    assert np.abs(m.columns[0] - linear).max() <= 1e-13 * scale
     # m^2 integrals carry the square of the symbol's scale
-    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
+    assert np.abs(m.columns[1] - squared).max() <= 1e-13 * scale**2
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
@@ -331,8 +329,8 @@ def test_separable_assembly_matches_dense_sums(sym):
         matrix, linear, squared = dense_sums(sym, spec, q)
     scale = np.abs(matrix).max()
     assert np.abs(m.entries - matrix).max() <= 1e-13 * scale, sym.text
-    assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale, sym.text
-    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2, sym.text
+    assert np.abs(m.columns[0] - linear).max() <= 1e-13 * scale, sym.text
+    assert np.abs(m.columns[1] - squared).max() <= 1e-13 * scale**2, sym.text
 
 
 def test_a_product_of_finite_factors_that_overflows_names_the_first_bad_point():
@@ -388,10 +386,10 @@ def test_the_folded_grid_matches_the_whole_grid_sums(monkeypatch, case, odd_q, c
     off = (parity != signs).any(axis=2)
     assert off.any() and np.array_equal(m.entries[off], np.zeros(off.sum()))
     if (signs < 0).any():  # m phi_nu^2 is odd
-        assert np.array_equal(m.column_integrals(squared=False), np.zeros(spec.size))
+        assert np.array_equal(m.columns[0], np.zeros(spec.size))
     else:
-        assert np.abs(m.column_integrals(squared=False) - linear).max() <= 1e-13 * scale
-    assert np.abs(m.column_integrals(squared=True) - squared).max() <= 1e-13 * scale**2
+        assert np.abs(m.columns[0] - linear).max() <= 1e-13 * scale
+    assert np.abs(m.columns[1] - squared).max() <= 1e-13 * scale**2
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))

@@ -19,7 +19,7 @@ PUBLIC = [
     "axis_signs", "build_report", "builtin_symbol", "check_multiplier_schatten", "classify_tail",
     "column_integrals", "compare_traces", "default_sigma", "eval_symbol", "gauss_hermite_rule",
     "hermite_table", "invariant_flips", "load_symbol", "multiplier_value", "parse_symbol",
-    "pretty_print", "schatten_norm", "schatten_sum", "separate", "sigma_lower_bound",
+    "pretty_print", "schatten_sum", "separate", "sigma_lower_bound",
     "singular_values", "spectral_trace", "symbol_from_dict", "symbol_sampler", "symbol_to_dict",
     "table_symbol",
 ]
@@ -94,12 +94,13 @@ DELETED = {
               "oscillator_eigenvalue", "CoefficientVector", "analyze", "apply_matrix",
               "export_matrix_csv", "kernel_eval", "synthesize", "check_hilbert_schmidt",
               "check_trace_class_positive", "check_sr_small", "check_sr_sigma",
-              "trace_formula", "hilbert_schmidt_direct"],
+              "trace_formula", "hilbert_schmidt_direct", "schatten_norm"],
     "hspec.criteria": ["check_hilbert_schmidt", "check_trace_class_positive", "check_sr_small",
                        "check_sr_sigma", "_operator_and_squares"],
-    "hspec.schatten": ["trace_formula", "hilbert_schmidt_direct"],
+    "hspec.schatten": ["trace_formula", "hilbert_schmidt_direct", "schatten_norm"],
     "hspec.operator": ["CoefficientVector", "analyze", "synthesize", "apply_matrix",
-                       "kernel_eval", "_basis_at", "export_matrix_csv", "json"],
+                       "kernel_eval", "_basis_at", "export_matrix_csv", "json",
+                       "OperatorMatrix.column_integrals"],
     "hspec.multiindex": ["MultiIndex", "enumerate_level", "TruncationSpec.indices",
                          "TruncationSpec.rank", "TruncationSpec.unrank"],
     "hspec.hermite": ["eval_hermite_1d", "eval_hermite_multi", "oscillator_eigenvalue",

@@ -15,7 +15,6 @@ from hspec import (
     compare_traces,
     multiplier_value,
     parse_symbol,
-    schatten_norm,
     schatten_sum,
     separate,
     singular_values,
@@ -23,7 +22,7 @@ from hspec import (
     table_symbol,
 )
 from hspec.criteria import _sr_small, _trace_class
-from hspec.schatten import TRACE_SUM, named_fsum
+from hspec.schatten import TRACE_SUM, _root, named_fsum
 from oracles import heat_hs_limit, heat_trace_limit, odd_reciprocal_square_sum
 
 
@@ -61,7 +60,7 @@ def test_singular_values_sorted_nonnegative():
 
 
 def test_schatten_norm_identity():
-    assert schatten_norm(np.ones(5), 2.0) == pytest.approx(math.sqrt(5), rel=1e-15)
+    assert schatten_sum(np.ones(5), 2.0) ** (1 / 2.0) == pytest.approx(math.sqrt(5), rel=1e-15)
 
 
 def test_schatten_sum_heat_geometric():
@@ -92,7 +91,8 @@ def test_frobenius_identity():
     sym = parse_symbol("exp(-absnu/2)/(1+x1^2)", 1)
     m = assemble_matrix(sym, TruncationSpec(1, 15), q=60)
     fro2 = float(np.sum(m.entries**2))
-    assert schatten_norm(singular_values(m), 2.0) ** 2 == pytest.approx(fro2, rel=1e-10)
+    assert (schatten_sum(singular_values(m), 2.0) ** (1 / 2.0)) ** 2 == pytest.approx(
+        fro2, rel=1e-10)
 
 
 def test_monotone_raw_sums_in_r():
@@ -272,7 +272,7 @@ def test_diagonal_operator_matches_dense_lapack(sym):
     assert np.array_equal(singular_values(one), singular_values(m))
     assert spectral_trace(one) == spectral_trace(m) and one.trace() == m.trace()
     assert one.frobenius_squared() == pytest.approx(m.frobenius_squared(), rel=1e-15, abs=0)
-    squared = m.column_integrals(squared=True)
+    _, squared = m.columns
     for r in (0.5, 1.0):
         layout, block = (_sr_small(m.spec, r, x, squared) for x in (m, one))
         assert layout["tail_flag"] == block["tail_flag"]
@@ -387,7 +387,7 @@ def test_other_symbols_get_no_symmetrizer_and_keep_the_nonsymmetric_solve(sym, l
     # a multiplier's values are its column integrals: 31 of them at 1e307
     # compare_traces names the matrix trace first; converge sums the integrals alone
     ("1e307+0*absnu", 30, lambda sym, spec: named_fsum(
-        TRACE_SUM, column_integrals(sym, spec, squared=False)),
+        TRACE_SUM, column_integrals(sym, spec)[0]),
      "the trace formula sum of the integrals of m phi_nu^2"),
     ("1.2e153*(1+0.000001*x1^2)", 200, _hs_direct,
      "the Hilbert-Schmidt sum of the integrals of m^2 phi_nu^2"),
@@ -422,7 +422,8 @@ def test_a_trace_of_a_diagonal_that_overflows_is_named(reader, message):
     # 1e110^3 leaves the double range
     (schatten_sum, [1e110, 1.0], 3.0, "the Schatten sum of order 3.0"),
     # (2000 ones)^100
-    (schatten_norm, np.ones(2000), 0.01, "the Schatten norm of order 0.01"),
+    (lambda sv, r: _root(schatten_sum(sv, r), r), np.ones(2000), 0.01,
+     "the Schatten norm of order 0.01"),
 ], ids=["sum", "norm"])
 def test_a_schatten_power_that_overflows_is_named(reader, sv, r, message):
     with warnings.catch_warnings():
